@@ -11,7 +11,8 @@
 /// fusion on and off, plus the single-shot fusion gain on the prefix.
 ///
 /// Also re-proves the determinism contract where it matters most: every
-/// (jobs, fuse) configuration must return bit-identical per-shot results.
+/// (jobs, fuse) configuration must return bit-identical per-shot results,
+/// and the first shots must equal per-shot StatevectorBackend::run().
 ///
 /// Usage: shot_throughput [--smoke] [--json <path>] [qubits] [shots] [layers]
 ///        (default 20 1000 4; --smoke = 12 300 3, sized for CI runners —
@@ -150,7 +151,10 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Determinism: the fastest and the slowest configuration agree bit-exactly.
+  // Determinism: the fastest and the slowest configuration agree
+  // bit-exactly. Both run the measure tail on the collapsed register, so
+  // the first shots are also anchored to the per-shot reference run(),
+  // which collapses the full state.
   {
     RunOptions Serial, Parallel;
     Serial.Jobs = 1;
@@ -162,9 +166,15 @@ int main(int argc, char **argv) {
     bool Same = true;
     for (unsigned S = 0; S < CheckShots; ++S)
       Same &= A[S].Bits == B[S].Bits;
+    unsigned RefShots = CheckShots < 8 ? CheckShots : 8;
+    bool SameAsRun = true;
+    for (unsigned S = 0; S < RefShots; ++S)
+      SameAsRun &= Sv.run(C, deriveShotSeed(42, S)).Bits == A[S].Bits;
     std::printf("\nper-shot parity, serial-unfused vs parallel-fused: %s\n",
                 Same ? "bit-exact" : "MISMATCH");
-    if (!Same)
+    std::printf("per-shot parity, first %u shots vs run(): %s\n", RefShots,
+                SameAsRun ? "bit-exact" : "MISMATCH");
+    if (!Same || !SameAsRun)
       return 1;
   }
 

@@ -115,8 +115,9 @@ struct SimStats {
   uint64_t FusedOps = 0;
   /// Of those, multi-qubit block applications (gather/scatter sweeps).
   uint64_t FusedBlocks = 0;
-  /// Amplitudes read-modify-written across all kernels, the currency of
-  /// the memory-bound engine (amps/sec = this over wall time).
+  /// Amplitudes read or written across all kernels (one updated in place
+  /// counts once), the currency of the memory-bound engine (amps/sec =
+  /// this over wall time).
   uint64_t AmplitudesTouched = 0;
   /// MPS engine: SVDs run while applying gates and moving the
   /// orthogonality center.

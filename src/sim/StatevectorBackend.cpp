@@ -16,6 +16,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <type_traits>
 
 #if __has_include(<unistd.h>)
 #include <unistd.h>
@@ -59,6 +60,54 @@ void forPairRuns(uint64_t PBegin, uint64_t PEnd, uint64_t Bit, Fn &&Body) {
     Body(insertZeroBit(PBegin, Bit), Run);
     PBegin += Run;
   }
+}
+
+/// The one summation order of every measurement probability: std::norm of
+/// Hi[insertZeroBit(P, Bit)] over pairs P in [0, NumPairs), added in
+/// ascending P within chunks of \p ChunkPairs pairs, the chunk sums then
+/// combined in chunk order. Fixed chunks make the rounding — and so every
+/// sampled outcome — the same for any \p Jobs, including the serial
+/// reference. A \p Bit >= NumPairs makes the terms Hi[0 .. NumPairs).
+double chunkedNormSum(const Amplitude *Hi, uint64_t NumPairs, uint64_t Bit,
+                      uint64_t ChunkPairs, unsigned Jobs) {
+  if (NumPairs == 0)
+    return 0.0;
+  uint64_t NumChunks = (NumPairs + ChunkPairs - 1) / ChunkPairs;
+  double PartialBuf[64];
+  std::vector<double> PartialVec;
+  double *Partial = PartialBuf;
+  if (NumChunks > 64) {
+    PartialVec.resize(NumChunks);
+    Partial = PartialVec.data();
+  }
+  parallelIndexLoop(Jobs, NumChunks, 1, [&](uint64_t CB, uint64_t CE) {
+    for (uint64_t C = CB; C < CE; ++C) {
+      uint64_t PB = C * ChunkPairs;
+      uint64_t PE = std::min(PB + ChunkPairs, NumPairs);
+      double S = 0.0;
+      forPairRuns(PB, PE, Bit, [&](uint64_t I0, uint64_t Run) {
+        const Amplitude *__restrict P1 = Hi + I0;
+        for (uint64_t X = 0; X < Run; ++X)
+          S += std::norm(P1[X]);
+      });
+      Partial[C] = S;
+    }
+  });
+  double P = 0.0;
+  for (uint64_t C = 0; C < NumChunks; ++C)
+    P += Partial[C];
+  return P;
+}
+
+/// Samples a measurement against \p P1 (one uniform draw) and sets \p Norm
+/// to what the kept half is divided by.
+bool drawOutcome(double P1, std::mt19937_64 &Rng, double &Norm) {
+  std::uniform_real_distribution<double> Dist(0.0, 1.0);
+  bool One = Dist(Rng) < P1;
+  Norm = std::sqrt(One ? P1 : 1.0 - P1);
+  if (Norm < 1e-300)
+    Norm = 1.0;
+  return One;
 }
 
 /// Dense fixed-dimension block apply over groups [B, E): compile-time
@@ -642,49 +691,16 @@ void StateVector::applyChannel(unsigned Q, const KrausChannel &Ch,
   bumpStats(2 * Amp.size(), false); // probability pass + branch apply
 }
 
-double StateVector::reduceOneProb(uint64_t Bit) const {
-  // Fixed-chunk partial sums, combined in chunk order: the probability —
-  // and therefore every sampled measurement — rounds identically for any
-  // worker count, including the serial reference.
-  uint64_t NumPairs = Amp.size() >> 1;
-  if (NumPairs == 0)
-    return 0.0;
-  uint64_t NumChunks = (NumPairs + ReduceChunk - 1) / ReduceChunk;
-  std::vector<double> Partial(NumChunks, 0.0);
-  const Amplitude *A = Amp.data();
-  parallelIndexLoop(
-      ParJobs, NumChunks, 1, [&](uint64_t CB, uint64_t CE) {
-        for (uint64_t C = CB; C < CE; ++C) {
-          uint64_t PB = C * ReduceChunk;
-          uint64_t PE = PB + ReduceChunk < NumPairs ? PB + ReduceChunk
-                                                    : NumPairs;
-          double S = 0.0;
-          forPairRuns(PB, PE, Bit, [&](uint64_t I0, uint64_t Run) {
-            const Amplitude *__restrict P1 = A + (I0 + Bit);
-            for (uint64_t X = 0; X < Run; ++X)
-              S += std::norm(P1[X]);
-          });
-          Partial[C] = S;
-        }
-      });
-  double P = 0.0;
-  for (uint64_t C = 0; C < NumChunks; ++C)
-    P += Partial[C];
-  return P;
-}
-
 double StateVector::probOne(unsigned Q) const {
-  return reduceOneProb(qubitBit(Q));
+  uint64_t Bit = qubitBit(Q);
+  return chunkedNormSum(Amp.data() + Bit, Amp.size() >> 1, Bit, ReduceChunk,
+                        ParJobs);
 }
 
 bool StateVector::measure(unsigned Q, std::mt19937_64 &Rng) {
-  double P1 = probOne(Q);
-  std::uniform_real_distribution<double> Dist(0.0, 1.0);
-  bool One = Dist(Rng) < P1;
+  double Norm;
+  bool One = drawOutcome(probOne(Q), Rng, Norm);
   uint64_t Bit = qubitBit(Q);
-  double Norm = std::sqrt(One ? P1 : 1.0 - P1);
-  if (Norm < 1e-300)
-    Norm = 1.0;
   // Collapse: scale the kept half, zero the other — two unit-stride
   // streams per pair run, no per-index branch.
   uint64_t KeepOff = One ? Bit : 0, ZeroOff = Bit ^ KeepOff;
@@ -701,13 +717,108 @@ bool StateVector::measure(unsigned Q, std::mt19937_64 &Rng) {
           }
         });
       });
-  bumpStats(2 * Amp.size(), false); // probability pass + collapse pass
+  // The probability pass reads the upper half; the collapse writes all.
+  bumpStats(Amp.size() / 2 + Amp.size(), false);
   return One;
 }
 
 void StateVector::reset(unsigned Q, std::mt19937_64 &Rng) {
   if (measure(Q, Rng))
     apply(GateKind::X, {}, {Q}, 0.0);
+}
+
+void CollapsedRegister::begin(const StateVector &S, Amplitude *Dst) {
+  NumQubits = S.numQubits();
+  Cur = S.amplitudes().data();
+  Scratch = Dst;
+  Size = S.amplitudes().size();
+  FixedMask = FixedVals = 0;
+}
+
+void CollapsedRegister::start(const StateVector &S) {
+  uint64_t Half = S.amplitudes().size() / 2;
+  if (Own.size() < Half)
+    Own.resize(Half);
+  begin(S, Own.data());
+}
+
+void CollapsedRegister::startInPlace(StateVector &S) {
+  begin(S, S.amplitudes().data());
+}
+
+bool CollapsedRegister::measure(unsigned Q, std::mt19937_64 &Rng) {
+  const uint64_t Full = uint64_t(1) << (NumQubits - 1 - Q);
+  const bool Collapsed = FixedMask & Full;
+  // The full state's chunk grid seen from the survivors: a chunk holds
+  // ReduceChunk pairs of full-state indices with Q's bit removed, and the
+  // other collapsed qubits pin the low bits among those.
+  uint64_t Others = FixedMask & ~Full;
+  uint64_t PairFixed = ((Others & ~(Full - 1)) >> 1) | (Others & (Full - 1));
+  uint64_t Chunk = ReduceChunk >> std::popcount(PairFixed & (ReduceChunk - 1));
+  // Q's bit among the survivors' index bits, if Q is still free.
+  uint64_t Bit = uint64_t(1) << (std::countr_zero(Full) -
+                                 std::popcount(FixedMask & (Full - 1)));
+  uint64_t Touched = 0;
+  double P1 = 0.0; // Collapsed to 0: every term is an exact zero.
+  if (!Collapsed) {
+    P1 = chunkedNormSum(Cur + Bit, Size / 2, Bit, Chunk, ParJobs);
+    Touched += Size / 2;
+  } else if (FixedVals & Full) {
+    P1 = chunkedNormSum(Cur, Size, Size, Chunk, ParJobs);
+    Touched += Size;
+  }
+  LastProbOne = P1;
+  double Norm;
+  bool One = drawOutcome(P1, Rng, Norm);
+
+  if (!Collapsed) {
+    // Keep one half, divided as StateVector::measure divides it. Reading
+    // the prefix state into the scratch splits across workers; compacting
+    // in place must run forward (each write lands at or below its read).
+    const Amplitude *Src = Cur;
+    Amplitude *Dst = Scratch;
+    uint64_t KeepOff = One ? Bit : 0;
+    auto Keep = [&](uint64_t B, uint64_t E) {
+      uint64_t P = B;
+      forPairRuns(B, E, Bit, [&](uint64_t I0, uint64_t Run) {
+        const Amplitude *From = Src + I0 + KeepOff;
+        Amplitude *To = Dst + P;
+        for (uint64_t X = 0; X < Run; ++X)
+          To[X] = From[X] / Norm;
+        P += Run;
+      });
+    };
+    if (Src == Dst)
+      Keep(0, Size / 2);
+    else
+      parallelIndexLoop(ParJobs, Size / 2, KernelMinChunk, Keep);
+    Touched += Size;
+    Cur = Scratch;
+    Size /= 2;
+    FixedMask |= Full;
+    if (One)
+      FixedVals |= Full;
+  } else if (One != bool(FixedVals & Full)) {
+    // The kept half held only exact zeros, so now the whole state does.
+    std::fill(Scratch, Scratch + Size, Amplitude(0.0, 0.0));
+    Touched += Size;
+    FixedVals ^= Full;
+  } else if (Norm != 1.0) {
+    for (uint64_t I = 0; I < Size; ++I)
+      Scratch[I] /= Norm;
+    Touched += 2 * Size;
+  }
+  if (Stats) {
+    ++Stats->GatesApplied;
+    Stats->AmplitudesTouched += Touched;
+  }
+  return One;
+}
+
+void CollapsedRegister::reset(unsigned Q, std::mt19937_64 &Rng) {
+  // Q is collapsed after the measure, so the X flips its fixed value.
+  if (measure(Q, Rng))
+    FixedVals ^= uint64_t(1) << (NumQubits - 1 - Q);
 }
 
 double StateVector::overlap(const StateVector &Other) const {
@@ -733,39 +844,45 @@ struct TrajectoryContext {
   NoiseStats *Stats = nullptr;
 };
 
+/// Executes the Measure or Reset \p I on \p SV — a StateVector, or a
+/// CollapsedRegister on a measure/reset tail — recording the bit into
+/// \p R. With \p Noise, readout error flips the recorded bit only: the
+/// collapsed state is untouched, and feed-forward reads the noisy bit.
+template <class State>
+void executeReadout(const CircuitInstr &I, State &SV, ShotResult &R,
+                    std::mt19937_64 &Rng, const TrajectoryContext *Noise) {
+  if (I.TheKind == CircuitInstr::Kind::Reset) {
+    SV.reset(I.Targets[0], Rng);
+    return;
+  }
+  bool Outcome = SV.measure(I.Targets[0], Rng);
+  if (Noise)
+    Outcome = applyReadoutError(Noise->Model->readoutFor(I.Targets[0]),
+                                Outcome, Rng, Noise->Stats);
+  R.Bits[static_cast<unsigned>(I.Cbit)] = Outcome;
+}
+
 /// Executes one instruction on \p SV (honoring its classical condition),
 /// recording bits into \p R. Shared by the fused and unfused paths so
 /// instruction semantics can never diverge between them. \p Noise, if
 /// given, makes this a trajectory step: one sampled Kraus branch per
 /// channel attached to instruction \p Idx, and readout error on the
-/// recorded measurement bit (the collapsed state is untouched, and
-/// feed-forward reads the noisy bit). A condition-skipped gate applies no
-/// noise and consumes no randomness.
+/// recorded measurement bit. A condition-skipped gate applies no noise and
+/// consumes no randomness.
 void executeInstr(const CircuitInstr &I, size_t Idx, StateVector &SV,
                   ShotResult &R, std::mt19937_64 &Rng,
                   const TrajectoryContext *Noise) {
   if (I.CondBit >= 0 &&
       R.Bits[static_cast<unsigned>(I.CondBit)] != I.CondVal)
     return;
-  switch (I.TheKind) {
-  case CircuitInstr::Kind::Gate:
-    SV.apply(I.Gate, I.Controls, I.Targets, I.Param);
-    if (Noise)
-      for (const NoiseOp &Op : Noise->Plan->PerInstr[Idx])
-        SV.applyChannel(Op.Qubit, *Op.Channel, Rng, Noise->Stats);
-    break;
-  case CircuitInstr::Kind::Measure: {
-    bool Outcome = SV.measure(I.Targets[0], Rng);
-    if (Noise)
-      Outcome = applyReadoutError(Noise->Model->readoutFor(I.Targets[0]),
-                                  Outcome, Rng, Noise->Stats);
-    R.Bits[static_cast<unsigned>(I.Cbit)] = Outcome;
-    break;
+  if (I.TheKind != CircuitInstr::Kind::Gate) {
+    executeReadout(I, SV, R, Rng, Noise);
+    return;
   }
-  case CircuitInstr::Kind::Reset:
-    SV.reset(I.Targets[0], Rng);
-    break;
-  }
+  SV.apply(I.Gate, I.Controls, I.Targets, I.Param);
+  if (Noise)
+    for (const NoiseOp &Op : Noise->Plan->PerInstr[Idx])
+      SV.applyChannel(Op.Qubit, *Op.Channel, Rng, Noise->Stats);
 }
 
 /// Executes instructions [Start, end) on \p SV, recording bits into \p R.
@@ -880,6 +997,32 @@ ShotResult StatevectorBackend::runNoisy(const Circuit &C, uint64_t Seed,
 
 namespace {
 
+/// Collects into \p Tail the instructions after the shared prefix — of the
+/// fused plan \p FC, or of \p C's instruction stream when FC is null — and
+/// returns true if every one is an unconditional Measure or Reset.
+bool measureResetTail(const Circuit &C, const FusedCircuit *FC, size_t Prefix,
+                      std::vector<const CircuitInstr *> &Tail) {
+  auto Admit = [&](const CircuitInstr &I) {
+    if (I.TheKind == CircuitInstr::Kind::Gate || I.CondBit >= 0)
+      return false;
+    Tail.push_back(&I);
+    return true;
+  };
+  if (!FC) {
+    for (size_t N = Prefix; N < C.Instrs.size(); ++N)
+      if (!Admit(C.Instrs[N]))
+        return false;
+    return true;
+  }
+  for (size_t N = Prefix; N < FC->Ops.size(); ++N) {
+    const FusedOp &Op = FC->Ops[N];
+    if (Op.TheKind != FusedOp::Kind::Instr ||
+        !Admit(FC->Source->Instrs[Op.InstrIndex]))
+      return false;
+  }
+  return true;
+}
+
 /// The batch core behind runBatch and runSweep: executes \p Shots shots
 /// of \p C under the prebuilt execution plan — fused ops \p FC (null for
 /// the unfused instruction stream) with unconditional-prefix boundary
@@ -942,38 +1085,64 @@ std::vector<ShotResult> runPlannedBatch(const Circuit &C,
         executeInstr(C.Instrs[N], N, Shared, Scratch, Unused, nullptr);
   }
 
-  // Runs the post-prefix remainder of shot S on \p SV. Shot S always uses
-  // deriveShotSeed(Seed, S) and lands at Results[S], so the outcome is
-  // independent of worker count and matches the serial path. The shot
-  // boundary is also the cooperative deadline check: an expired deadline
-  // abandons the batch here (and propagates out of the worker pool)
-  // rather than mid-kernel.
-  auto runRest = [&](StateVector &SV, unsigned S, SimStats *Stats) {
+  // A remainder of only unconditional measure/reset needs no fork: each
+  // shot collapses a register that reads the shared state, and its
+  // survivors halve with every new qubit measured.
+  std::vector<const CircuitInstr *> Tail;
+  bool TailOnly = measureResetTail(C, FC, Prefix, Tail);
+
+  // Runs the post-prefix remainder of shot S on \p State: a fork of the
+  // shared state, or on a measure/reset tail a CollapsedRegister. Shot S
+  // always uses deriveShotSeed(Seed, S) and lands at Results[S], so the
+  // outcome is independent of worker count and matches the serial path.
+  // The shot boundary is also the cooperative deadline check: an expired
+  // deadline abandons the batch here (and propagates out of the worker
+  // pool) rather than mid-kernel.
+  auto runRest = [&](auto &State, unsigned S, SimStats *Stats) {
     if (Opts.deadlineExpired())
       throw DeadlineExceeded();
-    SV.setParallelJobs(RestAmpJobs);
-    SV.setStats(Stats);
+    State.setParallelJobs(RestAmpJobs);
+    State.setStats(Stats);
     std::mt19937_64 Rng = shotRng(deriveShotSeed(Seed, S));
     ShotResult R;
     R.Bits.assign(C.NumBits, false);
-    if (FC)
-      executeFused(*FC, Prefix, FC->Ops.size(), SV, R, Rng, Traj);
-    else
-      execute(C, Prefix, SV, R, Rng, Traj);
+    if constexpr (std::is_same_v<std::decay_t<decltype(State)>,
+                                 CollapsedRegister>) {
+      for (const CircuitInstr *I : Tail)
+        executeReadout(*I, State, R, Rng, Traj);
+    } else if (FC) {
+      executeFused(*FC, Prefix, FC->Ops.size(), State, R, Rng, Traj);
+    } else {
+      execute(C, Prefix, State, R, Rng, Traj);
+    }
     return R;
   };
 
   std::vector<ShotResult> Results(Shots);
   if (Shots == 1) {
     // Single shot: finish directly on the shared state, no fork.
-    Results[0] = runRest(Shared, 0, Opts.SimCounters);
+    if (TailOnly) {
+      CollapsedRegister Reg;
+      Reg.startInPlace(Shared);
+      Results[0] = runRest(Reg, 0, Opts.SimCounters);
+    } else {
+      Results[0] = runRest(Shared, 0, Opts.SimCounters);
+    }
     return Results;
   }
 
   if (!ShotParallelRest) {
     // Amplitude-parallel remainder: shots run one after another, each
-    // kernel's index range split across the workers. One fork buffer,
-    // refilled per shot — no per-shot allocation.
+    // kernel's index range split across the workers. One fork buffer (or
+    // register scratch), refilled per shot — no per-shot allocation.
+    if (TailOnly) {
+      CollapsedRegister Reg;
+      for (unsigned S = 0; S < Shots; ++S) {
+        Reg.start(Shared);
+        Results[S] = runRest(Reg, S, Opts.SimCounters);
+      }
+      return Results;
+    }
     StateVector SV = Shared;
     for (unsigned S = 0; S < Shots; ++S) {
       if (S > 0)
@@ -985,27 +1154,42 @@ std::vector<ShotResult> runPlannedBatch(const Circuit &C,
 
   unsigned Jobs = resolveJobCount(Opts.Jobs, Shots);
   if (uint64_t Avail = availablePhysicalMemory()) {
-    // Each in-flight shot forks the shared state, so near the qubit cap
-    // shrink the worker count until shared + forks fit in half of
-    // available memory — the budget maxQubits admitted the circuit under.
+    // Each in-flight shot holds a fork of the shared state (or half of one
+    // as register scratch), so near the qubit cap shrink the worker count
+    // until shared + per-worker states fit in half of available memory —
+    // the budget maxQubits admitted the circuit under.
     uint64_t StateBytes = uint64_t(sizeof(Amplitude)) << C.NumQubits;
-    uint64_t MaxStates = (Avail / 2) / StateBytes;
-    if (MaxStates <= Jobs) // Shared + Jobs forks would not fit.
-      Jobs = MaxStates > 1 ? static_cast<unsigned>(MaxStates - 1) : 1;
+    uint64_t WorkerBytes = TailOnly ? StateBytes / 2 : StateBytes;
+    uint64_t Budget = Avail / 2;
+    uint64_t MaxJobs =
+        Budget > StateBytes ? (Budget - StateBytes) / WorkerBytes : 0;
+    if (MaxJobs < Jobs)
+      Jobs = MaxJobs > 1 ? static_cast<unsigned>(MaxJobs) : 1;
   }
-  // Per-worker fork buffers, hoisted out of the shot loop: each shot
-  // copy-assigns the shared prefix state into its worker's buffer instead
-  // of allocating (and then freeing) a fresh fork per shot.
-  std::vector<StateVector> WorkerState(Jobs, Shared);
   // SimStats fields are plain (not atomic), so concurrent shots may not
   // share Opts.SimCounters: each worker accumulates into its own copy,
   // merged once after the pool joins.
   std::vector<SimStats> WorkerStats(Jobs);
-  parallelShotLoop(Jobs, Shots, [&](unsigned W, unsigned S) {
-    WorkerState[W] = Shared;
-    Results[S] = runRest(WorkerState[W], S,
-                         Opts.SimCounters ? &WorkerStats[W] : nullptr);
-  });
+  auto StatsFor = [&](unsigned W) {
+    return Opts.SimCounters ? &WorkerStats[W] : nullptr;
+  };
+  if (TailOnly) {
+    // Per-worker registers; each allocates its scratch on first use.
+    std::vector<CollapsedRegister> Regs(Jobs);
+    parallelShotLoop(Jobs, Shots, [&](unsigned W, unsigned S) {
+      Regs[W].start(Shared);
+      Results[S] = runRest(Regs[W], S, StatsFor(W));
+    });
+  } else {
+    // Per-worker fork buffers, hoisted out of the shot loop: each shot
+    // copy-assigns the shared prefix state into its worker's buffer
+    // instead of allocating (and then freeing) a fresh fork per shot.
+    std::vector<StateVector> WorkerState(Jobs, Shared);
+    parallelShotLoop(Jobs, Shots, [&](unsigned W, unsigned S) {
+      WorkerState[W] = Shared;
+      Results[S] = runRest(WorkerState[W], S, StatsFor(W));
+    });
+  }
   if (Opts.SimCounters)
     for (const SimStats &WS : WorkerStats)
       Opts.SimCounters->merge(WS);

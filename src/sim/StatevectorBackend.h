@@ -26,7 +26,12 @@
 /// prefix once, fork the state per shot, and run the shots on a
 /// work-stealing thread pool — all without changing per-shot RNG
 /// consumption, so every (jobs, fuse) combination replays the same
-/// outcomes. In the low-shot/large-n regime the engine instead (or in
+/// outcomes. When everything after the prefix is unconditional measure and
+/// reset (the usual end of a Qwerty kernel), a shot does not fork at all:
+/// it runs on a CollapsedRegister that reads the shared state and keeps
+/// only the survivors of each collapse, so every measurement sweeps half
+/// the amplitudes of the one before. In the low-shot/large-n regime the
+/// engine instead (or in
 /// hybrid, additionally) splits each kernel's index range across the
 /// workers (`setParallelJobs`); all probability reductions use a fixed
 /// chunked summation order, so amplitude-parallel execution is
@@ -133,13 +138,70 @@ private:
   /// Strided kernel: generic controlled 2x2 (the fallback all specialized
   /// kernels reduce to).
   void matrix2Kernel(uint64_t CtlMask, uint64_t Bit, const Mat2 &U);
-  /// Deterministic chunked sum of per-pair contributions of the target
-  /// bit's upper half (used by probOne and the channel-probability pass):
-  /// fixed chunk boundaries and a serial chunk-order accumulation make the
-  /// result independent of ParJobs.
-  double reduceOneProb(uint64_t Bit) const;
 
   void bumpStats(uint64_t Touched, bool Fused, bool Block = false) const;
+};
+
+/// One shot's measure/reset tail, run on the survivors of its collapses
+/// instead of on a fork of the full state. The register starts as a view
+/// of a prefix state; each collapse of a new qubit writes only the kept
+/// half, divided by the same norm StateVector::measure divides by, into a
+/// scratch of 2^(n-1) amplitudes, so the next measurement sweeps half as
+/// many. Measuring or resetting a qubit that is already collapsed reads
+/// its survivors (collapsed to 1) or nothing (collapsed to 0: an exact
+/// zero probability), and a reset's X only flips the qubit's fixed value.
+///
+/// Bit-exact with StateVector by construction: every draw and norm is the
+/// same computation, and every probability is summed over the full
+/// state's fixed chunk grid in ascending index order — the skipped
+/// amplitudes are exact zeros, which change no partial sum.
+class CollapsedRegister {
+public:
+  /// Restarts on \p S without copying it: the first collapse reads S and
+  /// writes into this register's own scratch (allocated once, 2^(n-1)
+  /// amplitudes). S must stay unchanged until the shot ends.
+  void start(const StateVector &S);
+  /// Restarts on \p S and collapses inside S's own buffer (no scratch,
+  /// serial compaction): for a single shot that consumes the state.
+  void startInPlace(StateVector &S);
+
+  /// As StateVector::setParallelJobs (the sums split across workers; so
+  /// does a collapse that reads the prefix state into the scratch).
+  void setParallelJobs(unsigned Jobs) { ParJobs = Jobs < 1 ? 1 : Jobs; }
+  /// As StateVector::setStats: each measure or reset counts one kernel and
+  /// the amplitudes it reads and writes.
+  void setStats(SimStats *S) { Stats = S; }
+
+  /// Measures qubit \p Q, exactly as StateVector::measure would.
+  bool measure(unsigned Q, std::mt19937_64 &Rng);
+  /// Resets qubit \p Q to |0>, exactly as StateVector::reset would.
+  void reset(unsigned Q, std::mt19937_64 &Rng);
+
+  /// The probability of reading 1 the last measure or reset sampled
+  /// against.
+  double lastProbOne() const { return LastProbOne; }
+  /// The survivors, ascending by full-state index: the amplitudes of the
+  /// indices i with (i & fixedMask()) == fixedValues(). Every other
+  /// amplitude of the state is zero.
+  const Amplitude *survivors() const { return Cur; }
+  uint64_t size() const { return Size; }
+  /// The collapsed qubits' bits in full-state index space, and their
+  /// values.
+  uint64_t fixedMask() const { return FixedMask; }
+  uint64_t fixedValues() const { return FixedVals; }
+
+private:
+  unsigned NumQubits = 0;
+  const Amplitude *Cur = nullptr; ///< The survivors.
+  Amplitude *Scratch = nullptr;   ///< Where collapses write.
+  uint64_t Size = 0;
+  uint64_t FixedMask = 0, FixedVals = 0;
+  std::vector<Amplitude> Own; ///< The scratch, unless collapsing in place.
+  unsigned ParJobs = 1;
+  SimStats *Stats = nullptr;
+  double LastProbOne = 0.0;
+
+  void begin(const StateVector &S, Amplitude *Dst);
 };
 
 /// The dense engine as a SimBackend ("sv").
@@ -161,7 +223,9 @@ public:
   /// prefix once (amplitude-parallel), then spends the Opts.Jobs worker
   /// budget per Opts.Parallel — shot-parallel per-worker forks when shots
   /// are plentiful, amplitude-parallel kernels in the low-shot/large-n
-  /// regime, chosen automatically in hybrid mode. With Opts.Noise, runs
+  /// regime, chosen automatically in hybrid mode. A remainder of only
+  /// unconditional measure/reset runs each shot on a CollapsedRegister
+  /// (half a state of scratch per worker) instead. With Opts.Noise, runs
   /// quantum trajectories: noisy gates act as fusion barriers and close
   /// the shared prefix. Every {jobs, fuse-k, parallel-mode} combination
   /// returns bit-identical per-shot results.

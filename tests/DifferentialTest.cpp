@@ -13,6 +13,9 @@
 /// per-shot results required to agree bit-exactly. The optimized paths
 /// share per-shot seeds and RNG-consumption order with the reference by
 /// construction; these tests are what keeps that true as kernels evolve.
+/// Circuits ending in a measure/reset tail wide enough to span several
+/// reduction chunks pin the collapsed-register path amplitude by amplitude
+/// and across every plan.
 ///
 /// A second battery pins the stabilizer tableau: jobs=1 vs jobs=4 must be
 /// bit-exact, and sampled distributions must match the dense engine's on
@@ -29,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -279,6 +283,167 @@ TEST(DifferentialTest, SweepsBitExactToRecompilePerPoint) {
         expectBatchesBitExact(Want, Sweep[P], Cfg.Name, Trial);
       }
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Measure/reset tails: the collapsed register vs full-state collapses
+//===----------------------------------------------------------------------===//
+
+/// A rotation prefix, then a shuffled tail of only measure and reset:
+/// every qubit measured once, half as many measured again and as many
+/// reset (before or after their measurement). Varied RY angles and a CX
+/// ladder make every probability a sum of many distinct terms, so any
+/// regrouping of the sum shows in its last bits. At 18, 19 and 20 qubits
+/// the sums span 2, 4 and 8 reduction chunks.
+Circuit measureTailCircuit(unsigned NumQubits, std::mt19937_64 &Rng) {
+  Circuit C;
+  C.NumQubits = NumQubits;
+  std::uniform_real_distribution<double> PickAngle(0.1, 3.0);
+  for (unsigned Q = 0; Q < NumQubits; ++Q)
+    C.append(CircuitInstr::gate(GateKind::RY, {}, {Q}, PickAngle(Rng)));
+  for (unsigned Q = 1; Q < NumQubits; ++Q)
+    C.append(CircuitInstr::gate(GateKind::X, {Q - 1}, {Q}));
+  for (unsigned Q = 0; Q < NumQubits; Q += 3)
+    C.append(CircuitInstr::gate(GateKind::RY, {}, {Q}, PickAngle(Rng)));
+  std::vector<CircuitInstr> Tail;
+  for (unsigned Q = 0; Q < NumQubits; ++Q)
+    Tail.push_back(CircuitInstr::measure(Q, Q));
+  std::uniform_int_distribution<unsigned> PickQubit(0, NumQubits - 1);
+  unsigned Bits = NumQubits;
+  for (unsigned K = 0; K < NumQubits / 2; ++K) {
+    Tail.push_back(CircuitInstr::measure(PickQubit(Rng), Bits++));
+    Tail.push_back(CircuitInstr::reset(PickQubit(Rng)));
+  }
+  std::shuffle(Tail.begin(), Tail.end(), Rng);
+  for (CircuitInstr &I : Tail)
+    C.append(std::move(I));
+  C.NumBits = Bits;
+  return C;
+}
+
+TEST(DifferentialTest, MeasureTailAmplitudesExact) {
+  // After every tail step the collapsed register must hold exactly the
+  // amplitudes StateVector::measure/reset leave (== on doubles) and must
+  // have sampled against the identical probability. Shot bits alone cannot
+  // pin this: a sum regrouped off the full state's chunk grid rounds
+  // differently, yet almost never flips a sampled outcome.
+  std::mt19937_64 Rng(0x7A11ull);
+  for (unsigned NumQubits : {18u, 19u, 20u}) {
+    Circuit C = measureTailCircuit(NumQubits, Rng);
+    size_t Prefix = analyzeCircuit(C).UnconditionalGatePrefix;
+    StateVector Shared(NumQubits);
+    for (size_t N = 0; N < Prefix; ++N) {
+      const CircuitInstr &I = C.Instrs[N];
+      Shared.apply(I.Gate, I.Controls, I.Targets, I.Param);
+    }
+    // Variant 0 reads the shared state into scratch with split sums and a
+    // split first collapse; variant 1 collapses a copy in place, serially.
+    for (unsigned Variant = 0; Variant < 2; ++Variant) {
+      StateVector Ref = Shared, Own = Shared;
+      CollapsedRegister Reg;
+      if (Variant == 0) {
+        Reg.setParallelJobs(4);
+        Reg.start(Shared);
+      } else {
+        Reg.startInPlace(Own);
+      }
+      std::mt19937_64 RefRng(NumQubits + 100 * Variant);
+      std::mt19937_64 RegRng(NumQubits + 100 * Variant);
+      for (size_t N = Prefix; N < C.Instrs.size(); ++N) {
+        const CircuitInstr &I = C.Instrs[N];
+        unsigned Q = I.Targets[0];
+        std::string Where = std::to_string(NumQubits) + " qubits, variant " +
+                            std::to_string(Variant) + ", step " +
+                            std::to_string(N - Prefix) + ": " + I.str();
+        double P1 = Ref.probOne(Q);
+        if (I.TheKind == CircuitInstr::Kind::Measure) {
+          ASSERT_EQ(Ref.measure(Q, RefRng), Reg.measure(Q, RegRng)) << Where;
+        } else {
+          Ref.reset(Q, RefRng);
+          Reg.reset(Q, RegRng);
+        }
+        ASSERT_EQ(Reg.lastProbOne(), P1) << Where;
+        // Survivors in ascending index order, exact zeros everywhere else.
+        const std::vector<Amplitude> &Want = Ref.amplitudes();
+        const Amplitude *Got = Reg.survivors();
+        uint64_t K = 0, Mismatches = 0;
+        for (uint64_t Idx = 0; Idx < Want.size(); ++Idx) {
+          if ((Idx & Reg.fixedMask()) == Reg.fixedValues())
+            Mismatches += Want[Idx] != Got[K++];
+          else
+            Mismatches += Want[Idx] != Amplitude(0.0, 0.0);
+        }
+        ASSERT_EQ(K, Reg.size()) << Where;
+        ASSERT_EQ(Mismatches, 0u) << Where;
+      }
+    }
+  }
+}
+
+TEST(DifferentialTest, MeasureTailBitExactAcrossConfigs) {
+  // The same circuits through every plan that runs a tail on the register
+  // — fused or not, shot- or amplitude-parallel, one shot, a sweep — must
+  // replay per-shot run() bit-exactly.
+  std::mt19937_64 Rng(0x7A11ull);
+  StatevectorBackend Sv;
+  const unsigned Shots = 8;
+  struct Config {
+    bool Fuse;
+    unsigned Jobs;
+    ParallelMode Mode;
+    const char *Name;
+  };
+  const Config Configs[] = {
+      {false, 1, ParallelMode::Shot, "tail/unfused/shot/j1"},
+      {false, 4, ParallelMode::Amplitude, "tail/unfused/amp/j4"},
+      {true, 1, ParallelMode::Shot, "tail/fused/shot/j1"},
+      {true, 4, ParallelMode::Shot, "tail/fused/shot/j4"},
+      {true, 4, ParallelMode::Amplitude, "tail/fused/amp/j4"},
+      {true, 4, ParallelMode::Auto, "tail/fused/auto/j4"},
+  };
+  for (unsigned NumQubits : {18u, 19u, 20u}) {
+    Circuit C = measureTailCircuit(NumQubits, Rng);
+    uint64_t Seed = 0x7A10 + NumQubits;
+    std::vector<ShotResult> Want;
+    for (unsigned S = 0; S < Shots; ++S)
+      Want.push_back(Sv.run(C, deriveShotSeed(Seed, S)));
+    for (const Config &Cfg : Configs) {
+      RunOptions Opts;
+      Opts.Fuse = Cfg.Fuse;
+      Opts.Jobs = Cfg.Jobs;
+      Opts.Parallel = Cfg.Mode;
+      expectBatchesBitExact(Want, Sv.runBatch(C, Shots, Seed, Opts), Cfg.Name,
+                            NumQubits);
+      std::vector<ShotResult> One = Sv.runBatch(C, 1, Seed, Opts);
+      ASSERT_EQ(One.size(), 1u);
+      EXPECT_EQ(One[0].Bits, Want[0].Bits)
+          << Cfg.Name << " single shot, " << NumQubits << " qubits";
+    }
+  }
+
+  // bind-run: the sweep core takes the same tail path per point.
+  Circuit C = measureTailCircuit(18, Rng);
+  ASSERT_GT(parameterize(C, Rng), 0u);
+  std::vector<std::vector<double>> Points = {{10.0, -20.0, 30.0},
+                                             {-45.0, 60.0, 75.0}};
+  std::vector<std::vector<ShotResult>> WantSweep(Points.size());
+  for (size_t P = 0; P < Points.size(); ++P) {
+    Circuit Bound = bindCircuit(C, Points[P]);
+    uint64_t PointSeed = deriveSweepPointSeed(0x5EED, P);
+    for (unsigned S = 0; S < 4; ++S)
+      WantSweep[P].push_back(Sv.run(Bound, deriveShotSeed(PointSeed, S)));
+  }
+  for (const Config &Cfg : Configs) {
+    RunOptions Opts;
+    Opts.Fuse = Cfg.Fuse;
+    Opts.Jobs = Cfg.Jobs;
+    Opts.Parallel = Cfg.Mode;
+    std::vector<std::vector<ShotResult>> Sweep =
+        Sv.runSweep(C, Points, 4, 0x5EED, Opts);
+    ASSERT_EQ(Sweep.size(), Points.size()) << Cfg.Name;
+    for (size_t P = 0; P < Points.size(); ++P)
+      expectBatchesBitExact(WantSweep[P], Sweep[P], Cfg.Name, unsigned(P));
   }
 }
 

@@ -447,6 +447,21 @@ TEST(SimStatsTest, CountersTrackKernelsAndAmplitudes) {
   // Fusion's whole point, now measurable: fewer amplitudes touched.
   EXPECT_LT(Fused.AmplitudesTouched,
             Unfused.AmplitudesTouched);
+
+  // The measure tail runs on the collapsed register, the same on both
+  // plans: one kernel per measure, and measuring a fresh qubit on 2^m
+  // survivors reads 2^(m-1) for the probability, then reads and writes
+  // the kept 2^(m-1). Per shot, 3 * (32 + 16 + 8 + 4 + 2 + 1) = 189.
+  Circuit Gates = C;
+  Gates.Instrs.resize(Gates.Instrs.size() - 6);
+  for (RunOptions *Opts : {&FusedOpts, &UnfusedOpts}) {
+    const SimStats &Whole = Opts->Fuse ? Fused : Unfused;
+    SimStats Prefix;
+    Opts->SimCounters = &Prefix;
+    Sv.runBatch(Gates, 4, 11, *Opts);
+    EXPECT_EQ(Whole.GatesApplied - Prefix.GatesApplied, 4u * 6);
+    EXPECT_EQ(Whole.AmplitudesTouched - Prefix.AmplitudesTouched, 4u * 189);
+  }
 }
 
 TEST(BackendEquivalenceTest, AutoMatchesForcedStabilizer) {
