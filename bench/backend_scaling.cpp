@@ -9,15 +9,16 @@
 /// circuits (H + CX ladder + measure-all): the dense engine doubles its
 /// work per qubit while the CHP tableau runs the same family to thousands
 /// of qubits in polynomial time. Also shows multi-shot amortization (the
-/// statevector backend simulates the gate prefix once and forks it per
-/// shot) and — the dense-engine headline — single-shot throughput at
-/// >= 24 qubits: the strided block-fused amplitude-parallel plan versus
-/// the serial unfused reference path.
+/// statevector backend simulates the gate prefix once per batch, the
+/// tableau runs one reference and samples each shot as a Pauli frame) and
+/// — the dense-engine headline — single-shot throughput at >= 24 qubits:
+/// the strided block-fused amplitude-parallel plan versus the serial
+/// unfused reference path.
 ///
-/// Acceptance bars: 500-qubit GHZ prepare-and-measure under one second on
-/// the stabilizer backend, and >= 3x single-shot dense speedup at the
-/// 24-qubit workload (armed only with >= 4 hardware threads, where the
-/// amplitude-parallel component can materialize).
+/// Acceptance bars: one 500-qubit GHZ prepare-and-measure run under one
+/// second on the stabilizer backend, and >= 3x single-shot dense speedup
+/// at the 24-qubit workload (armed only with >= 4 hardware threads, where
+/// the amplitude-parallel component can materialize).
 ///
 /// Usage: backend_scaling [--smoke] [--json <path>]
 ///        (--smoke trims the sweep to seconds for CI: small widths, fewer
@@ -29,6 +30,7 @@
 #include "BenchCommon.h"
 #include "sim/CircuitAnalysis.h"
 #include "sim/Simulator.h"
+#include "sim/StabilizerBackend.h"
 
 #include <chrono>
 #include <cstdio>
@@ -117,13 +119,10 @@ int main(int argc, char **argv) {
 
   std::printf("\n--- stabilizer (CHP tableau, poly(n)) ---\n");
   std::printf("%8s %14s\n", "qubits", "seconds");
-  double At500 = 0.0;
   for (unsigned N : {4, 16, 64, 100, 250, 500, 1000, 2000}) {
     if (Smoke && N > 100)
       continue;
     double Secs = secondsFor(ghz(N), Shots, BackendKind::Stabilizer);
-    if (N == 500)
-      At500 = Secs / Shots; // single prepare-and-measure execution
     std::printf("%8u %14.4f\n", N, Secs);
     Json.metric("stab_ghz_" + std::to_string(N) + "q_seconds", Secs, "s");
   }
@@ -192,6 +191,11 @@ int main(int argc, char **argv) {
     std::printf("\ntiming bars SKIPPED (smoke mode)\n");
     return 0;
   }
+  // The bar times one run(), not the sweep's 500-qubit time over its shot
+  // count: a batch samples its shots as Pauli frames on one shared
+  // reference run, so that quotient no longer times an execution.
+  Circuit Ghz500 = ghz(500);
+  double At500 = seconds([&] { StabilizerBackend().run(Ghz500, 42); });
   Json.metric("stab_ghz_500q_single_shot_seconds", At500, "s");
   std::printf("\n500-qubit GHZ single shot: %.4f s (target < 1 s): %s\n",
               At500, At500 < 1.0 ? "PASS" : "FAIL");

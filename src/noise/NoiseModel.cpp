@@ -331,16 +331,17 @@ PauliNoisePlan asdf::planPauliNoise(const NoiseModel &M, const Circuit &C) {
   return Plan;
 }
 
-unsigned asdf::samplePauli(const PauliNoiseOp &Op, std::mt19937_64 &Rng) {
+unsigned asdf::samplePauli(const PauliNoiseOp &Op, std::mt19937_64 &Rng,
+                           NoiseStats *Stats) {
   std::uniform_real_distribution<double> Dist(0.0, 1.0);
   double U = Dist(Rng);
-  if (U < Op.CumX)
-    return 1;
-  if (U < Op.CumXY)
-    return 2;
-  if (U < Op.CumXYZ)
-    return 3;
-  return 0;
+  unsigned P = U < Op.CumX ? 1 : U < Op.CumXY ? 2 : U < Op.CumXYZ ? 3 : 0;
+  if (Stats) {
+    Stats->ChannelApps.fetch_add(1, std::memory_order_relaxed);
+    if (P != 0)
+      Stats->ErrorBranches.fetch_add(1, std::memory_order_relaxed);
+  }
+  return P;
 }
 
 bool asdf::applyReadoutError(const ReadoutError &E, bool Bit,

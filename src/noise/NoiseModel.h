@@ -206,9 +206,11 @@ struct PauliNoisePlan {
 };
 PauliNoisePlan planPauliNoise(const NoiseModel &M, const Circuit &C);
 
-/// Samples one Pauli from \p Op: 0 = I, 1 = X, 2 = Y, 3 = Z. Consumes
-/// exactly one uniform draw.
-unsigned samplePauli(const PauliNoiseOp &Op, std::mt19937_64 &Rng);
+/// Samples one Pauli from \p Op: 0 = I, 1 = X, 2 = Y, 3 = Z, counting the
+/// application (and a non-I branch) into \p Stats. Consumes exactly one
+/// uniform draw.
+unsigned samplePauli(const PauliNoiseOp &Op, std::mt19937_64 &Rng,
+                     NoiseStats *Stats = nullptr);
 
 /// Applies \p E to a recorded measurement bit: returns the possibly
 /// flipped bit, consuming one uniform draw unless \p E is trivial.

@@ -1,4 +1,4 @@
-//===- PauliFrame.cpp - Pauli-frame sampling for noisy Clifford circuits --===//
+//===- PauliFrame.cpp - Pauli-frame shot sampling for Clifford circuits ---===//
 //
 // Part of the Asdf reproduction. MIT license.
 //
@@ -14,13 +14,6 @@
 using namespace asdf;
 
 namespace {
-
-std::mt19937_64 shotRng(uint64_t Seed) {
-  // The engines' shared seeding convention (StatevectorBackend,
-  // StabilizerBackend): every path that consumes per-shot randomness uses
-  // the same generator family.
-  return std::mt19937_64(Seed * 0x9E3779B97F4A7C15ull + 0xDEADBEEF);
-}
 
 /// One Pauli frame: x and z bit per qubit, packed 64 per word. Phases are
 /// irrelevant — only measurement flips (x bits) are ever observed.
@@ -150,14 +143,12 @@ void propagate(Frame &F, const CircuitInstr &I) {
 
 } // namespace
 
-FrameReference::FrameReference(const Circuit &Circ, uint64_t Seed)
+FrameReference::FrameReference(const Circuit &Circ)
     : C(&Circ), Words((Circ.NumQubits + 63) / 64) {
   if (Words == 0)
     Words = 1;
   Tableau T(Circ.NumQubits);
-  // The reference stream must never collide with a shot's stream (shots
-  // use deriveShotSeed(Seed, S) for S < Shots): park it at index 2^64-1.
-  std::mt19937_64 Rng = shotRng(deriveShotSeed(Seed, ~uint64_t(0)));
+  std::mt19937_64 Rng; // Any stream will do: shots never read its draws.
   for (const CircuitInstr &I : Circ.Instrs) {
     assert(I.CondBit < 0 && "frame sampling cannot replay feed-forward");
     switch (I.TheKind) {
@@ -182,11 +173,11 @@ FrameReference::FrameReference(const Circuit &Circ, uint64_t Seed)
   }
 }
 
-ShotResult FrameReference::sampleShot(const NoiseModel &Model,
-                                      const PauliNoisePlan &Plan,
-                                      uint64_t ShotSeed,
+ShotResult FrameReference::sampleShot(uint64_t ShotSeed,
+                                      const PauliNoisePlan *Plan,
+                                      const NoiseModel *Noise,
                                       NoiseStats *Stats) const {
-  std::mt19937_64 Rng = shotRng(ShotSeed);
+  std::mt19937_64 Rng = tableauShotRng(ShotSeed);
   Frame F(Words);
   ShotResult R;
   R.Bits.assign(C->NumBits, false);
@@ -196,34 +187,31 @@ ShotResult FrameReference::sampleShot(const NoiseModel &Model,
     switch (I.TheKind) {
     case CircuitInstr::Kind::Gate: {
       propagate(F, I);
-      for (const PauliNoiseOp &Op : Plan.PerInstr[Idx]) {
-        unsigned P = samplePauli(Op, Rng);
-        if (P == 1 || P == 2)
-          F.flipX(Op.Qubit);
-        if (P == 2 || P == 3)
-          F.flipZ(Op.Qubit);
-        if (Stats) {
-          Stats->ChannelApps.fetch_add(1, std::memory_order_relaxed);
-          if (P != 0)
-            Stats->ErrorBranches.fetch_add(1, std::memory_order_relaxed);
+      if (Plan)
+        for (const PauliNoiseOp &Op : Plan->PerInstr[Idx]) {
+          unsigned P = samplePauli(Op, Rng, Stats);
+          if (P == 1 || P == 2)
+            F.flipX(Op.Qubit);
+          if (P == 2 || P == 3)
+            F.flipZ(Op.Qubit);
         }
-      }
       break;
     }
     case CircuitInstr::Kind::Measure:
     case CircuitInstr::Kind::Reset: {
       const Event &E = Events[EventIdx++];
-      // A random collapse in the reference is fresh randomness per shot:
-      // flipping a fair coin on the recorded anticommuting stabilizer
-      // moves this shot onto the other collapse branch — jointly flipping
-      // every outcome that branch choice touches.
-      if (E.Random && (Rng() & 1))
-        F.mulIn(E.AntiX, E.AntiZ);
       unsigned Q = I.Targets[0];
+      // A collapse that was random in the reference is random in every
+      // shot. Draw its outcome where Tableau::measure would, and move the
+      // shot onto that branch: the recorded anticommuting stabilizer maps
+      // one branch onto the other, and it flips F.x(Q).
+      if (E.Random && ((Rng() & 1) ^ E.RefOutcome ^ F.x(Q)))
+        F.mulIn(E.AntiX, E.AntiZ);
       if (I.TheKind == CircuitInstr::Kind::Measure) {
         bool Outcome = E.RefOutcome ^ F.x(Q);
-        Outcome =
-            applyReadoutError(Model.readoutFor(Q), Outcome, Rng, Stats);
+        if (Noise)
+          Outcome = applyReadoutError(Noise->readoutFor(Q), Outcome, Rng,
+                                      Stats);
         R.Bits[static_cast<unsigned>(I.Cbit)] = Outcome;
       } else {
         // Reset forces |0> for every shot: the frame on Q dies with the

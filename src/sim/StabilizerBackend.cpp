@@ -11,6 +11,7 @@
 #include "sim/CircuitAnalysis.h"
 
 #include <cassert>
+#include <optional>
 
 using namespace asdf;
 
@@ -312,18 +313,23 @@ void asdf::applyCliffordInstr(Tableau &T, const CircuitInstr &I) {
   assert(false && "non-Clifford gate reached the tableau engine");
 }
 
+std::mt19937_64 asdf::tableauShotRng(uint64_t Seed) {
+  // The dense engine seeds its shots the same way.
+  return std::mt19937_64(Seed * 0x9E3779B97F4A7C15ull + 0xDEADBEEF);
+}
+
 namespace {
 
 /// One tableau execution of \p C, optionally a noisy one: with \p Plan,
 /// every executed gate is followed by sampled Paulis (O(n) sign updates
 /// each) and every measurement by readout error on the recorded bit.
-/// Shared by run() and the Monte-Carlo noisy path so semantics can never
-/// diverge.
+/// Shared by run(), runNoisy() and feed-forward batches so semantics can
+/// never diverge; FrameReference::sampleShot replays it bit for bit.
 ShotResult runTableau(const Circuit &C, uint64_t Seed,
                       const PauliNoisePlan *Plan, const NoiseModel *Noise,
                       NoiseStats *Stats) {
   Tableau T(C.NumQubits);
-  std::mt19937_64 Rng(Seed * 0x9E3779B97F4A7C15ull + 0xDEADBEEF);
+  std::mt19937_64 Rng = tableauShotRng(Seed);
   ShotResult R;
   R.Bits.assign(C.NumBits, false);
   for (size_t Idx = 0; Idx < C.Instrs.size(); ++Idx) {
@@ -336,18 +342,13 @@ ShotResult runTableau(const Circuit &C, uint64_t Seed,
       applyCliffordInstr(T, I);
       if (Plan)
         for (const PauliNoiseOp &Op : Plan->PerInstr[Idx]) {
-          unsigned P = samplePauli(Op, Rng);
+          unsigned P = samplePauli(Op, Rng, Stats);
           if (P == 1)
             T.x(Op.Qubit);
           else if (P == 2)
             T.y(Op.Qubit);
           else if (P == 3)
             T.z(Op.Qubit);
-          if (Stats) {
-            Stats->ChannelApps.fetch_add(1, std::memory_order_relaxed);
-            if (P != 0)
-              Stats->ErrorBranches.fetch_add(1, std::memory_order_relaxed);
-          }
         }
       break;
     case CircuitInstr::Kind::Measure: {
@@ -391,33 +392,30 @@ StabilizerBackend::runBatch(const Circuit &C, unsigned Shots, uint64_t Seed,
                             const RunOptions &Opts) const {
   const NoiseModel *Noise =
       Opts.Noise && !Opts.Noise->empty() ? Opts.Noise : nullptr;
-  if (!Noise)
-    return SimBackend::runBatch(C, Shots, Seed, Opts);
-  assert(Noise->isPauliOnly() &&
+  assert((!Noise || Noise->isPauliOnly()) &&
          "non-Pauli noise model reached the tableau engine");
-
-  PauliNoisePlan Plan = planPauliNoise(*Noise, C);
   std::vector<ShotResult> Results(Shots);
-  CircuitProfile P = analyzeCircuit(C);
-  if (!P.HasFeedForward) {
-    // Pauli-frame fast path: one ideal tableau reference, then O(gates)
-    // bit operations per shot. Shot S still samples everything from the
-    // deriveShotSeed(Seed, S) stream, so results are jobs-invariant.
-    FrameReference Ref(C, Seed);
-    parallelShotLoop(resolveJobCount(Opts.Jobs, Shots), Shots,
-                     [&](unsigned S) {
-                       Results[S] = Ref.sampleShot(*Noise, Plan,
-                                                   deriveShotSeed(Seed, S),
-                                                   Opts.NoiseCounters);
-                     });
+  if (Shots == 0)
     return Results;
-  }
-  // Feed-forward: the instruction sequence itself depends on per-shot
-  // bits, which frames cannot replay — fall back to independent noisy
-  // tableau runs (still polynomial).
+  PauliNoisePlan Plan;
+  if (Noise)
+    Plan = planPauliNoise(*Noise, C);
+  const PauliNoisePlan *PlanPtr = Noise ? &Plan : nullptr;
+  // Without feed-forward every shot is a Pauli frame on one shared
+  // reference run. Feed-forward makes the instruction sequence itself
+  // depend on per-shot bits, which frames cannot replay: those shots run
+  // on their own tableaus.
+  std::optional<FrameReference> Ref;
+  if (!analyzeCircuit(C).HasFeedForward)
+    Ref.emplace(C);
   parallelShotLoop(resolveJobCount(Opts.Jobs, Shots), Shots, [&](unsigned S) {
-    Results[S] = runTableau(C, deriveShotSeed(Seed, S), &Plan, Noise,
-                            Opts.NoiseCounters);
+    if (Opts.deadlineExpired())
+      throw DeadlineExceeded();
+    uint64_t ShotSeed = deriveShotSeed(Seed, S);
+    Results[S] = Ref ? Ref->sampleShot(ShotSeed, PlanPtr, Noise,
+                                       Opts.NoiseCounters)
+                     : runTableau(C, ShotSeed, PlanPtr, Noise,
+                                  Opts.NoiseCounters);
   });
   return Results;
 }

@@ -108,25 +108,27 @@ private:
 
 /// The tableau engine as a SimBackend ("stab"). Supports Clifford circuits
 /// — gates classified by isCliffordInstr — with measurement, reset, and
-/// classical feed-forward, at any width. Noise models must be Pauli-only;
-/// they run through two polynomial paths:
+/// classical feed-forward, at any width, ideal or under a Pauli-only noise
+/// model. run() and runNoisy() execute one shot on its own tableau, with
+/// sampled Paulis injected after noisy gates (O(n) sign updates each).
+/// They are the reference every batch reproduces bit for bit:
 ///
-///   - no feed-forward: the ideal circuit runs once as a tableau reference
-///     and every shot propagates a sampled Pauli frame through it
+///   - no feed-forward: the circuit runs once as a tableau reference and
+///     every shot, ideal or noisy, propagates a Pauli frame through it
 ///     (noise/PauliFrame.h) — O(gates) bit operations per shot;
-///   - feed-forward: each shot is an independent tableau run with sampled
-///     Paulis injected after noisy gates (O(n) sign updates each).
+///   - feed-forward: each shot is an independent tableau run.
 class StabilizerBackend : public SimBackend {
 public:
   const char *name() const override { return "stab"; }
   bool supports(const Circuit &C, const CircuitProfile &P) const override;
   ShotResult run(const Circuit &C, uint64_t Seed) const override;
-  /// Pauli-only models only (supportsNoise); the tableau Monte-Carlo path.
+  /// Pauli-only models only (supportsNoise).
   ShotResult runNoisy(const Circuit &C, uint64_t Seed,
                       const NoiseModel &Noise,
                       NoiseStats *Stats = nullptr) const override;
-  /// Dispatches noisy batches onto the Pauli-frame fast path (Clifford, no
-  /// feed-forward) or the per-shot tableau Monte-Carlo path.
+  /// Shot S equals run() (or runNoisy()) with deriveShotSeed(Seed, S):
+  /// Pauli frames on one shared reference without feed-forward, per-shot
+  /// tableaus with it. Checks the deadline before every shot.
   std::vector<ShotResult> runBatch(const Circuit &C, unsigned Shots,
                                    uint64_t Seed,
                                    const RunOptions &Opts) const override;
@@ -139,6 +141,11 @@ public:
 /// Shared by the backend's execution loops and the Pauli-frame reference
 /// run (noise/PauliFrame.cpp), so gate semantics can never diverge.
 void applyCliffordInstr(Tableau &T, const CircuitInstr &I);
+
+/// The generator one shot with seed \p Seed draws from: shared by run(),
+/// runNoisy() and the Pauli-frame sampler, whose shots replay those draws
+/// bit for bit.
+std::mt19937_64 tableauShotRng(uint64_t Seed);
 
 } // namespace asdf
 

@@ -18,11 +18,14 @@
 /// and across every plan.
 ///
 /// A second battery pins the stabilizer tableau: jobs=1 vs jobs=4 must be
-/// bit-exact, and sampled distributions must match the dense engine's on
-/// random dynamic Clifford circuits.
+/// bit-exact, Pauli-frame batches must equal per-shot tableau runs shot
+/// for shot (ideal and Pauli-noisy, up to 130 qubits), and sampled
+/// distributions must match the dense engine's on random dynamic Clifford
+/// circuits.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "noise/NoiseModel.h"
 #include "sim/CircuitAnalysis.h"
 #include "sim/Fusion.h"
 #include "sim/Simulator.h"
@@ -623,6 +626,56 @@ TEST(DifferentialTest, StabilizerParallelBitExact) {
     std::vector<ShotResult> Want = Stab.runBatch(C, 16, Trial, Serial);
     std::vector<ShotResult> Got = Stab.runBatch(C, 16, Trial, Parallel);
     expectBatchesBitExact(Want, Got, "stab/j4", Trial);
+  }
+}
+
+TEST(DifferentialTest, StabilizerFramesMatchPerShotTableauRuns) {
+  // Feed-forward-free batches sample every shot as a Pauli frame on one
+  // shared reference run. Each collapse coin is the draw a per-shot
+  // tableau run makes at the same point, so shot S must equal run() (or
+  // runNoisy()) with deriveShotSeed(Seed, S) bit for bit: ideal, under
+  // gate noise, and under readout noise. The widths cross the 64- and
+  // 128-qubit word boundaries of frames and tableau rows.
+  NoiseModel Mixed;
+  Mixed.addDefaultChannel(KrausChannel::depolarizing(0.03));
+  Mixed.addGateChannel(GateKind::X, KrausChannel::bitFlip(0.05));
+  Mixed.setReadoutError(0.02, 0.04);
+  NoiseModel Readout;
+  Readout.setReadoutError(0.1, 0.15);
+  const NoiseModel *Models[] = {nullptr, &Mixed, &Readout};
+  std::mt19937_64 Rng(0xF2A3Eull);
+  StabilizerBackend Stab;
+  const unsigned Shots = 32;
+  unsigned Trial = 0;
+  for (unsigned Width :
+       {2u, 3u, 5u, 9u, 31u, 63u, 64u, 65u, 100u, 127u, 128u, 129u, 130u}) {
+    for (unsigned Rep = 0; Rep < 3; ++Rep, ++Trial) {
+      // Mid-circuit measure and reset from the generator's alphabet, and
+      // the final measure-all re-measures every measured qubit.
+      Circuit C = randomCircuit(Rng, Width, 4 * Width + 8,
+                                /*CliffordOnly=*/true);
+      std::erase_if(C.Instrs,
+                    [](const CircuitInstr &I) { return I.CondBit >= 0; });
+      ASSERT_FALSE(analyzeCircuit(C).HasFeedForward);
+      for (const NoiseModel *Noise : Models) {
+        std::vector<ShotResult> Want(Shots);
+        for (unsigned S = 0; S < Shots; ++S)
+          Want[S] = Noise ? Stab.runNoisy(C, deriveShotSeed(Trial, S), *Noise)
+                          : Stab.run(C, deriveShotSeed(Trial, S));
+        for (unsigned Jobs : {1u, 4u}) {
+          RunOptions Opts;
+          Opts.Jobs = Jobs;
+          Opts.Noise = Noise;
+          std::string Config = std::string(Noise == &Mixed     ? "mixed"
+                                           : Noise == &Readout ? "readout"
+                                                               : "ideal") +
+                               "/j" + std::to_string(Jobs) + "/w" +
+                               std::to_string(Width);
+          expectBatchesBitExact(Want, Stab.runBatch(C, Shots, Trial, Opts),
+                                Config.c_str(), Trial);
+        }
+      }
+    }
   }
 }
 

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <random>
 
@@ -664,6 +665,37 @@ TEST(NoiseDeterminismTest, StabilizerNoisyBatchesAreJobsInvariant) {
     for (unsigned S = 0; S < 64; ++S)
       ASSERT_EQ(A[S].Bits, B[S].Bits) << "shot " << S;
   }
+}
+
+TEST(NoiseDeterminismTest, StabilizerBatchesHonorAnExpiredDeadline) {
+  // Backend.h's runBatch contract: past RunOptions::Deadline the run
+  // throws DeadlineExceeded instead of finishing. Both stabilizer batch
+  // paths check it before every shot, noisy or ideal: Pauli frames (no
+  // feed-forward) and per-shot tableaus (feed-forward).
+  NoiseModel M = pauliTestModel();
+  StabilizerBackend Stab;
+  std::mt19937_64 Rng(13);
+  Circuit Plain = randomClifford(Rng, 6, 40);
+  Circuit Dynamic = Plain;
+  CircuitInstr Fix = CircuitInstr::gate(GateKind::X, {}, {1});
+  Fix.CondBit = 0;
+  Dynamic.append(Fix);
+  Dynamic.append(CircuitInstr::measure(1, 1));
+  ASSERT_FALSE(analyzeCircuit(Plain).HasFeedForward);
+  ASSERT_TRUE(analyzeCircuit(Dynamic).HasFeedForward);
+  const NoiseModel *Models[] = {&M, nullptr};
+  for (const NoiseModel *Noise : Models)
+    for (const Circuit *C : {&Plain, &Dynamic})
+      for (unsigned Jobs : {1u, 4u}) {
+        RunOptions Opts;
+        Opts.Jobs = Jobs;
+        Opts.Noise = Noise;
+        Opts.Deadline =
+            std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+        EXPECT_THROW(Stab.runBatch(*C, 64, 5, Opts), DeadlineExceeded)
+            << (Noise ? "noisy" : "ideal") << " jobs " << Jobs
+            << (C == &Plain ? " frames" : " feed-forward");
+      }
 }
 
 TEST(NoiseDeterminismTest, SeedsMatterAndReplaysAreExact) {
