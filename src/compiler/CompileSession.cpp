@@ -266,20 +266,6 @@ const std::vector<std::string> *CompileSession::paramNames() {
   return C ? &C->ParamNames : nullptr;
 }
 
-namespace {
-
-std::string joinParamNames(const std::vector<std::string> &Names) {
-  std::string S;
-  for (size_t I = 0; I < Names.size(); ++I) {
-    if (I)
-      S += ", ";
-    S += "$" + Names[I];
-  }
-  return S;
-}
-
-} // namespace
-
 std::optional<Circuit>
 CompileSession::bindParams(const std::vector<double> &Values,
                            std::string *Err) {
@@ -295,7 +281,7 @@ CompileSession::bindParams(const std::vector<double> &Values,
              " value(s) to " + std::to_string(C->ParamNames.size()) +
              " parameter(s)";
       if (!C->ParamNames.empty())
-        *Err += " (" + joinParamNames(C->ParamNames) + ")";
+        *Err += " (" + C->paramList() + ")";
     }
     return std::nullopt;
   }
@@ -320,7 +306,7 @@ CompileSession::bindParams(const std::map<std::string, double> &Values,
         *Err += C->ParamNames.empty()
                     ? std::string("; the program declares no parameters")
                     : "; the program declares (" +
-                          joinParamNames(C->ParamNames) + ")";
+                          C->paramList() + ")";
       }
       return std::nullopt;
     }

@@ -17,11 +17,9 @@
 ///   const Module *QW = S.qwertyIR();      // already cached — no recompile
 ///
 /// Embedders (asdfc, the simulator harnesses, the resource estimator
-/// sweeps, benches, tests) all drive compilation through sessions; the old
-/// two-method QwertyCompiler survives only as a deprecated shim over this
-/// class. Unlike the shim's historical behavior, a session never re-runs
-/// the front half: the Qwerty IR is preserved by deep-cloning the module
-/// before the destructive QCircuit conversion.
+/// sweeps, benches, tests) all drive compilation through sessions. A
+/// session never re-runs the front half: the Qwerty IR is preserved by
+/// deep-cloning the module before the destructive QCircuit conversion.
 ///
 /// Instrumentation (per-pass wall time + IR statistics, dump-before/after,
 /// inter-pass verification) is configured in SessionOptions and surfaced on
@@ -137,8 +135,8 @@ public:
   /// The digest of hashIdentity over this session's own inputs.
   std::array<uint64_t, 2> contentHash() const;
 
-  /// Every artifact the session has materialized so far. Used by the
-  /// deprecated QwertyCompiler shim to move results out; a session whose
+  /// Every artifact the session has materialized so far, moved out (the
+  /// golden tests keep the QCircuit IR past the session); a session whose
   /// artifacts were taken must not run further stages.
   struct Artifacts {
     std::unique_ptr<Program> AST;

@@ -11,7 +11,7 @@
 #include "ast/Expand.h"
 #include "ast/TypeChecker.h"
 #include "baselines/Baselines.h"
-#include "compiler/Compiler.h"
+#include "compiler/CommandLine.h"
 #include "ir/IR.h"
 #include "qcirc/Peephole.h"
 #include "transform/Passes.h"
@@ -363,39 +363,7 @@ PipelinePlan asdf::presetPlan(const std::string &Name) {
   return Plan;
 }
 
-PipelinePlan asdf::planFromOptions(const CompileOptions &Options) {
-  PipelinePlan Plan = presetPlan("default");
-  if (!Options.AstCanonicalize)
-    Plan.Ast = presetPlan("no-canon").Ast;
-  if (!Options.Inline)
-    Plan.Qwerty = presetPlan("no-opt").Qwerty;
-  Plan.QCirc = {"canonicalize"};
-  if (Options.PeepholeOpt)
-    Plan.QCirc.push_back("peephole");
-  if (Options.DecomposeMultiControl) {
-    Plan.QCirc.push_back("decompose-mc");
-    if (Options.PeepholeOpt)
-      Plan.QCirc.push_back("peephole");
-  }
-  return Plan;
-}
-
 namespace {
-
-std::vector<std::string> splitOn(const std::string &S, char Sep) {
-  std::vector<std::string> Out;
-  std::string Cur;
-  for (char C : S) {
-    if (C == Sep) {
-      Out.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur.push_back(C);
-    }
-  }
-  Out.push_back(Cur);
-  return Out;
-}
 
 std::string joinNames(const std::vector<std::string> &Names) {
   std::string S;

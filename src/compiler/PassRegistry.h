@@ -7,8 +7,8 @@
 /// \file
 /// The registry the stage pipelines are built from: every pass of Fig. 2 is
 /// registered under a (stage, name) key with a factory, and a
-/// `PipelinePlan` names which passes run in each stage. Presets replace the
-/// old CompileOptions boolean soup — the Table 1 ablations are named plans:
+/// `PipelinePlan` names which passes run in each stage. The Table 1
+/// ablations are named preset plans:
 ///
 ///   - `default`     — the full pipeline (§5.4 + §6.5),
 ///   - `no-opt`      — lambda lifting + specialization only; QIR callables
@@ -34,8 +34,6 @@
 #include <vector>
 
 namespace asdf {
-
-struct CompileOptions;
 
 /// Which registered passes run in each stage, by name and in order.
 struct PipelinePlan {
@@ -116,10 +114,6 @@ std::vector<std::string> pipelinePresetNames();
 
 /// The plan for a preset; \p Name must satisfy isPipelinePreset.
 PipelinePlan presetPlan(const std::string &Name);
-
-/// Maps the legacy CompileOptions booleans onto an equivalent plan — the
-/// bridge the deprecated QwertyCompiler shim rides on.
-PipelinePlan planFromOptions(const CompileOptions &Options);
 
 /// Parses \p Text into \p Plan: either a preset name or a spec of the form
 /// `stage:pass,pass;stage:pass,...` (stages: ast, qwerty, qcirc, circuit).

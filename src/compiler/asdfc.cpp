@@ -24,17 +24,15 @@
 
 #include "codegen/QasmEmitter.h"
 #include "codegen/QirEmitter.h"
+#include "compiler/CommandLine.h"
 #include "compiler/CompileSession.h"
 #include "estimate/ResourceEstimator.h"
 #include "noise/NoiseSpec.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "sim/CircuitAnalysis.h"
 #include "sim/Simulator.h"
 #include "support/BuildInfo.h"
 
-#include <cctype>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -143,33 +141,6 @@ void usage(FILE *Out) {
   std::exit(2);
 }
 
-bool splitEq(const std::string &Arg, std::string &Key, std::string &Value) {
-  size_t Eq = Arg.find('=');
-  if (Eq == std::string::npos)
-    return false;
-  Key = Arg.substr(0, Eq);
-  Value = Arg.substr(Eq + 1);
-  return true;
-}
-
-/// Locale-independent double parse of the whole string (strtod honors
-/// LC_NUMERIC, which would silently truncate "30.5" under a comma-decimal
-/// locale).
-bool parseDoubleArg(const std::string &S, double &Out) {
-  // Tolerate surrounding whitespace: sweep specs read naturally as
-  // "0; 45.5; 90". from_chars itself is locale-independent and exact.
-  const char *B = S.c_str();
-  const char *E = B + S.size();
-  while (B != E && std::isspace(static_cast<unsigned char>(*B)))
-    ++B;
-  while (E != B && std::isspace(static_cast<unsigned char>(E[-1])))
-    --E;
-  if (B == E)
-    return false;
-  std::from_chars_result R = std::from_chars(B, E, Out);
-  return R.ec == std::errc() && R.ptr == E;
-}
-
 bool validEmit(const std::string &E) {
   static const std::set<std::string> Valid = {
       "qasm", "qir", "qir-base", "qwerty-ir", "circuit", "run", "estimate"};
@@ -197,27 +168,22 @@ int main(int argc, char **argv) {
     usageError("first argument must be the input .qw file (got option '" +
                Path + "')");
   std::string Emit = "qasm";
-  unsigned Shots = 1;
-  uint64_t Seed = 0;
-  BackendKind Backend = BackendKind::Auto;
-  RunOptions RunOpts;
+  RunSpec Spec;
   SessionOptions Opts;
   ProgramBindings Bindings;
   NoiseModel Noise;
   std::string PipelineArg;
   bool NoInline = false, NoPeephole = false;
-  bool HasNoise = false;
   bool Trajectories = false;
   bool PassTimings = false;
   bool JobsExplicitZero = false;
   bool SimStatsRequested = false;
   std::map<std::string, double> ParamArgs;
-  std::string SweepArg;
-  bool HasSweep = false;
   std::string TracePath;
   bool MetricsRequested = false;
   bool ExplainBackend = false;
 
+  std::string Error;
   for (int I = 2; I < argc; ++I) {
     std::string Arg = argv[I];
     auto Next = [&]() -> const char * {
@@ -234,30 +200,11 @@ int main(int argc, char **argv) {
     } else if (Arg == "--entry") {
       Opts.Entry = Next();
     } else if (Arg == "--bind") {
-      std::string Key, Value;
-      if (!splitEq(Next(), Key, Value))
-        usageError("--bind expects <Var>=<int>");
-      if (!Bindings.DimVars.emplace(Key, std::atoll(Value.c_str())).second)
-        usageError("duplicate --bind for dimension variable '" + Key +
-                   "' (each variable can be bound once)");
+      if (!parseBindArg(Next(), Bindings, Error))
+        usageError(Error);
     } else if (Arg == "--capture") {
-      std::string Key, Value;
-      if (!splitEq(Next(), Key, Value))
-        usageError("--capture expects <function>.<param>=<value>");
-      size_t Dot = Key.find('.');
-      if (Dot == std::string::npos)
-        usageError("capture key '" + Key + "' must be <function>.<param>");
-      std::string Func = Key.substr(0, Dot);
-      std::string Param = Key.substr(Dot + 1);
-      if (Bindings.Captures[Func].count(Param))
-        usageError("duplicate --capture for '" + Key +
-                   "' (each parameter can be captured once)");
-      if (!Value.empty() && Value[0] == '@')
-        Bindings.Captures[Func][Param] =
-            CaptureValue::classicalFunc(Value.substr(1));
-      else
-        Bindings.Captures[Func][Param] =
-            CaptureValue::bitsFromString(Value);
+      if (!parseCaptureArg(Next(), Bindings, Error))
+        usageError(Error);
     } else if (Arg == "--emit") {
       Emit = Next();
       if (!validEmit(Emit))
@@ -285,31 +232,31 @@ int main(int argc, char **argv) {
     } else if (Arg == "--no-peephole") {
       NoPeephole = true;
     } else if (Arg == "--shots") {
-      Shots = std::atoi(Next());
+      Spec.Shots = std::atoi(Next());
     } else if (Arg == "--seed") {
-      Seed = std::strtoull(Next(), nullptr, 0);
+      Spec.Seed = std::strtoull(Next(), nullptr, 0);
     } else if (Arg == "--jobs") {
-      RunOpts.Jobs = std::atoi(Next());
-      JobsExplicitZero = RunOpts.Jobs == 0;
+      Spec.Opts.Jobs = std::atoi(Next());
+      JobsExplicitZero = Spec.Opts.Jobs == 0;
     } else if (Arg == "--parallel") {
       std::string Mode = Next();
       if (Mode == "auto")
-        RunOpts.Parallel = ParallelMode::Auto;
+        Spec.Opts.Parallel = ParallelMode::Auto;
       else if (Mode == "shot")
-        RunOpts.Parallel = ParallelMode::Shot;
+        Spec.Opts.Parallel = ParallelMode::Shot;
       else if (Mode == "amp" || Mode == "amplitude")
-        RunOpts.Parallel = ParallelMode::Amplitude;
+        Spec.Opts.Parallel = ParallelMode::Amplitude;
       else
         usageError("unknown --parallel mode '" + Mode +
                    "' (expected auto, shot, or amp)");
     } else if (Arg == "--no-fuse") {
-      RunOpts.Fuse = false;
+      Spec.Opts.Fuse = false;
     } else if (Arg == "--fuse-k") {
       int K = std::atoi(Next());
       if (K < 1 || K > static_cast<int>(MaxFuseQubits))
         usageError("--fuse-k expects a block width between 1 and " +
                    std::to_string(MaxFuseQubits) + " qubits");
-      RunOpts.FuseMaxQubits = static_cast<unsigned>(K);
+      Spec.Opts.FuseMaxQubits = static_cast<unsigned>(K);
     } else if (Arg == "--sim-stats") {
       SimStatsRequested = true;
     } else if (Arg == "--param") {
@@ -323,10 +270,9 @@ int main(int argc, char **argv) {
         usageError("duplicate --param for '" + Key +
                    "' (each parameter can be bound once)");
     } else if (Arg == "--sweep") {
-      SweepArg = Next();
-      HasSweep = true;
+      if (!parseSweepSpec(Next(), Spec.Points, Error))
+        usageError(Error);
     } else if (Arg == "--noise") {
-      std::string Error;
       if (!loadNoiseSpec(Next(), Noise, Error)) {
         std::fprintf(stderr, "noise spec: %s\n", Error.c_str());
         return 1;
@@ -335,7 +281,6 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "noise spec: %s\n", Error.c_str());
         return 1;
       }
-      HasNoise = true;
     } else if (Arg == "--trajectories") {
       Trajectories = true;
     } else if (Arg == "--trace") {
@@ -346,11 +291,11 @@ int main(int argc, char **argv) {
       MetricsRequested = true;
     } else if (Arg == "--backend") {
       std::string Name = Next();
-      if (!parseBackendKind(Name, Backend))
+      if (!parseBackendKind(Name, Spec.Backend))
         usageError("unknown backend '" + Name +
                    "' (expected auto, sv, stab, or mps)");
     } else if (Arg == "--mps-chi") {
-      RunOpts.MpsChi = static_cast<unsigned>(std::atoi(Next()));
+      Spec.Opts.MpsChi = static_cast<unsigned>(std::atoi(Next()));
     } else if (Arg == "--explain-backend") {
       ExplainBackend = true;
     } else {
@@ -375,7 +320,6 @@ int main(int argc, char **argv) {
     usageError("--pipeline cannot be combined with --no-inline/"
                "--no-peephole (encode the ablation in the plan instead)");
   if (!PipelineArg.empty()) {
-    std::string Error;
     if (!parsePipelinePlan(PipelineArg, Opts.Plan, Error))
       usageError(Error);
   } else if (NoInline) {
@@ -420,7 +364,7 @@ int main(int argc, char **argv) {
           "Statevector amplitudes visited by kernels",
           [&SimCounters] { return SimCounters.AmplitudesTouched; });
       Reg.counterFn("asdfc_shots_total", "Shots executed",
-                    [&Shots] { return uint64_t(Shots); });
+                    [&Spec] { return uint64_t(Spec.Shots); });
       Reg.gaugeFn("asdfc_run_seconds", "Wall seconds spent simulating",
                   [&RunSecs] { return RunSecs; });
       std::fputs(Reg.renderPrometheus().c_str(), stderr);
@@ -469,6 +413,7 @@ int main(int argc, char **argv) {
 
   // Parameter handling: --param binds the compiled circuit once (for any
   // flat-circuit emit target); --sweep re-binds per point inside the run.
+  const bool HasSweep = !Spec.Points.empty();
   if (HasSweep && Emit != "run")
     usageError("--sweep requires --emit run");
   if (HasSweep && !ParamArgs.empty())
@@ -486,17 +431,6 @@ int main(int argc, char **argv) {
     BoundStorage = std::move(*Bound);
   }
   const Circuit &FlatCircuit = ParamArgs.empty() ? *Flat : BoundStorage;
-  if (Emit == "run" && !HasSweep && FlatCircuit.isParametric()) {
-    std::string Names;
-    for (size_t K = 0; K < ParamNames.size(); ++K)
-      Names += (K ? ", $" : "$") + ParamNames[K];
-    std::fprintf(stderr,
-                 "cannot run with %zu unbound parameter(s) (%s); bind "
-                 "each with --param or sweep with --sweep\n",
-                 ParamNames.size(), Names.c_str());
-    return Finish(1);
-  }
-  std::vector<std::vector<double>> SweepPoints;
   if (HasSweep) {
     if (ParamNames.empty()) {
       std::fprintf(stderr, "--sweep requires a parametric program, but "
@@ -504,38 +438,12 @@ int main(int argc, char **argv) {
                    Session.options().Entry.c_str());
       return Finish(1);
     }
-    size_t Pos = 0;
-    while (Pos <= SweepArg.size()) {
-      size_t Semi = SweepArg.find(';', Pos);
-      std::string PointSpec = SweepArg.substr(
-          Pos, Semi == std::string::npos ? std::string::npos : Semi - Pos);
-      std::vector<double> Point;
-      size_t VPos = 0;
-      while (VPos <= PointSpec.size() && !PointSpec.empty()) {
-        size_t Comma = PointSpec.find(',', VPos);
-        std::string Val = PointSpec.substr(
-            VPos,
-            Comma == std::string::npos ? std::string::npos : Comma - VPos);
-        double D;
-        if (!parseDoubleArg(Val, D))
-          usageError("--sweep value '" + Val + "' is not a number");
-        Point.push_back(D);
-        if (Comma == std::string::npos)
-          break;
-        VPos = Comma + 1;
-      }
-      if (Point.size() != ParamNames.size())
-        usageError("--sweep point " + std::to_string(SweepPoints.size()) +
-                   " has " + std::to_string(Point.size()) + " value(s) but "
-                   "the program declares " +
+    for (size_t P = 0; P < Spec.Points.size(); ++P)
+      if (Spec.Points[P].size() != ParamNames.size())
+        usageError("--sweep point " + std::to_string(P) + " has " +
+                   std::to_string(Spec.Points[P].size()) +
+                   " value(s) but the program declares " +
                    std::to_string(ParamNames.size()) + " parameter(s)");
-      SweepPoints.push_back(std::move(Point));
-      if (Semi == std::string::npos)
-        break;
-      Pos = Semi + 1;
-    }
-    if (SweepPoints.empty())
-      usageError("--sweep expects at least one point");
   }
 
   if (Emit == "qasm") {
@@ -563,84 +471,78 @@ int main(int argc, char **argv) {
     return Finish(0);
   }
   // Emit == "run" (the only remaining target; validated at parse time).
-  if (HasNoise && !Noise.empty())
-    RunOpts.Noise = &Noise;
+  if (!Noise.empty())
+    Spec.Opts.Noise = &Noise;
   NoiseStats Counters;
-  if (Trajectories && RunOpts.Noise)
-    RunOpts.NoiseCounters = &Counters;
-  CircuitProfile Profile = analyzeCircuit(FlatCircuit);
-  BackendSelection Sel = BackendRegistry::instance().selectWithReasons(
-      FlatCircuit, Backend, RunOpts, &Profile, RunOpts.Noise);
-  SimBackend &B = *Sel.Chosen;
-  bool IsSv = std::strcmp(B.name(), "sv") == 0;
-  bool IsMps = std::strcmp(B.name(), "mps") == 0;
+  if (Trajectories && Spec.Opts.Noise)
+    Spec.Opts.NoiseCounters = &Counters;
+  if (SimStatsRequested || MetricsRequested)
+    Spec.Opts.SimCounters = &SimCounters;
+  std::chrono::steady_clock::time_point RunStart;
+  RunReport Run = runCircuit(FlatCircuit, Spec, [&](const RunReport &R) {
+    if (ExplainBackend)
+      return false;
+    bool IsSv = std::strcmp(R.Selection.Chosen->name(), "sv") == 0;
+    if (JobsExplicitZero)
+      std::fprintf(stderr,
+                   "jobs: 0 means one worker per hardware core; worker "
+                   "budget %u (shot-parallel runs clamp to the %u "
+                   "shot(s))\n",
+                   resolveJobCount(0), Spec.Shots);
+    if (Spec.Opts.Fuse && IsSv) {
+      FusedCircuit Plan = fuseCircuit(FlatCircuit, Spec.Opts.Noise,
+                                      Spec.Opts.FuseMaxQubits);
+      if (Plan.GatesFused > 0)
+        std::fprintf(stderr, "fusion: %s\n", Plan.summary().c_str());
+    }
+    if (Trajectories && Spec.Opts.Noise) {
+      NoisePlan Plan = planNoise(*Spec.Opts.Noise, FlatCircuit);
+      size_t Sites = 0;
+      for (const std::vector<NoiseOp> &Ops : Plan.PerInstr)
+        Sites += Ops.size();
+      const char *NoisePath =
+          IsSv ? "statevector-trajectory"
+               : (R.Profile.HasFeedForward ? "tableau-monte-carlo"
+                                           : "pauli-frame");
+      std::fprintf(stderr, "noise: %s\n",
+                   Spec.Opts.Noise->summary().c_str());
+      std::fprintf(stderr,
+                   "noise: %zu insertion site(s) over %zu instruction(s); "
+                   "path: %s\n",
+                   Sites, FlatCircuit.Instrs.size(), NoisePath);
+    }
+    RunStart = std::chrono::steady_clock::now();
+    return true;
+  });
+  if (Run.Result == RunReport::Outcome::Ran)
+    RunSecs = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - RunStart)
+                  .count();
+  if (Run.Result == RunReport::Outcome::Refused) {
+    std::fprintf(stderr,
+                 "%s; bind each with --param or sweep with --sweep\n",
+                 Run.Refusal.c_str());
+    return Finish(1);
+  }
   if (ExplainBackend) {
-    std::printf("%s", Sel.describe().c_str());
+    std::printf("%s", Run.Selection.describe().c_str());
     return Finish(0);
   }
-  if (!Sel.Supported) {
+  if (Run.Result == RunReport::Outcome::Unsupported) {
     // Unified failure diagnostics: the decision, the cost-model summary,
     // and one verdict per registered backend saying why each was (or was
     // not) eligible — the same report --explain-backend prints.
-    std::fprintf(stderr, "%s", Sel.describe().c_str());
+    std::fprintf(stderr, "%s", Run.Selection.describe().c_str());
     return Finish(1);
   }
-  if (JobsExplicitZero)
-    std::fprintf(stderr,
-                 "jobs: 0 means one worker per hardware core; worker "
-                 "budget %u (shot-parallel runs clamp to the %u shot(s))\n",
-                 resolveJobCount(0), Shots);
-  if (RunOpts.Fuse && IsSv) {
-    FusedCircuit Plan =
-        fuseCircuit(FlatCircuit, RunOpts.Noise, RunOpts.FuseMaxQubits);
-    if (Plan.GatesFused > 0)
-      std::fprintf(stderr, "fusion: %s\n", Plan.summary().c_str());
+  for (size_t P = 0; P < Run.Bits.size(); ++P) {
+    if (HasSweep)
+      std::printf("%s\n",
+                  formatPointHeader(P, ParamNames, Spec.Points[P]).c_str());
+    for (const std::string &Bits : Run.Bits[P])
+      std::printf("%s\n", Bits.c_str());
   }
-  if (Trajectories && RunOpts.Noise) {
-    NoisePlan Plan = planNoise(*RunOpts.Noise, FlatCircuit);
-    size_t Sites = 0;
-    for (const std::vector<NoiseOp> &Ops : Plan.PerInstr)
-      Sites += Ops.size();
-    const char *NoisePath =
-        IsSv ? "statevector-trajectory"
-             : (Profile.HasFeedForward ? "tableau-monte-carlo"
-                                       : "pauli-frame");
-    std::fprintf(stderr, "noise: %s\n", RunOpts.Noise->summary().c_str());
-    std::fprintf(stderr,
-                 "noise: %zu insertion site(s) over %zu instruction(s); "
-                 "path: %s\n",
-                 Sites, FlatCircuit.Instrs.size(), NoisePath);
-  }
-  if (SimStatsRequested || MetricsRequested)
-    RunOpts.SimCounters = &SimCounters;
-  auto RunStart = std::chrono::steady_clock::now();
-  std::vector<ShotResult> Batch;
-  std::vector<std::vector<ShotResult>> SweepResults;
-  if (HasSweep)
-    SweepResults = B.runSweep(FlatCircuit, SweepPoints, Shots, Seed, RunOpts);
-  else
-    Batch = B.runBatch(FlatCircuit, Shots, Seed, RunOpts);
-  RunSecs = std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - RunStart)
-                .count();
-  if (HasSweep) {
-    for (size_t P = 0; P < SweepResults.size(); ++P) {
-      std::string Header = "# point " + std::to_string(P);
-      for (size_t K = 0; K < ParamNames.size(); ++K) {
-        char Buf[64];
-        std::to_chars_result R =
-            std::to_chars(Buf, Buf + sizeof(Buf), SweepPoints[P][K]);
-        Header += (K ? ", " : ": ") + ParamNames[K] + "=" +
-                  std::string(Buf, R.ptr);
-      }
-      std::printf("%s\n", Header.c_str());
-      for (const ShotResult &Shot : SweepResults[P])
-        std::printf("%s\n", formatShotBits(FlatCircuit, Shot).c_str());
-    }
-  } else {
-    for (const ShotResult &Shot : Batch)
-      std::printf("%s\n", formatShotBits(FlatCircuit, Shot).c_str());
-  }
+  const char *Engine = Run.Selection.Chosen->name();
   if (SimStatsRequested) {
     uint64_t Amps = SimCounters.AmplitudesTouched;
     std::fprintf(
@@ -651,8 +553,8 @@ int main(int argc, char **argv) {
         static_cast<unsigned long long>(SimCounters.FusedOps),
         static_cast<unsigned long long>(SimCounters.FusedBlocks),
         static_cast<unsigned long long>(Amps),
-        RunSecs > 0 ? double(Amps) / RunSecs : 0.0, Shots);
-    if (IsMps)
+        RunSecs > 0 ? double(Amps) / RunSecs : 0.0, Spec.Shots);
+    if (std::strcmp(Engine, "mps") == 0)
       std::fprintf(
           stderr,
           "sim-stats: mps: %llu SVD(s), %llu truncation(s), discarded "
@@ -661,13 +563,13 @@ int main(int argc, char **argv) {
           static_cast<unsigned long long>(SimCounters.MpsTruncations),
           SimCounters.MpsTruncationError,
           static_cast<unsigned long long>(SimCounters.MpsMaxBond),
-          RunOpts.MpsChi);
-    else if (!IsSv)
+          Spec.Opts.MpsChi);
+    else if (std::strcmp(Engine, "sv") != 0)
       std::fprintf(stderr, "sim-stats: note: the '%s' backend does not "
                            "report dense-engine counters\n",
-                   B.name());
+                   Engine);
   }
-  if (Trajectories && RunOpts.NoiseCounters)
+  if (Trajectories && Spec.Opts.NoiseCounters)
     std::fprintf(
         stderr,
         "trajectories: %llu channel application(s), %llu error "
@@ -675,6 +577,6 @@ int main(int argc, char **argv) {
         static_cast<unsigned long long>(Counters.ChannelApps.load()),
         static_cast<unsigned long long>(Counters.ErrorBranches.load()),
         static_cast<unsigned long long>(Counters.ReadoutFlips.load()),
-        Shots);
+        Spec.Shots);
   return Finish(0);
 }

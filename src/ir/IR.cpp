@@ -238,9 +238,10 @@ void Op::addOperand(Value *V) {
 void Op::dropOperands() {
   for (unsigned I = 0; I < Operands.size(); ++I) {
     auto &Uses = Operands[I]->Uses;
-    auto It = std::find(Uses.begin(), Uses.end(), std::make_pair(this, I));
-    assert(It != Uses.end() && "use list out of sync");
-    Uses.erase(It);
+    // Searched from the back: ~Block drops the newest users first.
+    auto It = std::find(Uses.rbegin(), Uses.rend(), std::make_pair(this, I));
+    assert(It != Uses.rend() && "use list out of sync");
+    Uses.erase(std::next(It).base());
   }
   Operands.clear();
 }
@@ -250,14 +251,6 @@ void Op::erase() {
   for (Value &R : Results)
     assert(R.Uses.empty() && "erasing op with live uses");
 #endif
-  // Region ops must drop their own operand links first.
-  for (auto &R : Regions)
-    while (!R->Ops.empty()) {
-      Op *Last = R->Ops.back().get();
-      Last->dropOperands();
-      Last->Regions.clear();
-      R->Ops.pop_back();
-    }
   dropOperands();
   assert(ParentBlock && "erasing detached op");
   ParentBlock->Ops.erase(Iter);
@@ -299,6 +292,13 @@ bool Op::isStationary() const {
     return true;
   default:
     return false;
+  }
+}
+
+Block::~Block() {
+  while (!Ops.empty()) {
+    Ops.back()->dropOperands();
+    Ops.pop_back();
   }
 }
 

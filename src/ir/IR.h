@@ -402,6 +402,11 @@ public:
   Op *ParentOp = nullptr;           ///< For lambda/if regions.
   IRFunction *ParentFunc = nullptr; ///< For function bodies.
 
+  /// Frees the ops back to front, users before definers, each after it
+  /// drops its operand links, so no op dies holding a use and no use
+  /// outlives its value. Nested regions go the same way.
+  ~Block();
+
   Value *addArg(IRType Ty) {
     Args.emplace_back();
     Value &V = Args.back();

@@ -143,6 +143,13 @@ CircuitStats Circuit::stats() const {
   return S;
 }
 
+std::string Circuit::paramList() const {
+  std::string S;
+  for (size_t I = 0; I < ParamNames.size(); ++I)
+    S += (I ? ", $" : "$") + ParamNames[I];
+  return S;
+}
+
 std::string Circuit::str() const {
   std::ostringstream OS;
   OS << "circuit(" << NumQubits << " qubits, " << NumBits << " bits";

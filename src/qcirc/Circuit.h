@@ -125,6 +125,8 @@ struct Circuit {
 
   unsigned numParams() const { return ParamNames.size(); }
   bool isParametric() const { return !ParamNames.empty(); }
+  /// The parameters as diagnostics name them: "$a, $b".
+  std::string paramList() const;
 
   /// Computes gate statistics; rotation-style gates (P/RX/RY/RZ with
   /// non-Clifford angles) are counted as T-equivalents per the standard

@@ -6,16 +6,14 @@
 ///
 /// \file
 /// One `ServiceRequest` describes one unit of work — a compilation, a
-/// simulation run, a stats query, or a shutdown — and one `ServiceResponse`
-/// its outcome. Everything that submits work constructs the same structs:
-/// asdf-cli builds one from its argv, asdfd parses one per NDJSON line,
-/// the service bench synthesizes thousands in-process, and the tests build
-/// the serial reference from the identical object. That sharing is the
-/// point (ROADMAP: "a request/job abstraction shared by the CLI, benches,
-/// and the daemon"): there is exactly one mapping from request fields to
-/// compiler/simulator inputs, so "daemon-served results are bit-identical
-/// to asdfc" reduces to both paths calling the same code on the same
-/// struct.
+/// simulation run, a parameter sweep, a stats query, or a shutdown — and
+/// one `ServiceResponse` its outcome. asdf-cli builds one from its argv,
+/// asdfd parses one per NDJSON line, and the benches and tests synthesize
+/// them in-process. asdfc builds none: "daemon-served results are
+/// bit-identical to asdfc" holds because a run or bind-run request and
+/// `asdfc --emit run` end in the same function, `runCircuit`
+/// (sim/Simulator.h), which refuses unbound parameters, selects the
+/// engine, runs the shots and renders the bits.
 ///
 /// The JSON encoding (docs/protocol.md) is the wire format of asdfd;
 /// parse/serialize round-trips exactly, including 64-bit seeds.

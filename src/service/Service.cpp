@@ -11,7 +11,6 @@
 #include "compiler/CompileSession.h"
 #include "obs/Trace.h"
 #include "service/DiskCache.h"
-#include "sim/CircuitAnalysis.h"
 #include "sim/Simulator.h"
 #include "support/BuildInfo.h"
 #include "support/FaultInject.h"
@@ -214,7 +213,7 @@ ServiceResponse AsdfService::handle(const ServiceRequest &R,
       return handleRun(R, Deadline);
     case ServiceRequest::Kind::BindRun:
       NumBindRun.fetch_add(1, std::memory_order_relaxed);
-      return handleBindRun(R, Deadline);
+      return handleRun(R, Deadline);
     case ServiceRequest::Kind::Stats:
       NumStats.fetch_add(1, std::memory_order_relaxed);
       return handleStats(R);
@@ -564,6 +563,7 @@ AsdfService::handleCompile(const ServiceRequest &R,
 
 ServiceResponse AsdfService::handleRun(const ServiceRequest &R,
                                        Clock::time_point Deadline) {
+  const bool Sweep = R.TheKind == ServiceRequest::Kind::BindRun;
   PipelinePlan Plan;
   std::string Error;
   if (!parsePipelinePlan(R.Pipeline, Plan, Error))
@@ -571,132 +571,54 @@ ServiceResponse AsdfService::handleRun(const ServiceRequest &R,
   if (!Plan.producesFlatCircuit())
     return ServiceResponse::failure(
         R.Id, "unsupported",
-        "run requests need a fully inlining pipeline (the plan keeps "
-        "callables, which only the QIR path can emit)");
-  BackendKind Kind;
-  if (!parseBackendKind(R.Backend, Kind))
+        std::string(Sweep ? "bind-run" : "run") +
+            " requests need a fully inlining pipeline (the plan keeps "
+            "callables, which only the QIR path can emit)");
+  RunSpec Spec;
+  if (!parseBackendKind(R.Backend, Spec.Backend))
     return ServiceResponse::failure(
         R.Id, "bad-request",
         "unknown backend '" + R.Backend +
             "' (expected auto, sv, stab, or mps)");
 
-  ServiceResponse Resp;
-  Resp.Id = R.Id;
-  ServiceResponse Failure;
-  std::shared_ptr<const Circuit> Flat = flatCircuitFor(
-      R, Plan, Resp.CacheHit, Resp.Key, Resp.CompileSecs, Failure);
-  if (!Flat)
-    return Failure;
-  if (expired(Deadline)) {
-    NumTimeouts.fetch_add(1, std::memory_order_relaxed);
-    return ServiceResponse::failure(R.Id, "timeout",
-                                    "request deadline passed before run");
-  }
-
-  // Identical pre-run checks to the asdfc driver: a backend is only handed
-  // circuits it supports, with the dense cap derived from this request's
-  // options.
-  RunOptions RunOpts;
-  RunOpts.Jobs = R.Jobs;
-  // Cooperative cancellation: the engines re-check this between shots, so
-  // a long multi-shot run cannot overshoot its deadline by more than one
-  // shot (an in-flight kernel is never preempted).
-  RunOpts.Deadline = Deadline;
-  CircuitProfile Profile = analyzeCircuit(*Flat);
-  BackendSelection Sel = BackendRegistry::instance().selectWithReasons(
-      *Flat, Kind, RunOpts, &Profile, nullptr);
-  SimBackend &B = *Sel.Chosen;
-  if (!Sel.Supported)
-    return ServiceResponse::failure(
-        R.Id, "unsupported",
-        std::string("backend '") + B.name() +
-            "' cannot simulate this circuit (" + Sel.CostSummary +
-            "); candidates: " + Sel.rejectionSummary());
-
-  // Admission: a dense run reserves its state bytes against the budget
-  // before touching the simulator, so an oversized request is refused
-  // (retryably) instead of thrashing or OOM-killing the daemon.
-  size_t Reserved = 0;
-  if (std::strcmp(B.name(), "sv") == 0) {
-    ServiceResponse MemFailure;
-    if (!admitRunMemory(R, Flat->NumQubits, Reserved, MemFailure))
-      return MemFailure;
-  }
-  std::vector<ShotResult> Batch;
-  try {
-    Batch = B.runBatch(*Flat, R.Shots, R.Seed, RunOpts);
-  } catch (const DeadlineExceeded &) {
-    releaseRunMemory(Reserved);
-    NumTimeouts.fetch_add(1, std::memory_order_relaxed);
-    return ServiceResponse::failure(R.Id, "timeout",
-                                    "run deadline exceeded between shots");
-  } catch (...) {
-    releaseRunMemory(Reserved);
-    throw;
-  }
-  releaseRunMemory(Reserved);
-  NumShots.fetch_add(R.Shots, std::memory_order_relaxed);
-  Resp.Results.reserve(Batch.size());
-  for (const ShotResult &Shot : Batch) {
-    Resp.Results.push_back(formatShotBits(*Flat, Shot));
-    ++Resp.Counts[Resp.Results.back()];
-  }
-  Resp.Ok = true;
-  return Resp;
-}
-
-ServiceResponse AsdfService::handleBindRun(const ServiceRequest &R,
-                                           Clock::time_point Deadline) {
-  PipelinePlan Plan;
-  std::string Error;
-  if (!parsePipelinePlan(R.Pipeline, Plan, Error))
-    return ServiceResponse::failure(R.Id, "bad-request", Error);
-  if (!Plan.producesFlatCircuit())
-    return ServiceResponse::failure(
-        R.Id, "unsupported",
-        "bind-run requests need a fully inlining pipeline (the plan keeps "
-        "callables, which only the QIR path can emit)");
-  BackendKind Kind;
-  if (!parseBackendKind(R.Backend, Kind))
-    return ServiceResponse::failure(
-        R.Id, "bad-request",
-        "unknown backend '" + R.Backend +
-            "' (expected auto, sv, stab, or mps)");
-  if (R.Points.empty())
-    return ServiceResponse::failure(R.Id, "bad-request",
-                                    "bind-run needs at least one point");
-  for (size_t P = 0; P < R.Points.size(); ++P)
-    if (R.Points[P].size() != R.SweepParams.size())
-      return ServiceResponse::failure(
-          R.Id, "bad-request",
-          "point " + std::to_string(P) + " has " +
-              std::to_string(R.Points[P].size()) +
-              " value(s) but \"params\" names " +
-              std::to_string(R.SweepParams.size()));
-  {
+  // bind-run canonicalizes the source: literal rotation angles become
+  // fresh $__aK parameters, so requests differing only in angle values
+  // share one compiled (and cached) parametric circuit — the compile-once,
+  // re-bind-forever path. The cache key is computed over the lifted
+  // source, which by construction excludes angle values.
+  std::optional<ParameterizedSource> PS;
+  std::optional<ServiceRequest> Canon;
+  if (Sweep) {
+    if (R.Points.empty())
+      return ServiceResponse::failure(R.Id, "bad-request",
+                                      "bind-run needs at least one point");
+    for (size_t P = 0; P < R.Points.size(); ++P)
+      if (R.Points[P].size() != R.SweepParams.size())
+        return ServiceResponse::failure(
+            R.Id, "bad-request",
+            "point " + std::to_string(P) + " has " +
+                std::to_string(R.Points[P].size()) +
+                " value(s) but \"params\" names " +
+                std::to_string(R.SweepParams.size()));
     std::set<std::string> Seen;
     for (const std::string &Name : R.SweepParams)
       if (!Seen.insert(Name).second)
         return ServiceResponse::failure(
             R.Id, "bad-request",
             "duplicate sweep parameter '" + Name + "'");
+    PS = parameterizeSource(R.Source);
+    if (PS) {
+      Canon = R;
+      Canon->Source = PS->Source;
+    }
   }
-
-  // Canonicalize the source: lift literal rotation angles into fresh
-  // $__aK parameters so requests differing only in angle values share one
-  // compiled (and cached) parametric circuit — the compile-once,
-  // re-bind-forever path. The structure hash (the cache key) is computed
-  // over the lifted source, which by construction excludes angle values.
-  ServiceRequest Canon = R;
-  std::optional<ParameterizedSource> PS = parameterizeSource(R.Source);
-  if (PS)
-    Canon.Source = PS->Source;
 
   ServiceResponse Resp;
   Resp.Id = R.Id;
   ServiceResponse Failure;
-  std::shared_ptr<const Circuit> Flat = flatCircuitFor(
-      Canon, Plan, Resp.CacheHit, Resp.Key, Resp.CompileSecs, Failure);
+  std::shared_ptr<const Circuit> Flat =
+      flatCircuitFor(Canon ? *Canon : R, Plan, Resp.CacheHit, Resp.Key,
+                     Resp.CompileSecs, Failure);
   if (!Flat)
     return Failure;
   if (expired(Deadline)) {
@@ -705,93 +627,100 @@ ServiceResponse AsdfService::handleBindRun(const ServiceRequest &R,
                                     "request deadline passed before run");
   }
 
-  // Resolve every circuit parameter: lifted angles bind to the values
-  // they were lifted from, everything else must come from the request's
-  // sweep values by name.
-  const std::vector<std::string> &Names = Flat->ParamNames;
-  std::map<std::string, double> Lifted;
-  if (PS)
-    for (size_t K = 0; K < PS->LiftedNames.size(); ++K)
-      Lifted[PS->LiftedNames[K]] = PS->LiftedValues[K];
-  for (const std::string &Name : R.SweepParams) {
-    if (Name.rfind("__a", 0) == 0)
-      return ServiceResponse::failure(
-          R.Id, "bad-request",
-          "sweep parameter '" + Name +
-              "' uses the internally lifted angle namespace (the __a "
-              "prefix is reserved)");
-    if (std::find(Names.begin(), Names.end(), Name) == Names.end())
-      return ServiceResponse::failure(
-          R.Id, "bad-request",
-          "unknown sweep parameter '" + Name +
-              "' (the program declares no such $-parameter)");
-  }
-  std::vector<int> SweepIdx(Names.size(), -1);
-  std::vector<double> FixedVal(Names.size(), 0.0);
-  for (size_t I = 0; I < Names.size(); ++I) {
-    auto SIt =
-        std::find(R.SweepParams.begin(), R.SweepParams.end(), Names[I]);
-    if (SIt != R.SweepParams.end()) {
-      SweepIdx[I] = static_cast<int>(SIt - R.SweepParams.begin());
-      continue;
+  if (Sweep) {
+    // Every circuit parameter, in declaration order: lifted angles bind to
+    // the values they were lifted from, the rest come from the request's
+    // sweep values by name.
+    const std::vector<std::string> &Names = Flat->ParamNames;
+    for (const std::string &Name : R.SweepParams) {
+      if (Name.rfind("__a", 0) == 0)
+        return ServiceResponse::failure(
+            R.Id, "bad-request",
+            "sweep parameter '" + Name +
+                "' uses the internally lifted angle namespace (the __a "
+                "prefix is reserved)");
+      if (std::find(Names.begin(), Names.end(), Name) == Names.end())
+        return ServiceResponse::failure(
+            R.Id, "bad-request",
+            "unknown sweep parameter '" + Name +
+                "' (the program declares no such $-parameter)");
     }
-    auto LIt = Lifted.find(Names[I]);
-    if (LIt == Lifted.end())
-      return ServiceResponse::failure(
-          R.Id, "bad-request",
-          "parameter '$" + Names[I] +
-              "' is not covered by \"params\" and has no literal value to "
-              "lift");
-    FixedVal[I] = LIt->second;
-  }
-  std::vector<std::vector<double>> FullPoints(R.Points.size());
-  for (size_t P = 0; P < R.Points.size(); ++P) {
-    FullPoints[P].resize(Names.size());
-    for (size_t I = 0; I < Names.size(); ++I)
-      FullPoints[P][I] =
-          SweepIdx[I] >= 0 ? R.Points[P][SweepIdx[I]] : FixedVal[I];
+    std::map<std::string, double> Lifted;
+    if (PS)
+      for (size_t K = 0; K < PS->LiftedNames.size(); ++K)
+        Lifted[PS->LiftedNames[K]] = PS->LiftedValues[K];
+    Spec.Points.assign(R.Points.size(), std::vector<double>(Names.size()));
+    for (size_t I = 0; I < Names.size(); ++I) {
+      auto SIt =
+          std::find(R.SweepParams.begin(), R.SweepParams.end(), Names[I]);
+      auto LIt = Lifted.find(Names[I]);
+      if (SIt == R.SweepParams.end() && LIt == Lifted.end())
+        return ServiceResponse::failure(
+            R.Id, "bad-request",
+            "parameter '$" + Names[I] +
+                "' is not covered by \"params\" and has no literal value "
+                "to lift");
+      for (size_t P = 0; P < R.Points.size(); ++P)
+        Spec.Points[P][I] = SIt != R.SweepParams.end()
+                                ? R.Points[P][SIt - R.SweepParams.begin()]
+                                : LIt->second;
+    }
   }
 
-  RunOptions RunOpts;
-  RunOpts.Jobs = R.Jobs;
-  RunOpts.Deadline = Deadline; // Checked between shots and between points.
-  CircuitProfile Profile = analyzeCircuit(*Flat);
-  BackendSelection Sel = BackendRegistry::instance().selectWithReasons(
-      *Flat, Kind, RunOpts, &Profile, nullptr);
-  SimBackend &B = *Sel.Chosen;
-  if (!Sel.Supported)
-    return ServiceResponse::failure(
-        R.Id, "unsupported",
-        std::string("backend '") + B.name() +
-            "' cannot simulate this circuit (" + Sel.CostSummary +
-            "); candidates: " + Sel.rejectionSummary());
-
+  Spec.Shots = R.Shots;
+  Spec.Seed = R.Seed;
+  Spec.Opts.Jobs = R.Jobs;
+  // Cooperative cancellation: the engines re-check this between shots and
+  // between sweep points, so a long run cannot overshoot its deadline by
+  // more than one shot (an in-flight kernel is never preempted).
+  Spec.Opts.Deadline = Deadline;
   size_t Reserved = 0;
-  if (std::strcmp(B.name(), "sv") == 0) {
-    ServiceResponse MemFailure;
-    if (!admitRunMemory(R, Flat->NumQubits, Reserved, MemFailure))
-      return MemFailure;
-  }
-  std::vector<std::vector<ShotResult>> Sweep;
+  ServiceResponse MemFailure;
+  RunReport Run;
   try {
-    Sweep = B.runSweep(*Flat, FullPoints, R.Shots, R.Seed, RunOpts);
+    // Admission: a dense run reserves its state bytes against the budget
+    // before touching the simulator, so an oversized request is refused
+    // (retryably) instead of thrashing or OOM-killing the daemon.
+    Run = runCircuit(*Flat, Spec, [&](const RunReport &Sel) {
+      return std::strcmp(Sel.Selection.Chosen->name(), "sv") != 0 ||
+             admitRunMemory(R, Flat->NumQubits, Reserved, MemFailure);
+    });
   } catch (const DeadlineExceeded &) {
     releaseRunMemory(Reserved);
     NumTimeouts.fetch_add(1, std::memory_order_relaxed);
-    return ServiceResponse::failure(R.Id, "timeout",
-                                    "run deadline exceeded during sweep");
+    return ServiceResponse::failure(
+        R.Id, "timeout",
+        Sweep ? "run deadline exceeded during sweep"
+              : "run deadline exceeded between shots");
   } catch (...) {
     releaseRunMemory(Reserved);
     throw;
   }
   releaseRunMemory(Reserved);
-  NumShots.fetch_add(static_cast<uint64_t>(R.Shots) * FullPoints.size(),
+  switch (Run.Result) {
+  case RunReport::Outcome::Refused:
+    return ServiceResponse::failure(
+        R.Id, "bad-request",
+        Run.Refusal + "; bind them with a bind-run request");
+  case RunReport::Outcome::Unsupported:
+    return ServiceResponse::failure(
+        R.Id, "unsupported",
+        std::string("backend '") + Run.Selection.Chosen->name() +
+            "' cannot simulate this circuit (" + Run.Selection.CostSummary +
+            "); candidates: " + Run.Selection.rejectionSummary());
+  case RunReport::Outcome::Declined:
+    return MemFailure;
+  case RunReport::Outcome::Ran:
+    break;
+  }
+  NumShots.fetch_add(static_cast<uint64_t>(R.Shots) * Run.Bits.size(),
                      std::memory_order_relaxed);
-  Resp.PointResults.resize(Sweep.size());
-  for (size_t P = 0; P < Sweep.size(); ++P) {
-    Resp.PointResults[P].reserve(Sweep[P].size());
-    for (const ShotResult &Shot : Sweep[P])
-      Resp.PointResults[P].push_back(formatShotBits(*Flat, Shot));
+  if (Sweep) {
+    Resp.PointResults = std::move(Run.Bits);
+  } else {
+    Resp.Results = std::move(Run.Bits[0]);
+    for (const std::string &Bits : Resp.Results)
+      ++Resp.Counts[Bits];
   }
   Resp.Ok = true;
   return Resp;

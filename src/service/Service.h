@@ -16,11 +16,11 @@
 /// number of threads) with an async wrapper (`submit`) that runs the
 /// handler on the JobQueue and invokes a completion callback. Compile
 /// requests are served from the ArtifactCache when the content hash
-/// matches; run requests cache the compiled flat circuit under the same
-/// key scheme and then execute through the ordinary backend registry, so
-/// one daemon amortizes compilation across every client while the
-/// simulation engine's determinism contract (same request, same seed ->
-/// same bits, any worker count) carries over unchanged.
+/// matches. Run and bind-run requests share one handler that caches the
+/// compiled flat circuit under the same key scheme and then executes it
+/// through `runCircuit` (sim/Simulator.h), the function `asdfc --emit run`
+/// calls, so the same request and seed give asdfc's bits on any worker
+/// count; bind-run adds only its prelude (points, params, lifted angles).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -139,11 +139,9 @@ private:
   ServiceResponse handleCompile(
       const ServiceRequest &R,
       std::chrono::steady_clock::time_point Deadline);
+  /// Serves run and bind-run requests.
   ServiceResponse handleRun(const ServiceRequest &R,
                             std::chrono::steady_clock::time_point Deadline);
-  ServiceResponse
-  handleBindRun(const ServiceRequest &R,
-                std::chrono::steady_clock::time_point Deadline);
   ServiceResponse handleStats(const ServiceRequest &R);
   ServiceResponse handleShutdown(const ServiceRequest &R);
   ServiceResponse handleMetrics(const ServiceRequest &R);

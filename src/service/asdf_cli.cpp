@@ -22,12 +22,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "compiler/CommandLine.h"
 #include "obs/Metrics.h"
 #include "service/Client.h"
+#include "sim/Simulator.h"
 #include "support/BuildInfo.h"
 
-#include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -105,47 +105,6 @@ void usage(FILE *Out) {
   std::fprintf(stderr, "run 'asdf-cli --help' for usage\n");
   std::exit(2);
 }
-
-bool splitEq(const std::string &Arg, std::string &Key, std::string &Value) {
-  size_t Eq = Arg.find('=');
-  if (Eq == std::string::npos)
-    return false;
-  Key = Arg.substr(0, Eq);
-  Value = Arg.substr(Eq + 1);
-  return true;
-}
-
-/// Splits \p Spec on \p Sep, keeping empty pieces (so a malformed spec
-/// fails loudly downstream instead of silently shrinking).
-std::vector<std::string> splitOn(const std::string &Spec, char Sep) {
-  std::vector<std::string> Parts;
-  size_t Pos = 0;
-  while (true) {
-    size_t Next = Spec.find(Sep, Pos);
-    Parts.push_back(Spec.substr(
-        Pos, Next == std::string::npos ? std::string::npos : Next - Pos));
-    if (Next == std::string::npos)
-      return Parts;
-    Pos = Next + 1;
-  }
-}
-
-/// Locale-independent whole-string double parse (strtod honors LC_NUMERIC).
-bool parseDoubleArg(const std::string &S, double &Out) {
-  // Tolerate surrounding whitespace: sweep specs read naturally as
-  // "0; 45.5; 90". from_chars itself is locale-independent and exact.
-  const char *B = S.c_str();
-  const char *E = B + S.size();
-  while (B != E && std::isspace(static_cast<unsigned char>(*B)))
-    ++B;
-  while (E != B && std::isspace(static_cast<unsigned char>(E[-1])))
-    --E;
-  if (B == E)
-    return false;
-  std::from_chars_result R = std::from_chars(B, E, Out);
-  return R.ec == std::errc() && R.ptr == E;
-}
-
 
 /// Renders the enriched stats payload as a human summary: cache hit
 /// rate, request mix, and per-op latency quantiles re-derived from the
@@ -262,8 +221,9 @@ int main(int argc, char **argv) {
   ServiceClient::RetryPolicy Retry;
   bool EmitSet = false;
   bool RawJson = false;
-  std::string ParamsArg, SweepArg;
+  std::string ParamsArg;
   bool ParamsSet = false, SweepSet = false;
+  std::string Error;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -302,30 +262,11 @@ int main(int argc, char **argv) {
       Req.Emit = Next();
       EmitSet = true;
     } else if (Arg == "--bind") {
-      std::string Key, Value;
-      if (!splitEq(Next(), Key, Value))
-        usageError("--bind expects <Var>=<int>");
-      if (!Req.Bindings.DimVars.emplace(Key, std::atoll(Value.c_str()))
-               .second)
-        usageError("duplicate --bind for dimension variable '" + Key +
-                   "'");
+      if (!parseBindArg(Next(), Req.Bindings, Error))
+        usageError(Error);
     } else if (Arg == "--capture") {
-      std::string Key, Value;
-      if (!splitEq(Next(), Key, Value))
-        usageError("--capture expects <function>.<param>=<value>");
-      size_t Dot = Key.find('.');
-      if (Dot == std::string::npos)
-        usageError("capture key '" + Key + "' must be <function>.<param>");
-      std::string Func = Key.substr(0, Dot);
-      std::string Param = Key.substr(Dot + 1);
-      if (Req.Bindings.Captures[Func].count(Param))
-        usageError("duplicate --capture for '" + Key + "'");
-      if (!Value.empty() && Value[0] == '@')
-        Req.Bindings.Captures[Func][Param] =
-            CaptureValue::classicalFunc(Value.substr(1));
-      else
-        Req.Bindings.Captures[Func][Param] =
-            CaptureValue::bitsFromString(Value);
+      if (!parseCaptureArg(Next(), Req.Bindings, Error))
+        usageError(Error);
     } else if (Arg == "--shots") {
       Req.Shots = static_cast<unsigned>(std::atoi(Next()));
     } else if (Arg == "--seed") {
@@ -338,7 +279,8 @@ int main(int argc, char **argv) {
       ParamsArg = Next();
       ParamsSet = true;
     } else if (Arg == "--sweep") {
-      SweepArg = Next();
+      if (!parseSweepSpec(Next(), Req.Points, Error))
+        usageError(Error);
       SweepSet = true;
     } else if (Arg == "--trace-id") {
       Req.Trace = std::strtoull(Next(), nullptr, 0);
@@ -376,22 +318,12 @@ int main(int argc, char **argv) {
           usageError("--params has an empty name");
         Req.SweepParams.push_back(Name);
       }
-    for (const std::string &PointSpec : splitOn(SweepArg, ';')) {
-      std::vector<double> Point;
-      if (!PointSpec.empty())
-        for (const std::string &Val : splitOn(PointSpec, ',')) {
-          double D;
-          if (!parseDoubleArg(Val, D))
-            usageError("--sweep value '" + Val + "' is not a number");
-          Point.push_back(D);
-        }
-      if (Point.size() != Req.SweepParams.size())
-        usageError("--sweep point " + std::to_string(Req.Points.size()) +
-                   " has " + std::to_string(Point.size()) +
+    for (size_t P = 0; P < Req.Points.size(); ++P)
+      if (Req.Points[P].size() != Req.SweepParams.size())
+        usageError("--sweep point " + std::to_string(P) + " has " +
+                   std::to_string(Req.Points[P].size()) +
                    " value(s) but --params names " +
                    std::to_string(Req.SweepParams.size()));
-      Req.Points.push_back(std::move(Point));
-    }
   } else if (Command == "stats") {
     Req.TheKind = ServiceRequest::Kind::Stats;
   } else if (Command == "metrics") {
@@ -428,7 +360,6 @@ int main(int argc, char **argv) {
   Req.TimeoutSecs = Timeout;
 
   ServiceClient Client;
-  std::string Error;
   if (!Client.connect(Socket, Error) && Retry.MaxRetries == 0) {
     std::fprintf(stderr, "asdf-cli: %s\n", Error.c_str());
     return 1;
@@ -472,15 +403,9 @@ int main(int argc, char **argv) {
                  Resp.CacheHit ? "hit" : "miss", Resp.Key.c_str(),
                  Resp.CompileSecs * 1e3);
     for (size_t P = 0; P < Resp.PointResults.size(); ++P) {
-      std::string Header = "# point " + std::to_string(P);
-      for (size_t K = 0; K < Req.SweepParams.size(); ++K) {
-        char Buf[64];
-        std::to_chars_result R =
-            std::to_chars(Buf, Buf + sizeof(Buf), Req.Points[P][K]);
-        Header += (K ? ", " : ": ") + Req.SweepParams[K] + "=" +
-                  std::string(Buf, R.ptr);
-      }
-      std::printf("%s\n", Header.c_str());
+      std::printf(
+          "%s\n",
+          formatPointHeader(P, Req.SweepParams, Req.Points[P]).c_str());
       for (const std::string &Bits : Resp.PointResults[P])
         std::printf("%s\n", Bits.c_str());
     }

@@ -7,6 +7,7 @@
 #include "sim/Simulator.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 
 using namespace asdf;
@@ -34,6 +35,54 @@ std::string asdf::formatShotBits(const Circuit &C, const ShotResult &Shot) {
                   : Shot.Bits[static_cast<unsigned>(Bit)] ? '1'
                                                           : '0');
   return Out;
+}
+
+std::string asdf::formatPointHeader(size_t P,
+                                    const std::vector<std::string> &Names,
+                                    const std::vector<double> &Values) {
+  std::string Header = "# point " + std::to_string(P);
+  for (size_t K = 0; K < Names.size(); ++K) {
+    char Buf[64];
+    std::to_chars_result R = std::to_chars(Buf, Buf + sizeof(Buf), Values[K]);
+    Header += (K ? ", " : ": ") + Names[K] + "=" + std::string(Buf, R.ptr);
+  }
+  return Header;
+}
+
+RunReport asdf::runCircuit(const Circuit &C, const RunSpec &Spec,
+                           const std::function<bool(const RunReport &)> &Gate) {
+  RunReport R;
+  if (Spec.Points.empty() && C.isParametric()) {
+    R.Refusal = "cannot run with " + std::to_string(C.numParams()) +
+                " unbound parameter(s) (" + C.paramList() + ")";
+    return R;
+  }
+  R.Profile = analyzeCircuit(C);
+  R.Selection = BackendRegistry::instance().selectWithReasons(
+      C, Spec.Backend, Spec.Opts, &R.Profile, Spec.Opts.Noise);
+  if (!R.Selection.Supported) {
+    R.Result = RunReport::Outcome::Unsupported;
+    return R;
+  }
+  if (Gate && !Gate(R)) {
+    R.Result = RunReport::Outcome::Declined;
+    return R;
+  }
+  auto Format = [&](const std::vector<ShotResult> &Shots) {
+    std::vector<std::string> &Bits = R.Bits.emplace_back();
+    Bits.reserve(Shots.size());
+    for (const ShotResult &Shot : Shots)
+      Bits.push_back(formatShotBits(C, Shot));
+  };
+  const SimBackend &B = *R.Selection.Chosen;
+  if (Spec.Points.empty())
+    Format(B.runBatch(C, Spec.Shots, Spec.Seed, Spec.Opts));
+  else
+    for (const std::vector<ShotResult> &Shots :
+         B.runSweep(C, Spec.Points, Spec.Shots, Spec.Seed, Spec.Opts))
+      Format(Shots);
+  R.Result = RunReport::Outcome::Ran;
+  return R;
 }
 
 double asdf::tvDistance(const std::map<std::string, unsigned> &A,

@@ -9,9 +9,11 @@
 /// for qir-runner (§7) — over the pluggable backend subsystem (Backend.h).
 /// `simulate` and `runShots` auto-dispatch by default: Clifford circuits run
 /// on the CHP stabilizer tableau (thousands of qubits), everything else on
-/// the dense statevector engine. Tests and examples that poke amplitudes
-/// directly keep using `StateVector` (StatevectorBackend.h, re-exported
-/// here).
+/// the dense statevector engine. `runCircuit` is the one run path of the
+/// tools: `asdfc --emit run` and the service's run and bind-run requests
+/// all select, run and render through it. Tests and examples that poke
+/// amplitudes directly keep using `StateVector` (StatevectorBackend.h,
+/// re-exported here).
 ///
 /// Convention: qubit 0 is the leftmost qubit and occupies the most
 /// significant bit of a basis-state index, matching the eigenbit convention
@@ -23,10 +25,12 @@
 #define ASDF_SIM_SIMULATOR_H
 
 #include "sim/Backend.h"
+#include "sim/CircuitAnalysis.h"
 #include "sim/StatevectorBackend.h"
 
 #include <complex>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <random>
 #include <string>
@@ -51,11 +55,59 @@ runShots(const Circuit &C, unsigned Shots, uint64_t Seed = 0,
 
 /// Renders one shot's classical outcome as the entry function's returned
 /// bit string: one character per OutputBits entry, with the constant
-/// pseudo-bits (-2 = literal '1', -3 = literal '0') folded in. This is
-/// exactly one stdout line of `asdfc --emit run`, and the daemon's run
-/// responses use the same function — the bit-for-bit comparability of the
-/// two paths is part of the service's determinism contract.
+/// pseudo-bits (-2 = literal '1', -3 = literal '0') folded in: one stdout
+/// line of `asdfc --emit run`, one result of a daemon run (runCircuit).
 std::string formatShotBits(const Circuit &C, const ShotResult &Shot);
+
+/// The line printed before sweep point \p P's shots by `asdfc --sweep` and
+/// `asdf-cli bind-run`: "# point P: name=value, ...", each value in
+/// shortest round-trip form.
+std::string formatPointHeader(size_t P, const std::vector<std::string> &Names,
+                              const std::vector<double> &Values);
+
+/// What runCircuit runs; only values its callers already pass.
+struct RunSpec {
+  BackendKind Backend = BackendKind::Auto;
+  unsigned Shots = 1;
+  uint64_t Seed = 0;
+  /// Sweep points, one value per Circuit::ParamNames entry each. Empty:
+  /// one plain run at Seed; else point P runs bound to Points[P] at
+  /// deriveSweepPointSeed(Seed, P).
+  std::vector<std::vector<double>> Points;
+  /// Opts.Noise also steers engine selection.
+  RunOptions Opts;
+};
+
+/// What runCircuit decided and, when it ran, produced.
+struct RunReport {
+  enum class Outcome {
+    Refused,     ///< A plain run of a parametric circuit; see Refusal.
+    Unsupported, ///< The selected engine cannot run the circuit.
+    Declined,    ///< The caller's gate stopped the run.
+    Ran,         ///< Bits holds the shots.
+  };
+  Outcome Result = Outcome::Refused;
+  std::string Refusal; ///< Names every unbound $-parameter.
+  /// The circuit's classification and the engine decision with every
+  /// backend's verdict; set unless Refused.
+  CircuitProfile Profile;
+  BackendSelection Selection;
+  /// Bits[P][S] is shot S of point P as formatShotBits renders it; a plain
+  /// run is the single point 0.
+  std::vector<std::vector<std::string>> Bits;
+};
+
+/// Runs \p C as \p Spec says and renders its bits. In order: refuses a
+/// plain run of a circuit with unbound parameters; analyzes the circuit
+/// and selects the engine with reasons; stops if that engine cannot run
+/// it; hands the report to \p Gate, if any, before any simulator state
+/// exists (returning false declines the run: `asdfc --explain-backend`
+/// stops there and the service reserves dense memory there); runs one
+/// batch, or one sweep when Spec.Points is non-empty; formats every shot.
+/// Throws DeadlineExceeded when Spec.Opts.Deadline passes mid-run.
+RunReport runCircuit(const Circuit &C, const RunSpec &Spec,
+                     const std::function<bool(const RunReport &)> &Gate =
+                         nullptr);
 
 /// Total-variation distance between two outcome-frequency maps (as
 /// returned by runShots), each over \p Shots samples: half the L1

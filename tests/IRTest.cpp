@@ -54,6 +54,21 @@ TEST(IRTest, UseListsMaintained) {
   EXPECT_EQ(Arg->numUses(), 1u);
 }
 
+TEST(IRTest, DestroyingABlockDropsItsUses) {
+  // A block frees its users before their definers, and its uses of
+  // values from outside go with it.
+  Module M;
+  IRFunction *F = M.create("f");
+  Value *Arg = F->Body.addArg(IRType::qbundle(1));
+  {
+    Block Region;
+    Builder B(&Region);
+    B.qbid(B.qbid(Arg));
+    EXPECT_EQ(Arg->numUses(), 1u);
+  }
+  EXPECT_EQ(Arg->numUses(), 0u);
+}
+
 TEST(IRTest, VerifierCatchesDoubleUse) {
   Module M;
   IRFunction *F = M.create("f");

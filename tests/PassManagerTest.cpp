@@ -8,8 +8,6 @@
 /// Locks down the staged pass-manager API:
 ///
 ///   - pipeline-spec parsing (presets, stage:pass specs, every error path),
-///   - preset plans produce bit-identical artifacts to the legacy
-///     CompileOptions flag combinations through the deprecated shim,
 ///   - pass-ordering invariants of the preset plans,
 ///   - --verify-each catches a deliberately IR-breaking pass and names it,
 ///   - the timing and print-after instrumentation,
@@ -19,9 +17,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/QasmEmitter.h"
 #include "compiler/CompileSession.h"
-#include "compiler/Compiler.h"
 
 #include <gtest/gtest.h>
 
@@ -159,53 +155,6 @@ TEST(PipelinePlanTest, PresetOrderingInvariants) {
         EXPECT_TRUE(Reg.hasPass(S, Name))
             << Preset << " references unknown " << pipelineStageName(S)
             << " pass " << Name;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Preset == legacy flag combination (bit-identical artifacts)
-//===----------------------------------------------------------------------===//
-
-struct PresetCase {
-  const char *Preset;
-  CompileOptions Legacy;
-};
-
-TEST(PassManagerTest, PresetsMatchLegacyFlags) {
-  std::vector<PresetCase> Cases(4);
-  Cases[0].Preset = "default";
-  Cases[1].Preset = "no-opt";
-  Cases[1].Legacy.Inline = false;
-  Cases[2].Preset = "no-peephole";
-  Cases[2].Legacy.PeepholeOpt = false;
-  Cases[3].Preset = "no-canon";
-  Cases[3].Legacy.AstCanonicalize = false;
-
-  for (const PresetCase &C : Cases) {
-    SessionOptions SO;
-    SO.Plan = presetPlan(C.Preset);
-    CompileSession S(BVSource, bvBindings(), SO);
-
-    QwertyCompiler Shim;
-    CompileResult Legacy = Shim.compile(BVSource, bvBindings(), C.Legacy);
-    ASSERT_TRUE(Legacy.Ok) << Legacy.ErrorMessage;
-
-    // The Qwerty IR must match textually in every configuration.
-    Module *QW = S.qwertyIR();
-    ASSERT_NE(QW, nullptr) << C.Preset << ": " << S.errorMessage();
-    EXPECT_EQ(QW->str(), Legacy.QwertyIR->str()) << C.Preset;
-
-    // Inlining presets also produce a flat circuit; compare the QASM.
-    if (SO.Plan.producesFlatCircuit()) {
-      Circuit *Flat = S.flatCircuit();
-      ASSERT_NE(Flat, nullptr) << C.Preset << ": " << S.errorMessage();
-      EXPECT_EQ(emitOpenQasm3(*Flat), emitOpenQasm3(Legacy.FlatCircuit))
-          << C.Preset;
-    } else {
-      Module *QC = S.qcircIR();
-      ASSERT_NE(QC, nullptr) << C.Preset << ": " << S.errorMessage();
-      EXPECT_EQ(QC->str(), Legacy.QCircIR->str()) << C.Preset;
-    }
   }
 }
 

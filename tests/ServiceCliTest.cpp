@@ -286,6 +286,34 @@ TEST(ServiceCliExitCodes, SweepUsageErrors) {
   EXPECT_NE(Out.find("--sweep"), std::string::npos) << Out;
 }
 
+TEST(ServiceCliExitCodes, SharedParsersAgreeAcrossTools) {
+  // asdfc and asdf-cli parse these values with the same code: each bad
+  // value exits 2 with the same diagnosis after the tool's name.
+  std::string Rot = writeTemp("service_cli_rot_parse.qw", RotSource);
+  const std::string Asdfc = std::string(ASDF_ASDFC_PATH) + " " + Rot +
+                            " --emit run ";
+  const std::string Cli = std::string(ASDF_ASDF_CLI_PATH) + " bind-run " +
+                          Rot + " --params theta ";
+  const std::vector<std::pair<std::string, std::string>> Cases = {
+      {"--bind N=3x", "--bind value '3x' for 'N' is not an integer"},
+      {"--bind N=3 --bind N=4", "duplicate --bind for dimension variable"},
+      {"--capture secret=101", "capture key 'secret' must be"},
+      {"--sweep '0;abc'", "--sweep value 'abc' is not a number"},
+  };
+  auto firstLine = [](const std::string &Out, const std::string &Prefix) {
+    EXPECT_EQ(Out.rfind(Prefix, 0), 0u) << Out;
+    return Out.substr(Prefix.size(), Out.find('\n') - Prefix.size());
+  };
+  for (const auto &[Args, Want] : Cases) {
+    std::string FromAsdfc, FromCli;
+    EXPECT_EQ(runCommand(Asdfc + Args, FromAsdfc), 2) << Args;
+    EXPECT_EQ(runCommand(Cli + Args, FromCli), 2) << Args;
+    std::string Diagnosis = firstLine(FromAsdfc, "asdfc: ");
+    EXPECT_NE(Diagnosis.find(Want), std::string::npos) << FromAsdfc;
+    EXPECT_EQ(firstLine(FromCli, "asdf-cli: "), Diagnosis) << Args;
+  }
+}
+
 TEST(ServiceCliExitCodes, RuntimeFailuresExitOne) {
   std::string Out;
   // No daemon at the socket.
@@ -365,6 +393,39 @@ TEST_F(ServiceEndToEnd, RunWithCapturesIsBitIdenticalToAsdfc) {
             0);
   EXPECT_EQ(Served, Direct);
   EXPECT_NE(Direct.find("110101"), std::string::npos);
+}
+
+TEST_F(ServiceEndToEnd, RunMatrixIsBitIdenticalToAsdfc) {
+  // Both tools run through one executor: every engine and worker count
+  // must give byte-identical stdout for a program with captures.
+  const std::string Args = " --capture f.secret=110101 "
+                           "--capture kernel.f=@f --shots 6 --seed 99";
+  for (const char *Backend : {"auto", "sv", "stab", "mps"})
+    for (const char *Jobs : {"1", "4"}) {
+      std::string Flags =
+          Args + " --backend " + Backend + " --jobs " + Jobs;
+      std::string Direct, Served;
+      ASSERT_EQ(runCommand("( " + std::string(ASDF_ASDFC_PATH) + " " + BV +
+                               " --emit run" + Flags + " 2>/dev/null )",
+                           Direct),
+                0)
+          << Flags;
+      ASSERT_EQ(runCommand("( " + cli(Socket) + "run " + BV + Flags +
+                               " 2>/dev/null )",
+                           Served),
+                0)
+          << Flags;
+      EXPECT_EQ(Served, Direct) << Flags;
+      EXPECT_EQ(std::count(Direct.begin(), Direct.end(), '\n'), 6) << Flags;
+    }
+}
+
+TEST_F(ServiceEndToEnd, RunOfAnUnboundParametricProgramExitsOne) {
+  std::string Rot = writeTemp("service_cli_rot_unbound.qw", RotSource);
+  std::string Out;
+  EXPECT_EQ(runCommand(cli(Socket) + "run " + Rot + " --shots 2", Out), 1);
+  EXPECT_NE(Out.find("bad-request"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("$theta"), std::string::npos) << Out;
 }
 
 TEST_F(ServiceEndToEnd, CompileMatchesAsdfcAndHitsTheCache) {

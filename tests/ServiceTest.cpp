@@ -732,6 +732,19 @@ TEST(ServiceTest, RunErrorsCarryMachineReadableKinds) {
   EXPECT_EQ(Service.handle(R).Error.Kind, "compile-error");
 }
 
+TEST(ServiceTest, RunOfAnUnboundParametricProgramIsABadRequest) {
+  // A plain run binds no $-parameters, so it must be refused by name
+  // rather than simulate unset angle slots.
+  AsdfService Service;
+  ServiceRequest R = coinRunRequest();
+  R.Source = RotParamSource;
+  ServiceResponse Resp = Service.handle(R);
+  EXPECT_FALSE(Resp.Ok);
+  EXPECT_EQ(Resp.Error.Kind, "bad-request");
+  EXPECT_NE(Resp.Error.Message.find("$theta"), std::string::npos)
+      << Resp.Error.Message;
+}
+
 TEST(ServiceTest, MpsBackendRunsOverTheWire) {
   AsdfService Service;
   ServiceRequest R;
@@ -880,6 +893,20 @@ TEST(ServiceTest, BindRunLiftsLiteralsIntoASharedKey) {
     ASSERT_EQ(Resp.PointResults.size(), 1u);
     EXPECT_EQ(Resp.PointResults[0], Want);
   }
+}
+
+TEST(ServiceTest, BindRunOfANonParametricProgramRunsOneEmptyPoint) {
+  // One empty point is a valid sweep of a program without parameters: it
+  // runs as a plain run at the point-0 seed.
+  AsdfService Service;
+  ServiceRequest R = coinRunRequest(1, 16, 11);
+  R.TheKind = ServiceRequest::Kind::BindRun;
+  R.Points = {{}};
+  ServiceResponse Resp = Service.handle(R);
+  ASSERT_TRUE(Resp.Ok) << Resp.Error.Message;
+  ASSERT_EQ(Resp.PointResults.size(), 1u);
+  ServiceRequest Plain = coinRunRequest(2, 16, deriveSweepPointSeed(11, 0));
+  EXPECT_EQ(Resp.PointResults[0], Service.handle(Plain).Results);
 }
 
 TEST(ServiceTest, BindRunErrorsCarryMachineReadableKinds) {
