@@ -350,22 +350,23 @@ int main(int argc, char **argv) {
     if (PassTimings)
       std::fprintf(stderr, "%s", Session.timingReport().c_str());
     if (MetricsRequested) {
-      obs::MetricsRegistry &Reg = obs::MetricsRegistry::global();
-      Reg.counterFn("asdfc_gate_kernels_total",
+      // Prometheus only: asdfc has no stats payload, so no series has a
+      // JSON path.
+      obs::MetricsRegistry Reg;
+      Reg.counterFn("asdfc_gate_kernels_total", "",
                     "Dense gate kernels applied",
                     [&SimCounters] { return SimCounters.GatesApplied; });
-      Reg.counterFn("asdfc_fused_ops_total",
-                    "Fused-block applications",
+      Reg.counterFn("asdfc_fused_ops_total", "", "Fused-block applications",
                     [&SimCounters] { return SimCounters.FusedOps; });
-      Reg.counterFn("asdfc_fused_blocks_total", "Fused blocks built",
+      Reg.counterFn("asdfc_fused_blocks_total", "", "Fused blocks built",
                     [&SimCounters] { return SimCounters.FusedBlocks; });
       Reg.counterFn(
-          "asdfc_amplitudes_touched_total",
+          "asdfc_amplitudes_touched_total", "",
           "Statevector amplitudes visited by kernels",
           [&SimCounters] { return SimCounters.AmplitudesTouched; });
-      Reg.counterFn("asdfc_shots_total", "Shots executed",
+      Reg.counterFn("asdfc_shots_total", "", "Shots executed",
                     [&Spec] { return uint64_t(Spec.Shots); });
-      Reg.gaugeFn("asdfc_run_seconds", "Wall seconds spent simulating",
+      Reg.gaugeFn("asdfc_run_seconds", "", "Wall seconds spent simulating",
                   [&RunSecs] { return RunSecs; });
       std::fputs(Reg.renderPrometheus().c_str(), stderr);
     }

@@ -1,4 +1,4 @@
-//===- Metrics.cpp - Counters, gauges, fixed-bucket histograms ------------===//
+//===- Metrics.cpp - Metric catalog and fixed-bucket histograms -----------===//
 //
 // Part of the Asdf reproduction. MIT license.
 //
@@ -100,88 +100,43 @@ bool Histogram::fromJson(const json::Value &V, Histogram &Out) {
 // MetricsRegistry
 //===----------------------------------------------------------------------===//
 
-MetricsRegistry::Entry *MetricsRegistry::find(const std::string &Name) {
-  for (auto &E : Entries)
-    if (E->Name == Name)
-      return E.get();
-  return nullptr;
-}
-
-Counter &MetricsRegistry::counter(const std::string &Name,
-                                  const std::string &Help) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Entry *E = find(Name))
-    return *E->C;
-  auto E = std::make_unique<Entry>();
-  E->Name = Name;
-  E->Help = Help;
-  E->K = Kind::Counter;
-  E->C = std::make_unique<Counter>();
-  Counter &Ref = *E->C;
-  Entries.push_back(std::move(E));
-  return Ref;
-}
-
-Gauge &MetricsRegistry::gauge(const std::string &Name,
-                              const std::string &Help) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Entry *E = find(Name))
-    return *E->G;
-  auto E = std::make_unique<Entry>();
-  E->Name = Name;
-  E->Help = Help;
-  E->K = Kind::Gauge;
-  E->G = std::make_unique<Gauge>();
-  Gauge &Ref = *E->G;
-  Entries.push_back(std::move(E));
-  return Ref;
+MetricsRegistry::Entry &MetricsRegistry::add(Kind K, const std::string &Name,
+                                              const std::string &Path,
+                                              const std::string &Help) {
+  for (Entry &E : Entries)
+    if (E.Name == Name)
+      return E;
+  return Entries.emplace_back(Entry{Name, Path, Help, K, {}, {}, {}});
 }
 
 Histogram &MetricsRegistry::histogram(const std::string &Name,
+                                      const std::string &Path,
                                       const std::string &Help) {
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Entry *E = find(Name))
-    return *E->H;
-  auto E = std::make_unique<Entry>();
-  E->Name = Name;
-  E->Help = Help;
-  E->K = Kind::Histogram;
-  E->H = std::make_unique<obs::Histogram>();
-  obs::Histogram &Ref = *E->H;
-  Entries.push_back(std::move(E));
-  return Ref;
+  Entry &E = add(Kind::Histogram, Name, Path, Help);
+  if (!E.H)
+    E.H = std::make_unique<obs::Histogram>();
+  return *E.H;
 }
 
 void MetricsRegistry::counterFn(const std::string &Name,
+                                const std::string &Path,
                                 const std::string &Help,
                                 std::function<uint64_t()> Fn) {
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Entry *E = find(Name)) {
-    E->CFn = std::move(Fn);
-    return;
-  }
-  auto E = std::make_unique<Entry>();
-  E->Name = Name;
-  E->Help = Help;
-  E->K = Kind::CounterFn;
-  E->CFn = std::move(Fn);
-  Entries.push_back(std::move(E));
+  Entry &E = add(Kind::Counter, Name, Path, Help);
+  if (!E.CFn)
+    E.CFn = std::move(Fn);
 }
 
 void MetricsRegistry::gaugeFn(const std::string &Name,
+                              const std::string &Path,
                               const std::string &Help,
                               std::function<double()> Fn) {
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Entry *E = find(Name)) {
-    E->GFn = std::move(Fn);
-    return;
-  }
-  auto E = std::make_unique<Entry>();
-  E->Name = Name;
-  E->Help = Help;
-  E->K = Kind::GaugeFn;
-  E->GFn = std::move(Fn);
-  Entries.push_back(std::move(E));
+  Entry &E = add(Kind::Gauge, Name, Path, Help);
+  if (!E.GFn)
+    E.GFn = std::move(Fn);
 }
 
 namespace {
@@ -212,36 +167,30 @@ std::string MetricsRegistry::renderPrometheus() const {
     Out += S;
     Out += '\n';
   };
-  for (const auto &E : Entries) {
-    Line("# HELP " + E->Name + " " + E->Help);
-    switch (E->K) {
+  for (const Entry &E : Entries) {
+    Line("# HELP " + E.Name + " " + E.Help);
+    switch (E.K) {
     case Kind::Counter:
-    case Kind::CounterFn: {
-      Line("# TYPE " + E->Name + " counter");
-      uint64_t V = E->K == Kind::Counter ? E->C->value() : E->CFn();
-      Line(E->Name + " " + std::to_string(V));
+      Line("# TYPE " + E.Name + " counter");
+      Line(E.Name + " " + std::to_string(E.CFn()));
       break;
-    }
     case Kind::Gauge:
-    case Kind::GaugeFn: {
-      Line("# TYPE " + E->Name + " gauge");
-      double V = E->K == Kind::Gauge ? E->G->value() : E->GFn();
-      Line(E->Name + " " + formatDouble(V));
+      Line("# TYPE " + E.Name + " gauge");
+      Line(E.Name + " " + formatDouble(E.GFn()));
       break;
-    }
     case Kind::Histogram: {
-      Line("# TYPE " + E->Name + " histogram");
+      Line("# TYPE " + E.Name + " histogram");
       uint64_t Cum = 0;
       for (size_t I = 0; I < obs::Histogram::NumFinite; ++I) {
-        Cum += E->H->bucketCount(I);
-        Line(E->Name + "_bucket{le=\"" +
+        Cum += E.H->bucketCount(I);
+        Line(E.Name + "_bucket{le=\"" +
              formatDouble(obs::Histogram::bounds()[I]) + "\"} " +
              std::to_string(Cum));
       }
-      Cum += E->H->bucketCount(obs::Histogram::NumFinite);
-      Line(E->Name + "_bucket{le=\"+Inf\"} " + std::to_string(Cum));
-      Line(E->Name + "_sum " + formatDouble(E->H->sum()));
-      Line(E->Name + "_count " + std::to_string(E->H->count()));
+      Cum += E.H->bucketCount(obs::Histogram::NumFinite);
+      Line(E.Name + "_bucket{le=\"+Inf\"} " + std::to_string(Cum));
+      Line(E.Name + "_sum " + formatDouble(E.H->sum()));
+      Line(E.Name + "_count " + std::to_string(E.H->count()));
       break;
     }
     }
@@ -249,9 +198,41 @@ std::string MetricsRegistry::renderPrometheus() const {
   return Out;
 }
 
-MetricsRegistry &MetricsRegistry::global() {
-  static MetricsRegistry R;
-  return R;
+json::Value MetricsRegistry::toJson() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  json::Value Root = json::Value::object();
+  for (const Entry &E : Entries) {
+    if (E.Path.empty())
+      continue;
+    json::Value *Obj = &Root;
+    std::string Key = E.Path;
+    for (size_t Dot = Key.find('.'); Dot != std::string::npos;
+         Dot = Key.find('.')) {
+      std::string Section = Key.substr(0, Dot);
+      Key.erase(0, Dot + 1);
+      if (!Obj->get(Section))
+        Obj->set(Section, json::Value::object());
+      Obj = Obj->get(Section);
+    }
+    switch (E.K) {
+    case Kind::Counter:
+      Obj->set(Key, json::Value::integer(E.CFn()));
+      break;
+    case Kind::Gauge: {
+      // Sizes, counts and budgets must stay exact integers: number()
+      // writes 100000000 as 1e+08, which asU64 reads back as 1.
+      double V = E.GFn();
+      Obj->set(Key, std::trunc(V) == V && std::fabs(V) < 0x1p63
+                        ? json::Value::integer(static_cast<int64_t>(V))
+                        : json::Value::number(V));
+      break;
+    }
+    case Kind::Histogram:
+      Obj->set(Key, E.H->toJson());
+      break;
+    }
+  }
+  return Root;
 }
 
 } // namespace obs

@@ -1,4 +1,4 @@
-//===- Metrics.h - Counters, gauges, fixed-bucket histograms --------------===//
+//===- Metrics.h - Metric catalog and fixed-bucket histograms -------------===//
 //
 // Part of the Asdf reproduction. MIT license.
 //
@@ -6,8 +6,11 @@
 ///
 /// \file
 /// The metrics half of the observability spine (docs/observability.md):
-/// a `MetricsRegistry` of named counters, gauges, and latency histograms,
-/// rendered in Prometheus text exposition format. Design points:
+/// a `MetricsRegistry` catalog of read-time counters, read-time gauges and
+/// latency histograms. Each entry is registered once with its Prometheus
+/// name, its help text and its path in the JSON exposition, and the
+/// registry renders that one list both ways, so the daemon's `metrics`
+/// and `stats` ops cannot drift apart. Design points:
 ///
 ///   - Histograms use one fixed 1-2-5 bucket ladder (1µs .. 60s plus an
 ///     overflow bucket). Fixed buckets make quantiles deterministic: a
@@ -15,11 +18,11 @@
 ///     sample, so two parties that share the bucket counts compute the
 ///     byte-identical p50/p99. That property is what lets benches assert
 ///     their client-side math agrees with the daemon's `stats` op.
-///   - Counters/histograms are lock-free (atomics); the registry itself
-///     locks only on registration and render.
-///   - `counterFn`/`gaugeFn` register read-time callbacks, absorbing
-///     pre-existing counters (cache, queue, SimStats) without moving
-///     their storage.
+///   - Histograms are lock-free (atomics); the registry itself locks only
+///     on registration and render.
+///   - Counters and gauges are callbacks read at render time, so the
+///     counters keep living where they are bumped (service, cache, queue,
+///     SimStats) and nothing is counted twice.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,26 +43,6 @@
 
 namespace asdf {
 namespace obs {
-
-/// Monotonic event counter.
-class Counter {
-public:
-  void inc(uint64_t N = 1) { Val.fetch_add(N, std::memory_order_relaxed); }
-  uint64_t value() const { return Val.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<uint64_t> Val{0};
-};
-
-/// Point-in-time value (queue depth, bytes resident).
-class Gauge {
-public:
-  void set(double V) { Val.store(V, std::memory_order_relaxed); }
-  double value() const { return Val.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<double> Val{0.0};
-};
 
 /// Fixed-bucket latency histogram over seconds. Bounds are a 1-2-5
 /// decimal ladder from 1µs to 50s capped with 60s; observations above
@@ -103,43 +86,49 @@ private:
   std::atomic<double> Sum{0.0};
 };
 
-/// Named metric registry rendering Prometheus text exposition format.
-/// Registration dedups by name (same name returns the existing metric).
+/// The metric catalog of one component. Registration dedups by name: a
+/// second registration of a name keeps the first entry (and histogram()
+/// returns its histogram). An entry with an empty path appears only in
+/// the Prometheus rendering.
 class MetricsRegistry {
 public:
-  Counter &counter(const std::string &Name, const std::string &Help);
-  Gauge &gauge(const std::string &Name, const std::string &Help);
-  Histogram &histogram(const std::string &Name, const std::string &Help);
-  /// Counter/gauge whose value is read from \p Fn at render time —
-  /// absorbs counters that already live elsewhere.
-  void counterFn(const std::string &Name, const std::string &Help,
-                 std::function<uint64_t()> Fn);
-  void gaugeFn(const std::string &Name, const std::string &Help,
-               std::function<double()> Fn);
+  /// A latency histogram owned by the registry; \p Path places it in the
+  /// JSON exposition ("latency.compile").
+  Histogram &histogram(const std::string &Name, const std::string &Path,
+                       const std::string &Help);
+  /// Counter/gauge whose value is read from \p Fn at render time; \p Path
+  /// places it in the JSON exposition ("cache.hits", "workers").
+  void counterFn(const std::string &Name, const std::string &Path,
+                 const std::string &Help, std::function<uint64_t()> Fn);
+  void gaugeFn(const std::string &Name, const std::string &Path,
+               const std::string &Help, std::function<double()> Fn);
 
   /// Full exposition: # HELP / # TYPE / samples, histogram `_bucket`
   /// lines cumulative with `le` labels plus `_sum` and `_count`.
   std::string renderPrometheus() const;
 
-  /// Process-wide registry for CLI tools; the service owns its own.
-  static MetricsRegistry &global();
+  /// JSON exposition: one object holding every entry that has a path,
+  /// nested by the dots of its path, in registration order. Counters and
+  /// whole-valued gauges are JSON integers (exact through asU64), other
+  /// gauges are numbers, histograms their Histogram::toJson form.
+  json::Value toJson() const;
 
 private:
-  enum class Kind { Counter, Gauge, Histogram, CounterFn, GaugeFn };
+  enum class Kind { Counter, Gauge, Histogram };
   struct Entry {
-    std::string Name, Help;
+    std::string Name, Path, Help;
     Kind K;
-    std::unique_ptr<Counter> C;
-    std::unique_ptr<Gauge> G;
-    std::unique_ptr<obs::Histogram> H;
     std::function<uint64_t()> CFn;
     std::function<double()> GFn;
+    std::unique_ptr<obs::Histogram> H;
   };
 
-  Entry *find(const std::string &Name);
+  /// The entry named \p Name, appended if new. Callers hold Mu.
+  Entry &add(Kind K, const std::string &Name, const std::string &Path,
+             const std::string &Help);
 
   mutable std::mutex Mu;
-  std::vector<std::unique_ptr<Entry>> Entries;
+  std::vector<Entry> Entries;
 };
 
 } // namespace obs

@@ -244,9 +244,8 @@ void Server::connectionMain(int Fd) {
       // span is emitted retroactively once the parse has produced it.
       uint64_t DecodeT0 = obs::traceEnabled() ? obs::nowNs() : 0;
       if (!parseRequestLine(Line, Req, Id, Error)) {
-        State->writeLine(ServiceResponse::failure(Id, "bad-request", Error)
-                             .toJson()
-                             .write());
+        State->writeLine(
+            Service.refuse(Id, "bad-request", Error).toJson().write());
         continue;
       }
       if (DecodeT0) {
@@ -263,12 +262,15 @@ void Server::connectionMain(int Fd) {
         requestShutdown();
         continue;
       }
+      auto Draining = [&] {
+        return Service
+            .refuse(Id, "shutting-down",
+                    "daemon is draining; resubmit elsewhere")
+            .toJson()
+            .write();
+      };
       if (Service.shuttingDown()) {
-        State->writeLine(ServiceResponse::failure(
-                             Id, "shutting-down",
-                             "daemon is draining; resubmit elsewhere")
-                             .toJson()
-                             .write());
+        State->writeLine(Draining());
         continue;
       }
       State->begin();
@@ -282,14 +284,9 @@ void Server::connectionMain(int Fd) {
           },
           static_cast<uint64_t>(Fd));
       if (Outcome != JobQueue::Submit::Accepted) {
-        State->writeLine(
-            (Outcome == JobQueue::Submit::Overloaded
-                 ? Service.overloadedResponse(Id)
-                 : ServiceResponse::failure(
-                       Id, "shutting-down",
-                       "daemon is draining; resubmit elsewhere"))
-                .toJson()
-                .write());
+        State->writeLine(Outcome == JobQueue::Submit::Overloaded
+                             ? Service.overloadedResponse(Id).toJson().write()
+                             : Draining());
         State->done();
       }
     }

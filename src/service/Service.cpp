@@ -74,97 +74,138 @@ AsdfService::AsdfService(ServiceOptions Options)
       Disk.reset();
     }
   }
-  // One metric surface over every layer's counters: the histograms live
-  // here; the counter/gauge views read the existing storage at render
-  // time, so nothing is double-counted.
-  LatCompile =
-      &Reg.histogram("asdf_compile_seconds", "Latency of compile requests");
-  LatRun = &Reg.histogram("asdf_run_seconds", "Latency of run requests");
-  LatBindRun = &Reg.histogram("asdf_bind_run_seconds",
-                              "Latency of bind-run requests");
-  LatStats =
-      &Reg.histogram("asdf_stats_seconds", "Latency of stats requests");
+  // The one catalog behind `stats` and `metrics`: each series with its
+  // Prometheus name, its place in the stats payload and its help text,
+  // in payload order. The counter and gauge views read the existing
+  // storage at render time, so nothing is double-counted.
   auto Count = [](const std::atomic<uint64_t> &C) {
     return [&C] { return C.load(std::memory_order_relaxed); };
   };
-  Reg.counterFn("asdf_requests_compile_total", "Compile requests handled",
-                Count(NumCompile));
-  Reg.counterFn("asdf_requests_run_total", "Run requests handled",
-                Count(NumRun));
-  Reg.counterFn("asdf_requests_bind_run_total", "Bind-run requests handled",
-                Count(NumBindRun));
-  Reg.counterFn("asdf_requests_stats_total", "Stats requests handled",
-                Count(NumStats));
-  Reg.counterFn("asdf_requests_errors_total", "Requests answered with an "
-                                              "error",
-                Count(NumErrors));
-  Reg.counterFn("asdf_requests_timeouts_total", "Requests that hit their "
-                                                "deadline",
-                Count(NumTimeouts));
-  Reg.counterFn("asdf_shots_total", "Simulation shots executed",
-                Count(NumShots));
-  Reg.counterFn("asdf_compilations_total", "Compilations actually executed "
-                                           "(cache misses minus coalesced)",
-                Count(NumCompiled));
-  Reg.counterFn("asdf_coalesced_total", "Requests served by another "
-                                        "request's in-flight compile",
-                Count(NumCoalesced));
-  Reg.counterFn("asdf_cache_hits_total", "Artifact-cache hits",
-                [this] { return Cache.stats().Hits; });
-  Reg.counterFn("asdf_cache_misses_total", "Artifact-cache misses",
-                [this] { return Cache.stats().Misses; });
-  Reg.counterFn("asdf_cache_evictions_total", "Artifact-cache evictions",
-                [this] { return Cache.stats().Evictions; });
-  Reg.counterFn("asdf_cache_insertions_total", "Artifact-cache insertions",
-                [this] { return Cache.stats().Insertions; });
-  Reg.gaugeFn("asdf_cache_entries", "Artifact-cache resident entries",
-              [this] { return double(Cache.stats().Entries); });
-  Reg.gaugeFn("asdf_cache_bytes_used", "Artifact-cache resident bytes",
-              [this] { return double(Cache.stats().BytesUsed); });
-  Reg.counterFn("asdf_queue_submitted_total", "Jobs accepted by the queue",
-                [this] { return Queue.counters().Submitted; });
-  Reg.counterFn("asdf_queue_executed_total", "Jobs executed by the queue",
-                [this] { return Queue.counters().Executed; });
-  Reg.counterFn("asdf_queue_rejected_total", "Jobs rejected while draining",
-                [this] { return Queue.counters().Rejected; });
-  Reg.counterFn("asdf_queue_shed_total", "Jobs shed by the depth bound",
-                [this] { return Queue.counters().Shed; });
-  Reg.gaugeFn("asdf_queue_pending", "Jobs waiting for a worker",
-              [this] { return double(Queue.counters().Pending); });
-  Reg.gaugeFn("asdf_workers", "Worker threads in the pool",
+  Reg.gaugeFn("asdf_uptime_seconds", "uptime_secs",
+              "Seconds since the service started",
+              [this] { return secondsSince(Start); });
+  Reg.gaugeFn("asdf_workers", "workers", "Worker threads in the pool",
               [this] { return double(Queue.workers()); });
-  Reg.counterFn("asdf_shed_overloaded_total",
+
+  Reg.counterFn("asdf_cache_hits_total", "cache.hits", "Artifact-cache hits",
+                [this] { return Cache.stats().Hits; });
+  Reg.counterFn("asdf_cache_misses_total", "cache.misses",
+                "Artifact-cache misses",
+                [this] { return Cache.stats().Misses; });
+  Reg.counterFn("asdf_cache_evictions_total", "cache.evictions",
+                "Artifact-cache evictions",
+                [this] { return Cache.stats().Evictions; });
+  Reg.counterFn("asdf_cache_insertions_total", "cache.insertions",
+                "Artifact-cache insertions",
+                [this] { return Cache.stats().Insertions; });
+  Reg.gaugeFn("asdf_cache_entries", "cache.entries",
+              "Artifact-cache resident entries",
+              [this] { return double(Cache.stats().Entries); });
+  Reg.gaugeFn("asdf_cache_bytes_used", "cache.bytes_used",
+              "Artifact-cache resident bytes",
+              [this] { return double(Cache.stats().BytesUsed); });
+  Reg.gaugeFn("asdf_cache_byte_budget", "cache.byte_budget",
+              "Artifact-cache byte budget",
+              [this] { return double(Cache.stats().ByteBudget); });
+
+  Reg.counterFn("asdf_requests_compile_total", "requests.compile",
+                "Compile requests handled", Count(NumCompile));
+  Reg.counterFn("asdf_requests_run_total", "requests.run",
+                "Run requests handled", Count(NumRun));
+  Reg.counterFn("asdf_requests_bind_run_total", "requests.bind_run",
+                "Bind-run requests handled", Count(NumBindRun));
+  Reg.counterFn("asdf_requests_stats_total", "requests.stats",
+                "Stats requests handled", Count(NumStats));
+  Reg.counterFn("asdf_requests_metrics_total", "requests.metrics",
+                "Metrics requests handled", Count(NumMetrics));
+  Reg.counterFn("asdf_requests_errors_total", "requests.errors",
+                "Requests answered with an error", Count(NumErrors));
+  Reg.counterFn("asdf_requests_timeouts_total", "requests.timeouts",
+                "Requests that hit their deadline", Count(NumTimeouts));
+  Reg.counterFn("asdf_shots_total", "requests.shots",
+                "Simulation shots executed", Count(NumShots));
+  Reg.counterFn("asdf_compilations_total", "requests.compiled",
+                "Compilations actually executed (cache misses minus "
+                "coalesced)",
+                Count(NumCompiled));
+  Reg.counterFn("asdf_coalesced_total", "requests.coalesced",
+                "Requests served by another request's in-flight compile",
+                Count(NumCoalesced));
+  Reg.counterFn("asdf_shed_overloaded_total", "requests.shed_overloaded",
                 "Requests refused with `overloaded`",
                 Count(NumShedOverloaded));
-  Reg.counterFn("asdf_shed_memory_total",
+  Reg.counterFn("asdf_shed_memory_total", "requests.shed_memory",
                 "Requests refused with `resource-exhausted`",
                 Count(NumShedMemory));
-  Reg.counterFn("asdf_shed_expired_total",
+  Reg.counterFn("asdf_shed_expired_total", "requests.shed_expired",
                 "Requests whose deadline expired before pickup",
                 Count(NumShedExpired));
+
+  Reg.counterFn("asdf_queue_submitted_total", "queue.submitted",
+                "Jobs accepted by the queue",
+                [this] { return Queue.counters().Submitted; });
+  Reg.counterFn("asdf_queue_executed_total", "queue.executed",
+                "Jobs executed by the queue",
+                [this] { return Queue.counters().Executed; });
+  Reg.counterFn("asdf_queue_rejected_total", "queue.rejected",
+                "Jobs rejected while draining",
+                [this] { return Queue.counters().Rejected; });
+  Reg.counterFn("asdf_queue_shed_total", "queue.shed",
+                "Jobs shed by the depth bound",
+                [this] { return Queue.counters().Shed; });
+  Reg.gaugeFn("asdf_queue_pending", "queue.pending",
+              "Jobs waiting for a worker",
+              [this] { return double(Queue.counters().Pending); });
+
   if (Disk) {
-    Reg.counterFn("asdf_disk_hits_total", "Disk-tier hits",
+    Reg.counterFn("asdf_disk_hits_total", "disk.hits", "Disk-tier hits",
                   [this] { return Disk->stats().Hits; });
-    Reg.counterFn("asdf_disk_misses_total", "Disk-tier misses",
+    Reg.counterFn("asdf_disk_misses_total", "disk.misses",
+                  "Disk-tier misses",
                   [this] { return Disk->stats().Misses; });
-    Reg.counterFn("asdf_disk_insertions_total", "Disk-tier insertions",
+    Reg.counterFn("asdf_disk_insertions_total", "disk.insertions",
+                  "Disk-tier insertions",
                   [this] { return Disk->stats().Insertions; });
-    Reg.counterFn("asdf_disk_evictions_total", "Disk-tier evictions",
+    Reg.counterFn("asdf_disk_evictions_total", "disk.evictions",
+                  "Disk-tier evictions",
                   [this] { return Disk->stats().Evictions; });
-    Reg.counterFn("asdf_disk_corrupt_total",
+    Reg.counterFn("asdf_disk_corrupt_total", "disk.corrupt",
                   "Disk entries that failed validation",
                   [this] { return Disk->stats().Corrupt; });
-    Reg.counterFn("asdf_disk_quarantined_total",
+    Reg.counterFn("asdf_disk_quarantined_total", "disk.quarantined",
                   "Invalid disk entries moved to quarantine",
                   [this] { return Disk->stats().Quarantined; });
-    Reg.counterFn("asdf_disk_write_failures_total",
+    Reg.counterFn("asdf_disk_write_failures_total", "disk.write_failures",
                   "Disk-tier writes that failed",
                   [this] { return Disk->stats().WriteFailures; });
-    Reg.gaugeFn("asdf_disk_entries", "Disk-tier resident entries",
+    Reg.gaugeFn("asdf_disk_warmed_entries", "disk.warmed",
+                "Valid disk entries indexed at startup",
+                [this] { return double(Disk->stats().WarmedEntries); });
+    Reg.gaugeFn("asdf_disk_entries", "disk.entries",
+                "Disk-tier resident entries",
                 [this] { return double(Disk->stats().Entries); });
-    Reg.gaugeFn("asdf_disk_bytes_used", "Disk-tier resident bytes",
+    Reg.gaugeFn("asdf_disk_bytes_used", "disk.bytes_used",
+                "Disk-tier resident bytes",
                 [this] { return double(Disk->stats().BytesUsed); });
+    Reg.gaugeFn("asdf_disk_byte_budget", "disk.byte_budget",
+                "Disk-tier byte budget",
+                [this] { return double(Disk->stats().ByteBudget); });
   }
+
+  auto Timed = [this](ServiceRequest::Kind K, const char *Name,
+                      const char *Path, const char *Help) {
+    Latency[static_cast<size_t>(K)] = &Reg.histogram(Name, Path, Help);
+  };
+  Timed(ServiceRequest::Kind::Compile, "asdf_compile_seconds",
+        "latency.compile", "Latency of compile requests");
+  Timed(ServiceRequest::Kind::Run, "asdf_run_seconds", "latency.run",
+        "Latency of run requests");
+  Timed(ServiceRequest::Kind::BindRun, "asdf_bind_run_seconds",
+        "latency.bind_run", "Latency of bind-run requests");
+  Timed(ServiceRequest::Kind::Stats, "asdf_stats_seconds", "latency.stats",
+        "Latency of stats requests");
+  Timed(ServiceRequest::Kind::Metrics, "asdf_metrics_seconds",
+        "latency.metrics", "Latency of metrics requests");
 }
 
 AsdfService::~AsdfService() { drain(); }
@@ -247,28 +288,9 @@ ServiceResponse AsdfService::handle(const ServiceRequest &R,
   }
   if (!Resp.Ok)
     NumErrors.fetch_add(1, std::memory_order_relaxed);
-  if (obs::Histogram *H = latencyFor(R.TheKind))
+  if (obs::Histogram *H = Latency[static_cast<size_t>(R.TheKind)])
     H->observe(secondsSince(T0));
   return Resp;
-}
-
-obs::Histogram *AsdfService::latencyFor(ServiceRequest::Kind K) {
-  switch (K) {
-  case ServiceRequest::Kind::Compile:
-    return LatCompile;
-  case ServiceRequest::Kind::Run:
-    return LatRun;
-  case ServiceRequest::Kind::BindRun:
-    return LatBindRun;
-  case ServiceRequest::Kind::Stats:
-    return LatStats;
-  default:
-    return nullptr;
-  }
-}
-
-const obs::Histogram *AsdfService::opLatency(ServiceRequest::Kind K) const {
-  return const_cast<AsdfService *>(this)->latencyFor(K);
 }
 
 JobQueue::Submit AsdfService::submit(
@@ -313,6 +335,12 @@ ServiceResponse AsdfService::overloadedResponse(uint64_t Id) const {
   return ServiceResponse::failure(
       Id, "overloaded",
       "request queue is full; back off and retry", retryAfterMsHint());
+}
+
+ServiceResponse AsdfService::refuse(uint64_t Id, std::string Kind,
+                                    std::string Message) {
+  NumErrors.fetch_add(1, std::memory_order_relaxed);
+  return ServiceResponse::failure(Id, std::move(Kind), std::move(Message));
 }
 
 bool AsdfService::admitRunMemory(const ServiceRequest &R,
@@ -754,76 +782,10 @@ json::Value AsdfService::statsJson() const {
   json::Value O = json::Value::object();
   O.set("version", json::Value::str(buildInfo().Version));
   O.set("fingerprint", json::Value::str(buildFingerprint()));
-  O.set("uptime_secs", json::Value::number(secondsSince(Start)));
-  O.set("workers", json::Value::integer(
-                       static_cast<uint64_t>(Queue.workers())));
-
-  CacheStats CS = Cache.stats();
-  json::Value C = json::Value::object();
-  C.set("hits", json::Value::integer(CS.Hits));
-  C.set("misses", json::Value::integer(CS.Misses));
-  C.set("evictions", json::Value::integer(CS.Evictions));
-  C.set("insertions", json::Value::integer(CS.Insertions));
-  C.set("entries", json::Value::integer(CS.Entries));
-  C.set("bytes_used", json::Value::integer(
-                          static_cast<uint64_t>(CS.BytesUsed)));
-  C.set("byte_budget", json::Value::integer(
-                           static_cast<uint64_t>(CS.ByteBudget)));
-  O.set("cache", std::move(C));
-
-  json::Value Req = json::Value::object();
-  Req.set("compile", json::Value::integer(NumCompile.load()));
-  Req.set("run", json::Value::integer(NumRun.load()));
-  Req.set("bind_run", json::Value::integer(NumBindRun.load()));
-  Req.set("stats", json::Value::integer(NumStats.load()));
-  Req.set("metrics", json::Value::integer(NumMetrics.load()));
-  Req.set("errors", json::Value::integer(NumErrors.load()));
-  Req.set("timeouts", json::Value::integer(NumTimeouts.load()));
-  Req.set("shots", json::Value::integer(NumShots.load()));
-  Req.set("compiled", json::Value::integer(NumCompiled.load()));
-  Req.set("coalesced", json::Value::integer(NumCoalesced.load()));
-  Req.set("shed_overloaded", json::Value::integer(NumShedOverloaded.load()));
-  Req.set("shed_memory", json::Value::integer(NumShedMemory.load()));
-  Req.set("shed_expired", json::Value::integer(NumShedExpired.load()));
-  O.set("requests", std::move(Req));
-
-  JobQueue::Counters QC = Queue.counters();
-  json::Value Q = json::Value::object();
-  Q.set("submitted", json::Value::integer(QC.Submitted));
-  Q.set("executed", json::Value::integer(QC.Executed));
-  Q.set("rejected", json::Value::integer(QC.Rejected));
-  Q.set("shed", json::Value::integer(QC.Shed));
-  Q.set("pending", json::Value::integer(QC.Pending));
-  O.set("queue", std::move(Q));
-
-  if (Disk) {
-    DiskCacheStats DS = Disk->stats();
-    json::Value D = json::Value::object();
-    D.set("dir", json::Value::str(Disk->dir()));
-    D.set("hits", json::Value::integer(DS.Hits));
-    D.set("misses", json::Value::integer(DS.Misses));
-    D.set("insertions", json::Value::integer(DS.Insertions));
-    D.set("evictions", json::Value::integer(DS.Evictions));
-    D.set("corrupt", json::Value::integer(DS.Corrupt));
-    D.set("quarantined", json::Value::integer(DS.Quarantined));
-    D.set("write_failures", json::Value::integer(DS.WriteFailures));
-    D.set("warmed", json::Value::integer(DS.WarmedEntries));
-    D.set("entries", json::Value::integer(DS.Entries));
-    D.set("bytes_used",
-          json::Value::integer(static_cast<uint64_t>(DS.BytesUsed)));
-    D.set("byte_budget",
-          json::Value::integer(static_cast<uint64_t>(DS.ByteBudget)));
-    O.set("disk", std::move(D));
-  }
-
-  // Per-op latency histograms, in the shared fixed-bucket encoding: a
-  // client can rebuild each histogram from the bucket counts and derive
-  // the byte-identical p50/p90/p99 (Histogram::fromJson + quantile).
-  json::Value Lat = json::Value::object();
-  Lat.set("compile", LatCompile->toJson());
-  Lat.set("run", LatRun->toJson());
-  Lat.set("bind_run", LatBindRun->toJson());
-  Lat.set("stats", LatStats->toJson());
-  O.set("latency", std::move(Lat));
+  json::Value Series = Reg.toJson();
+  for (const auto &[Key, V] : Series.members())
+    O.set(Key, V);
+  if (Disk)
+    O.get("disk")->set("dir", json::Value::str(Disk->dir()));
   return O;
 }

@@ -32,6 +32,7 @@
 #include "service/JobQueue.h"
 #include "service/Request.h"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -94,6 +95,11 @@ public:
   /// `overloaded` with a retry_after_ms hint scaled to the backlog.
   ServiceResponse overloadedResponse(uint64_t Id) const;
 
+  /// An error answer the server sends without running a handler (a line
+  /// that does not decode, a request refused while draining), counted in
+  /// requests.errors like every handler failure.
+  ServiceResponse refuse(uint64_t Id, std::string Kind, std::string Message);
+
   /// The backoff hint attached to overloaded/resource-exhausted errors:
   /// roughly how long the current backlog needs to clear one queue slot,
   /// clamped to [25 ms, 2 s].
@@ -116,24 +122,15 @@ public:
   JobQueue &queue() { return Queue; }
   unsigned workers() const { return Queue.workers(); }
 
-  /// The stats payload of the "stats" op (also used by --version-style
-  /// reporting in the bench): cache counters, request counters, queue
-  /// state, per-op latency histograms, fingerprint, uptime.
+  /// The payload of the "stats" op: the JSON exposition of the service's
+  /// metric catalog (request, cache, queue and disk series, per-op
+  /// latency histograms, uptime) plus the version, fingerprint and disk
+  /// directory strings, which no series carries.
   json::Value statsJson() const;
 
-  /// This service's metric registry (per-instance, so tests and the bench
-  /// see only their own traffic): request/cache/queue counters and per-op
-  /// latency histograms, always collected.
-  obs::MetricsRegistry &metrics() { return Reg; }
-
-  /// Prometheus text exposition of metrics() — the `metrics` op payload
-  /// and asdfd --metrics-dump body.
+  /// Prometheus text exposition of the same catalog — the `metrics` op
+  /// payload and asdfd --metrics-dump body.
   std::string metricsText() const { return Reg.renderPrometheus(); }
-
-  /// The latency histogram the service observes for \p K requests (null
-  /// for shutdown). Benches read these to assert their client-side
-  /// quantile math agrees with the service's.
-  const obs::Histogram *opLatency(ServiceRequest::Kind K) const;
 
 private:
   ServiceResponse handleCompile(
@@ -145,7 +142,6 @@ private:
   ServiceResponse handleStats(const ServiceRequest &R);
   ServiceResponse handleShutdown(const ServiceRequest &R);
   ServiceResponse handleMetrics(const ServiceRequest &R);
-  obs::Histogram *latencyFor(ServiceRequest::Kind K);
 
   /// Memory-budget admission for a dense statevector run: reserves the
   /// 16·2^NumQubits state bytes against RunMemoryBytes. True (with
@@ -222,13 +218,16 @@ private:
   std::atomic<uint64_t> NumShedOverloaded{0}, NumShedMemory{0},
       NumShedExpired{0};
 
-  // The observability spine's metric surface: per-op latency histograms
-  // plus read-time views over the counters above (registered in the
-  // constructor). Reg outlives the queue, so render-time callbacks into
-  // `this` are safe for the service's whole life.
+  // The service's metric catalog, behind both `stats` and `metrics`:
+  // per-op latency histograms plus read-time views over the counters
+  // above and the cache, queue and disk counters, each registered once in
+  // the constructor. The views capture `this`; Reg is private and only
+  // rendered by member functions, so they never outlive the service.
   obs::MetricsRegistry Reg;
-  obs::Histogram *LatCompile = nullptr, *LatRun = nullptr,
-                 *LatBindRun = nullptr, *LatStats = nullptr;
+  /// Per-op latency histograms indexed by ServiceRequest::Kind, whose last
+  /// enumerator is Metrics; shutdown's slot stays null (it is not timed).
+  std::array<obs::Histogram *, size_t(ServiceRequest::Kind::Metrics) + 1>
+      Latency{};
 };
 
 } // namespace asdf

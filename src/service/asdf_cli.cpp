@@ -106,101 +106,52 @@ void usage(FILE *Out) {
   std::exit(2);
 }
 
-/// Renders the enriched stats payload as a human summary: cache hit
-/// rate, request mix, and per-op latency quantiles re-derived from the
-/// reported bucket counts with the shared Histogram math.
+/// Renders the stats payload as a human summary, one line per section in
+/// payload order. A section with hits and misses gains its hit rate; the
+/// latency section becomes a quantile table re-derived from the reported
+/// bucket counts with the shared Histogram math.
 void printStatsSummary(const json::Value &S) {
-  auto U64 = [](const json::Value *Obj, const char *Key) -> uint64_t {
-    if (!Obj)
-      return 0;
-    const json::Value *V = Obj->get(Key);
-    return V ? V->asU64() : 0;
+  // The section's scalar members as "key value" pairs, in payload order.
+  auto Fields = [](const json::Value &Section) {
+    const json::Value *Hits = Section.get("hits");
+    std::string Line;
+    for (const auto &[Key, V] : Section.members()) {
+      if (V.isObject())
+        continue;
+      Line += (Line.empty() ? "" : ", ") + Key + " " +
+              (V.isString() ? V.asString() : V.write());
+      if (Key == "misses" && Hits) {
+        double H = double(Hits->asU64()), Total = H + double(V.asU64());
+        char Rate[32];
+        std::snprintf(Rate, sizeof(Rate), " (%.1f%% hit rate)",
+                      Total ? 100.0 * H / Total : 0.0);
+        Line += Rate;
+      }
+    }
+    return Line;
   };
-  const json::Value *Cache = S.get("cache");
-  const json::Value *Req = S.get("requests");
-  const json::Value *Queue = S.get("queue");
-  const json::Value *Lat = S.get("latency");
-
-  std::printf("daemon %s (fingerprint %s)\n",
-              S.get("version") ? S.get("version")->asString().c_str() : "?",
-              S.get("fingerprint")
-                  ? S.get("fingerprint")->asString().c_str()
-                  : "?");
-  std::printf("uptime: %.1f s, %llu worker(s)\n",
-              S.get("uptime_secs") ? S.get("uptime_secs")->asDouble() : 0.0,
-              (unsigned long long)U64(&S, "workers"));
-
-  uint64_t Hits = U64(Cache, "hits"), Misses = U64(Cache, "misses");
-  double HitRate =
-      Hits + Misses ? 100.0 * double(Hits) / double(Hits + Misses) : 0.0;
-  std::printf("cache: %llu hit(s), %llu miss(es) (%.1f%% hit rate), "
-              "%llu entr%s, %llu / %llu bytes\n",
-              (unsigned long long)Hits, (unsigned long long)Misses, HitRate,
-              (unsigned long long)U64(Cache, "entries"),
-              U64(Cache, "entries") == 1 ? "y" : "ies",
-              (unsigned long long)U64(Cache, "bytes_used"),
-              (unsigned long long)U64(Cache, "byte_budget"));
-  std::printf("requests: %llu compile, %llu run, %llu bind-run, "
-              "%llu stats; %llu error(s), %llu timeout(s)\n",
-              (unsigned long long)U64(Req, "compile"),
-              (unsigned long long)U64(Req, "run"),
-              (unsigned long long)U64(Req, "bind_run"),
-              (unsigned long long)U64(Req, "stats"),
-              (unsigned long long)U64(Req, "errors"),
-              (unsigned long long)U64(Req, "timeouts"));
-  std::printf("work: %llu shot(s), %llu compiled, %llu coalesced\n",
-              (unsigned long long)U64(Req, "shots"),
-              (unsigned long long)U64(Req, "compiled"),
-              (unsigned long long)U64(Req, "coalesced"));
-  std::printf("queue: %llu submitted, %llu executed, %llu rejected, "
-              "%llu shed, %llu pending\n",
-              (unsigned long long)U64(Queue, "submitted"),
-              (unsigned long long)U64(Queue, "executed"),
-              (unsigned long long)U64(Queue, "rejected"),
-              (unsigned long long)U64(Queue, "shed"),
-              (unsigned long long)U64(Queue, "pending"));
-  uint64_t ShedTotal = U64(Req, "shed_overloaded") +
-                       U64(Req, "shed_memory") + U64(Req, "shed_expired");
-  if (ShedTotal)
-    std::printf("shed: %llu overloaded, %llu memory, %llu expired\n",
-                (unsigned long long)U64(Req, "shed_overloaded"),
-                (unsigned long long)U64(Req, "shed_memory"),
-                (unsigned long long)U64(Req, "shed_expired"));
-  if (const json::Value *Disk = S.get("disk")) {
-    uint64_t DHits = U64(Disk, "hits"), DMisses = U64(Disk, "misses");
-    double DRate = DHits + DMisses
-                       ? 100.0 * double(DHits) / double(DHits + DMisses)
-                       : 0.0;
-    std::printf("disk: %llu hit(s), %llu miss(es) (%.1f%% hit rate), "
-                "%llu entr%s, %llu / %llu bytes, %llu warmed, "
-                "%llu quarantined, %llu write failure(s)\n",
-                (unsigned long long)DHits, (unsigned long long)DMisses,
-                DRate, (unsigned long long)U64(Disk, "entries"),
-                U64(Disk, "entries") == 1 ? "y" : "ies",
-                (unsigned long long)U64(Disk, "bytes_used"),
-                (unsigned long long)U64(Disk, "byte_budget"),
-                (unsigned long long)U64(Disk, "warmed"),
-                (unsigned long long)U64(Disk, "quarantined"),
-                (unsigned long long)U64(Disk, "write_failures"));
-  }
-  if (!Lat)
-    return;
-  std::printf("latency: %-10s %8s %10s %10s %10s\n", "op", "count",
-              "p50-ms", "p90-ms", "p99-ms");
-  for (const char *Op : {"compile", "run", "bind_run", "stats"}) {
-    const json::Value *H = Lat->get(Op);
-    if (!H)
+  std::printf("daemon: %s\n", Fields(S).c_str());
+  for (const auto &[Key, Section] : S.members()) {
+    if (!Section.isObject())
       continue;
-    // Rebuild from the bucket counts: the numbers printed here come from
-    // the same Histogram::quantile code the daemon used, so they match
-    // the reported p50/p90/p99 exactly.
-    obs::Histogram Rebuilt;
-    if (!obs::Histogram::fromJson(*H, Rebuilt))
+    if (Key != "latency") {
+      std::printf("%s: %s\n", Key.c_str(), Fields(Section).c_str());
       continue;
-    std::printf("         %-10s %8llu %10.3f %10.3f %10.3f\n", Op,
-                (unsigned long long)Rebuilt.count(),
-                1e3 * Rebuilt.quantile(0.50), 1e3 * Rebuilt.quantile(0.90),
-                1e3 * Rebuilt.quantile(0.99));
+    }
+    std::printf("latency: %-10s %8s %10s %10s %10s\n", "op", "count",
+                "p50-ms", "p90-ms", "p99-ms");
+    for (const auto &[Op, H] : Section.members()) {
+      // Rebuild from the bucket counts: the numbers printed here come
+      // from the same Histogram::quantile code the daemon used, so they
+      // match the reported p50/p90/p99 exactly.
+      obs::Histogram Rebuilt;
+      if (!obs::Histogram::fromJson(H, Rebuilt))
+        continue;
+      std::printf("         %-10s %8llu %10.3f %10.3f %10.3f\n", Op.c_str(),
+                  (unsigned long long)Rebuilt.count(),
+                  1e3 * Rebuilt.quantile(0.50), 1e3 * Rebuilt.quantile(0.90),
+                  1e3 * Rebuilt.quantile(0.99));
+    }
   }
 }
 

@@ -71,6 +71,9 @@ public:
 
   /// Object member lookup; null if absent or not an object.
   const Value *get(const std::string &Key) const;
+  Value *get(const std::string &Key) {
+    return const_cast<Value *>(std::as_const(*this).get(Key));
+  }
   /// Sets (or replaces) an object member. No-op unless isObject().
   void set(const std::string &Key, Value V);
   /// Appends an array element. No-op unless isArray().

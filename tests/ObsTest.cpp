@@ -265,12 +265,16 @@ TEST(HistogramTest, FromJsonRejectsMalformedShapes) {
 
 TEST(MetricsTest, PrometheusExpositionFormat) {
   obs::MetricsRegistry Reg;
-  obs::Counter &C = Reg.counter("asdf_test_total", "A test counter");
-  C.inc(3);
-  Reg.gauge("asdf_test_depth", "A test gauge").set(2.5);
-  Reg.counterFn("asdf_test_fn_total", "A read-time counter",
+  Reg.counterFn("asdf_test_total", "test.count", "A test counter",
+                [] { return uint64_t(3); });
+  Reg.gaugeFn("asdf_test_depth", "test.depth", "A test gauge",
+              [] { return 2.5; });
+  Reg.counterFn("asdf_test_fn_total", "", "A read-time counter",
                 [] { return uint64_t(7); });
-  obs::Histogram &H = Reg.histogram("asdf_test_seconds", "A histogram");
+  Reg.gaugeFn("asdf_test_budget", "budget", "A whole-valued gauge",
+              [] { return 1e8; });
+  obs::Histogram &H =
+      Reg.histogram("asdf_test_seconds", "latency.test", "A histogram");
   H.observe(1.5e-6);
   H.observe(0.5);
 
@@ -293,9 +297,23 @@ TEST(MetricsTest, PrometheusExpositionFormat) {
   EXPECT_NE(Text.find("asdf_test_seconds_bucket{le=\"+Inf\"} 2\n"),
             std::string::npos);
   EXPECT_NE(Text.find("asdf_test_seconds_count 2\n"), std::string::npos);
-  // Registration dedups by name.
-  Reg.counter("asdf_test_total", "ignored duplicate").inc();
-  EXPECT_EQ(C.value(), 4u);
+
+  // Registration dedups by name: the first registration stays.
+  Reg.counterFn("asdf_test_total", "other.count", "ignored duplicate",
+                [] { return uint64_t(99); });
+  EXPECT_EQ(&Reg.histogram("asdf_test_seconds", "", "ignored duplicate"), &H);
+  EXPECT_EQ(Reg.renderPrometheus(), Text);
+
+  // The JSON exposition of the same entries: nested by path in
+  // registration order, path-less entries left out, whole-valued gauges
+  // as exact integers, fractional ones as numbers, histograms in their
+  // toJson form.
+  json::Value J = Reg.toJson();
+  EXPECT_EQ(J.write(), "{\"test\":{\"count\":3,\"depth\":2.5},"
+                       "\"budget\":100000000,\"latency\":{\"test\":" +
+                           H.toJson().write() + "}}");
+  ASSERT_NE(J.get("budget"), nullptr);
+  EXPECT_EQ(J.get("budget")->asU64(), 100000000u);
 }
 
 //===----------------------------------------------------------------------===//

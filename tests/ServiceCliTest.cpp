@@ -88,17 +88,65 @@ std::string writeTemp(const std::string &Name, const std::string &Text) {
   return Path;
 }
 
-bool socketAnswers(const std::string &Path) {
+/// A connected unix-socket fd, or -1.
+int connectTo(const std::string &Path) {
   int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (Fd < 0)
-    return false;
+    return -1;
   sockaddr_un Addr{};
   Addr.sun_family = AF_UNIX;
   std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
-  bool Ok =
-      ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) == 0;
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
+bool socketAnswers(const std::string &Path) {
+  int Fd = connectTo(Path);
+  if (Fd < 0)
+    return false;
   ::close(Fd);
-  return Ok;
+  return true;
+}
+
+/// Writes \p Lines to the daemon at \p Path on one connection, raw (no
+/// client-side validation), and returns the reply lines, one per line
+/// sent; fewer if the connection fails.
+std::vector<std::string>
+exchangeRawLines(const std::string &Path,
+                 const std::vector<std::string> &Lines) {
+  std::vector<std::string> Replies;
+  int Fd = connectTo(Path);
+  if (Fd < 0)
+    return Replies;
+  std::string Out;
+  for (const std::string &L : Lines)
+    Out += L + "\n";
+  for (size_t Sent = 0; Sent < Out.size();) {
+    ssize_t N = ::send(Fd, Out.data() + Sent, Out.size() - Sent, 0);
+    if (N <= 0) {
+      ::close(Fd);
+      return Replies;
+    }
+    Sent += static_cast<size_t>(N);
+  }
+  std::string Buffer;
+  char Chunk[4096];
+  while (Replies.size() < Lines.size()) {
+    ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
+    if (N <= 0)
+      break;
+    Buffer.append(Chunk, static_cast<size_t>(N));
+    for (size_t Nl = Buffer.find('\n'); Nl != std::string::npos;
+         Nl = Buffer.find('\n')) {
+      Replies.push_back(Buffer.substr(0, Nl));
+      Buffer.erase(0, Nl + 1);
+    }
+  }
+  ::close(Fd);
+  return Replies;
 }
 
 /// A daemon child process, SIGKILLed on teardown if a test failed early.
@@ -482,6 +530,36 @@ TEST_F(ServiceEndToEnd, MetricsOpServesPrometheusText) {
       << Out;
   EXPECT_NE(Out.find("asdf_cache_misses_total 1"), std::string::npos)
       << Out;
+}
+
+TEST_F(ServiceEndToEnd, ErrorsTheServerAnswersItselfAreCounted) {
+  // Lines that never reach a handler (an unknown op, a line that is not
+  // JSON) are answered by the server; they are still errors, in stats
+  // and in metrics alike.
+  std::vector<std::string> Replies = exchangeRawLines(
+      Socket, {"{\"id\": 1, \"op\": \"frobnicate\"}", "not json"});
+  ASSERT_EQ(Replies.size(), 2u);
+  for (const std::string &R : Replies) {
+    EXPECT_NE(R.find("\"ok\":false"), std::string::npos) << R;
+    EXPECT_NE(R.find("bad-request"), std::string::npos) << R;
+  }
+
+  std::string Stats, Metrics, Error;
+  ASSERT_EQ(runCommand("( " + cli(Socket) + "stats --json 2>/dev/null )",
+                       Stats),
+            0);
+  json::Value Doc;
+  ASSERT_TRUE(json::parse(Stats, Doc, Error)) << Error << "\n" << Stats;
+  const json::Value *Req = Doc.get("requests");
+  ASSERT_NE(Req, nullptr) << Stats;
+  ASSERT_NE(Req->get("errors"), nullptr) << Stats;
+  EXPECT_EQ(Req->get("errors")->asU64(), 2u) << Stats;
+  ASSERT_EQ(runCommand("( " + cli(Socket) + "metrics 2>/dev/null )",
+                       Metrics),
+            0);
+  EXPECT_NE(Metrics.find("\nasdf_requests_errors_total 2\n"),
+            std::string::npos)
+      << Metrics;
 }
 
 TEST_F(ServiceEndToEnd, BindRunSweepIsBitIdenticalToAsdfcSweep) {

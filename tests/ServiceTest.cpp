@@ -38,9 +38,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <mutex>
+#include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace asdf;
 
@@ -1022,6 +1030,174 @@ TEST(ServiceTest, StatsReportTheCountersAndFingerprint) {
   EXPECT_EQ(Req->get("shots")->asU64(), 4u);
   EXPECT_EQ(Resp.StatsBody.get("fingerprint")->asString(),
             buildFingerprint());
+}
+
+//===----------------------------------------------------------------------===//
+// The metric catalog, pinned to docs/observability.md
+//===----------------------------------------------------------------------===//
+
+/// One row of the catalog table in docs/observability.md. Path is empty
+/// for a series with no place in the stats payload (written "—").
+struct CatalogRow {
+  std::string Name, Path, Type, Meaning;
+};
+
+std::vector<CatalogRow> docCatalogRows() {
+  std::ifstream In(ASDF_OBSERVABILITY_DOC);
+  EXPECT_TRUE(In) << "cannot read " << ASDF_OBSERVABILITY_DOC;
+  auto Trim = [](std::string S, const char *Chars) {
+    size_t B = S.find_first_not_of(Chars), E = S.find_last_not_of(Chars);
+    return B == std::string::npos ? std::string() : S.substr(B, E - B + 1);
+  };
+  std::vector<CatalogRow> Rows;
+  bool InCatalog = false;
+  for (std::string Line; std::getline(In, Line);) {
+    if (Line.rfind("## ", 0) == 0)
+      InCatalog = Line == "## Metric catalog";
+    if (!InCatalog || Line.rfind("| `", 0) != 0)
+      continue;
+    std::vector<std::string> Cells;
+    std::stringstream Cols(Line);
+    for (std::string C; std::getline(Cols, C, '|');)
+      Cells.push_back(C);
+    EXPECT_EQ(Cells.size(), 5u) << Line;
+    if (Cells.size() != 5)
+      continue;
+    std::string Path = Trim(Cells[2], " `");
+    Rows.push_back({Trim(Cells[1], " `"), Path == "—" ? "" : Path,
+                    Trim(Cells[3], " "), Trim(Cells[4], " ")});
+  }
+  return Rows;
+}
+
+/// One series of a Prometheus exposition: its # TYPE, its # HELP, and its
+/// sample (for a histogram, its _count sample).
+struct ExposedSeries {
+  std::string Type, Help, Sample;
+};
+
+void parseExposition(const std::string &Text,
+                     std::map<std::string, ExposedSeries> &Out) {
+  std::stringstream In(Text);
+  for (std::string Line; std::getline(In, Line);) {
+    std::string Name, Rest;
+    if (Line.rfind("# HELP ", 0) == 0 || Line.rfind("# TYPE ", 0) == 0) {
+      size_t Sp = Line.find(' ', 7);
+      Name = Line.substr(7, Sp - 7);
+      Rest = Sp == std::string::npos ? "" : Line.substr(Sp + 1);
+      (Line[2] == 'H' ? Out[Name].Help : Out[Name].Type) = Rest;
+      continue;
+    }
+    size_t Sp = Line.find(' ');
+    if (Sp == std::string::npos)
+      continue;
+    Name = Line.substr(0, Sp);
+    if (!Out.count(Name) && Name.ends_with("_count"))
+      Name.resize(Name.size() - 6);
+    // Buckets, _sum lines and any non-exposition text match no series.
+    if (auto It = Out.find(Name); It != Out.end())
+      It->second.Sample = Line.substr(Sp + 1);
+  }
+}
+
+/// Numeric leaves of a stats payload by dotted path; a histogram object
+/// (it has "buckets") is one leaf.
+void statsLeaves(const json::Value &V, const std::string &Prefix,
+                 std::map<std::string, const json::Value *> &Out) {
+  for (const auto &[Key, M] : V.members()) {
+    std::string Path = Prefix.empty() ? Key : Prefix + "." + Key;
+    if (M.isNumber() || M.get("buckets"))
+      Out[Path] = &M;
+    else if (M.isObject())
+      statsLeaves(M, Path, Out);
+  }
+}
+
+TEST(ServiceTest, ObservabilityDocMatchesTheCatalog) {
+  std::string Dir = ::testing::TempDir() + "catalog-" +
+                    std::to_string(::getpid()) + ".cache";
+  ASSERT_EQ(::system(("rm -rf " + Dir).c_str()), 0);
+  ServiceOptions Options;
+  Options.Workers = 1;
+  Options.CacheBytes = 100000000;
+  Options.DiskCacheDir = Dir;
+  AsdfService Service(Options);
+  ASSERT_NE(Service.diskCache(), nullptr) << Service.diskCacheError();
+  ASSERT_TRUE(Service.handle(bvCompileRequest(1)).Ok);
+  ASSERT_TRUE(Service.handle(coinRunRequest(2)).Ok);
+  ASSERT_TRUE(Service.handle(bindRunRequest(3, {{0.0}, {45.0}})).Ok);
+  ServiceRequest Metrics;
+  Metrics.TheKind = ServiceRequest::Kind::Metrics;
+  Metrics.Id = 4;
+  ASSERT_TRUE(Service.handle(Metrics).Ok);
+
+  std::map<std::string, ExposedSeries> Series;
+  parseExposition(Service.metricsText(), Series);
+  // asdfc's own series, as the binary prints them.
+  std::string Coin = ::testing::TempDir() + "catalog-coin.qw";
+  std::ofstream(Coin) << CoinSource;
+  std::string Cmd = std::string(ASDF_ASDFC_PATH) + " " + Coin +
+                    " --emit run --shots 2 --metrics 2>&1 >/dev/null";
+  std::string AsdfcText;
+  FILE *P = ::popen(Cmd.c_str(), "r");
+  ASSERT_NE(P, nullptr);
+  char Buf[4096];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), P)) > 0;)
+    AsdfcText.append(Buf, N);
+  ASSERT_EQ(::pclose(P), 0) << AsdfcText;
+  std::map<std::string, ExposedSeries> AsdfcSeries;
+  parseExposition(AsdfcText, AsdfcSeries);
+  EXPECT_EQ(AsdfcSeries.size(), 6u) << AsdfcText;
+  Series.insert(AsdfcSeries.begin(), AsdfcSeries.end());
+
+  json::Value Stats = Service.statsJson();
+  std::map<std::string, const json::Value *> Leaves;
+  statsLeaves(Stats, "", Leaves);
+
+  std::vector<CatalogRow> Rows = docCatalogRows();
+  std::set<std::string> RowNames, RowPaths, SeriesNames, LeafPaths;
+  for (const CatalogRow &Row : Rows) {
+    RowNames.insert(Row.Name);
+    if (!Row.Path.empty())
+      RowPaths.insert(Row.Path);
+  }
+  for (const auto &S : Series)
+    SeriesNames.insert(S.first);
+  for (const auto &L : Leaves)
+    LeafPaths.insert(L.first);
+  EXPECT_EQ(RowNames, SeriesNames)
+      << "docs/observability.md rows vs the # TYPE names of metrics and "
+         "asdfc --metrics";
+  EXPECT_EQ(RowPaths, LeafPaths)
+      << "docs/observability.md stats paths vs the numeric stats leaves";
+
+  for (const CatalogRow &Row : Rows) {
+    auto It = Series.find(Row.Name);
+    if (It == Series.end())
+      continue;
+    const ExposedSeries &S = It->second;
+    EXPECT_EQ(Row.Type, S.Type) << Row.Name;
+    EXPECT_EQ(Row.Meaning, S.Help) << Row.Name;
+    EXPECT_EQ(Row.Path.empty(), AsdfcSeries.count(Row.Name) == 1)
+        << Row.Name << ": every daemon series has a stats path, no asdfc "
+        << "series has one";
+    auto Leaf = Leaves.find(Row.Path);
+    if (Leaf == Leaves.end())
+      continue;
+    if (Row.Type == "counter") {
+      EXPECT_EQ(S.Sample, Leaf->second->write()) << Row.Name;
+    }
+    if (Row.Type == "histogram") {
+      ASSERT_NE(Leaf->second->get("count"), nullptr) << Row.Path;
+      EXPECT_EQ(S.Sample, Leaf->second->get("count")->write()) << Row.Name;
+    }
+  }
+  const json::Value *Cache = Stats.get("cache");
+  ASSERT_NE(Cache, nullptr);
+  ASSERT_NE(Cache->get("byte_budget"), nullptr);
+  EXPECT_EQ(Cache->get("byte_budget")->asU64(), 100000000u);
+  Service.drain();
+  ::system(("rm -rf " + Dir).c_str());
 }
 
 TEST(ServiceTest, ShutdownFlipsTheFlagAndSubmitRejects) {
