@@ -174,9 +174,9 @@ public:
       for (unsigned I = 0; I < N / 2; ++I)
         g(GateKind::Swap, {}, {Qs[I], Qs[N - 1 - I]});
     for (unsigned J = N; J-- > 0;) {
+      // -pi / 2^(K-J); K - J reaches N - 1, past what a 64-bit shift holds.
       for (unsigned K = N; K-- > J + 1;)
-        g(GateKind::P, {Qs[K]}, {Qs[J]},
-          -M_PI / double(uint64_t(1) << (K - J)));
+        g(GateKind::P, {Qs[K]}, {Qs[J]}, -std::ldexp(M_PI, -int(K - J)));
       h(Qs[J]);
     }
   }
@@ -371,107 +371,84 @@ Circuit asdf::buildBaselineCircuit(BenchAlgorithm Alg, BaselineStyle Style,
 
 namespace {
 
-bool sameWires(const CircuitInstr &A, const CircuitInstr &B) {
-  return A.Controls == B.Controls && A.Targets == B.Targets;
-}
-
-bool touchesAny(const CircuitInstr &I, const CircuitInstr &J) {
-  auto In = [&](unsigned Q) {
-    for (unsigned C : J.Controls)
-      if (C == Q)
-        return true;
-    for (unsigned T : J.Targets)
-      if (T == Q)
-        return true;
+/// P(2πk) is the identity. RX/RY/RZ(2πk) is -I: a global phase when
+/// uncontrolled, but a Z on the controls when controlled, so a controlled
+/// rotation is the identity only at 4πk.
+bool isIdentityRotation(const CircuitInstr &I) {
+  if (I.TheKind != CircuitInstr::Kind::Gate || !isParamGate(I.Gate) ||
+      I.isSymbolic())
     return false;
-  };
-  for (unsigned Q : I.Controls)
-    if (In(Q))
-      return true;
-  for (unsigned Q : I.Targets)
-    if (In(Q))
-      return true;
-  return false;
-}
-
-bool isParam(GateKind K) {
-  return K == GateKind::P || K == GateKind::RX || K == GateKind::RY ||
-         K == GateKind::RZ;
-}
-
-bool inversePair(const CircuitInstr &A, const CircuitInstr &B) {
-  if (A.TheKind != CircuitInstr::Kind::Gate ||
-      B.TheKind != CircuitInstr::Kind::Gate || !sameWires(A, B) ||
-      A.CondBit != B.CondBit)
-    return false;
-  if (isHermitianGate(A.Gate))
-    return A.Gate == B.Gate;
-  if ((A.Gate == GateKind::S && B.Gate == GateKind::Sdg) ||
-      (A.Gate == GateKind::Sdg && B.Gate == GateKind::S) ||
-      (A.Gate == GateKind::T && B.Gate == GateKind::Tdg) ||
-      (A.Gate == GateKind::Tdg && B.Gate == GateKind::T))
-    return true;
-  if (isParam(A.Gate) && A.Gate == B.Gate)
-    return !A.isSymbolic() && !B.isSymbolic() &&
-           std::abs(A.Param + B.Param) < 1e-12;
-  return false;
+  double Period =
+      I.Gate == GateKind::P || I.Controls.empty() ? 2 * M_PI : 4 * M_PI;
+  return std::abs(std::remainder(I.Param, Period)) < 1e-12;
 }
 
 } // namespace
 
 Circuit asdf::transpileO3(const Circuit &C) {
+  using Kind = CircuitInstr::Kind;
   Circuit Out = C;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    // One greedy pass collecting every non-overlapping cancellation; chains
-    // exposed by a removal are picked up on the next pass.
-    std::vector<bool> Dead(Out.Instrs.size(), false);
-    for (unsigned I = 0; I < Out.Instrs.size(); ++I) {
-      if (Dead[I] || Out.Instrs[I].TheKind != CircuitInstr::Kind::Gate)
-        continue;
-      for (unsigned J = I + 1; J < Out.Instrs.size(); ++J) {
-        if (Dead[J])
-          continue;
-        const CircuitInstr &A = Out.Instrs[I];
-        const CircuitInstr &B = Out.Instrs[J];
-        if (inversePair(A, B)) {
-          Dead[I] = Dead[J] = true;
-          Changed = true;
-          break;
-        }
-        // Merge rotations of the same kind on the same wires.
-        if (B.TheKind == CircuitInstr::Kind::Gate && isParam(A.Gate) &&
-            A.Gate == B.Gate && sameWires(A, B) && A.CondBit == B.CondBit &&
-            !A.isSymbolic() && !B.isSymbolic()) {
-          Out.Instrs[I].Param += B.Param;
-          Dead[J] = true;
-          Changed = true;
-          break;
-        }
-        if (touchesAny(A, B))
-          break; // Blocked; no cancellation across this instruction.
-      }
+  std::vector<CircuitInstr> &Is = Out.Instrs;
+  std::vector<bool> Dead(Is.size(), false);
+  // Each qubit's live instructions, latest on top.
+  std::vector<std::vector<unsigned>> Live(C.NumQubits);
+  // Position of the latest measurement into each classical bit.
+  std::vector<int> LastWrite(C.NumBits, -1);
+  auto Wires = [&](unsigned I) {
+    std::vector<unsigned> W = Is[I].Controls;
+    W.insert(W.end(), Is[I].Targets.begin(), Is[I].Targets.end());
+    return W;
+  };
+  // Drops live instruction I, exposing the one beneath it on each wire.
+  auto Pop = [&](unsigned I) {
+    Dead[I] = true;
+    for (unsigned Q : Wires(I))
+      Live[Q].pop_back();
+  };
+  for (unsigned J = 0; J < Is.size(); ++J) {
+    CircuitInstr &B = Is[J];
+    if (isIdentityRotation(B)) {
+      Dead[J] = true;
+      continue;
     }
-    if (Changed) {
-      std::vector<CircuitInstr> Kept;
-      for (unsigned I = 0; I < Out.Instrs.size(); ++I)
-        if (!Dead[I])
-          Kept.push_back(std::move(Out.Instrs[I]));
-      Out.Instrs = std::move(Kept);
+    if (B.TheKind == Kind::Measure)
+      LastWrite[B.Cbit] = static_cast<int>(J);
+    // B's partner is the instruction on top of every one of its wires (J
+    // means none). It must be a gate on the same wires under the same
+    // condition, with no measurement into the condition bit in between.
+    std::vector<unsigned> W = Wires(J);
+    unsigned P = Live[W[0]].empty() ? J : Live[W[0]].back();
+    for (unsigned Q : W)
+      if (Live[Q].empty() || Live[Q].back() != P)
+        P = J;
+    CircuitInstr &A = Is[P];
+    bool Paired = P != J && A.TheKind == Kind::Gate &&
+                  B.TheKind == Kind::Gate && A.Controls == B.Controls &&
+                  A.Targets == B.Targets && A.CondBit == B.CondBit &&
+                  A.CondVal == B.CondVal &&
+                  (B.CondBit < 0 || LastWrite[B.CondBit] < int(P));
+    bool Concrete = !A.isSymbolic() && !B.isSymbolic();
+    if (Paired && adjointGateKind(A.Gate) == B.Gate &&
+        (!isParamGate(A.Gate) ||
+         (Concrete && std::abs(A.Param + B.Param) < 1e-12))) {
+      Dead[J] = true;
+      Pop(P);
+      continue;
     }
-    // Drop zero rotations.
-    std::vector<CircuitInstr> Kept;
-    for (CircuitInstr &I : Out.Instrs) {
-      if (I.TheKind == CircuitInstr::Kind::Gate && isParam(I.Gate) &&
-          !I.isSymbolic() &&
-          std::abs(std::remainder(I.Param, 2 * M_PI)) < 1e-12) {
-        Changed = true;
-        continue;
-      }
-      Kept.push_back(std::move(I));
+    if (Paired && isParamGate(A.Gate) && A.Gate == B.Gate && Concrete) {
+      A.Param += B.Param;
+      Dead[J] = true;
+      if (isIdentityRotation(A))
+        Pop(P);
+      continue;
     }
-    Out.Instrs = std::move(Kept);
+    for (unsigned Q : W)
+      Live[Q].push_back(J);
   }
+  std::vector<CircuitInstr> Kept;
+  for (unsigned I = 0; I < Is.size(); ++I)
+    if (!Dead[I])
+      Kept.push_back(std::move(Is[I]));
+  Is = std::move(Kept);
   return Out;
 }

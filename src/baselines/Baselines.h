@@ -49,7 +49,15 @@ Circuit buildBaselineCircuit(BenchAlgorithm Alg, BaselineStyle Style,
 unsigned groverIterations(unsigned N);
 
 /// A gate-cancellation + rotation-merging cleanup pass applied to every
-/// compiler's output before estimation (the paper's step (2)).
+/// compiler's output before estimation (the paper's step (2)). One forward
+/// pass keeps a stack of live instructions per qubit: an arriving gate
+/// cancels with (or, for P/RX/RY/RZ, merges into) the gate on top of every
+/// one of its wires, and a cancellation exposes the gate beneath, so nested
+/// compute/uncompute unwinds at once. A pair must act on the same controls
+/// and targets, carry the same condition bit and value, and have no
+/// measurement into that bit between them. Identity rotations are dropped:
+/// P(2πk), uncontrolled RX/RY/RZ(2πk) (a global phase), and controlled
+/// RX/RY/RZ(4πk) only, since at 2πk those are a Z on the controls.
 Circuit transpileO3(const Circuit &C);
 
 } // namespace asdf

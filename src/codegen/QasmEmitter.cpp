@@ -44,11 +44,6 @@ const char *qasmGateName(GateKind K) {
   return "id";
 }
 
-bool isParamGate(GateKind K) {
-  return K == GateKind::P || K == GateKind::RX || K == GateKind::RY ||
-         K == GateKind::RZ;
-}
-
 void emitGate(std::ostringstream &OS, const CircuitInstr &I,
               const Circuit &C) {
   unsigned NC = I.Controls.size();

@@ -67,11 +67,6 @@ std::string qisName(GateKind K, unsigned NumControls) {
   return Base;
 }
 
-bool isParamGate(GateKind K) {
-  return K == GateKind::P || K == GateKind::RX || K == GateKind::RY ||
-         K == GateKind::RZ;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//

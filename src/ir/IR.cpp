@@ -104,17 +104,9 @@ GateKind asdf::adjointGateKind(GateKind K) {
   }
 }
 
-bool asdf::isHermitianGate(GateKind K) {
-  switch (K) {
-  case GateKind::X:
-  case GateKind::Y:
-  case GateKind::Z:
-  case GateKind::H:
-  case GateKind::Swap:
-    return true;
-  default:
-    return false;
-  }
+bool asdf::isParamGate(GateKind K) {
+  return K == GateKind::P || K == GateKind::RX || K == GateKind::RY ||
+         K == GateKind::RZ;
 }
 
 const char *asdf::opKindName(OpKind K) {
@@ -721,8 +713,7 @@ void Printer::printOp(const Op &O, unsigned Indent) {
     break;
   case OpKind::Gate:
     OS << ' ' << gateKindName(O.GateAttr);
-    if (O.GateAttr == GateKind::P || O.GateAttr == GateKind::RX ||
-        O.GateAttr == GateKind::RY || O.GateAttr == GateKind::RZ) {
+    if (isParamGate(O.GateAttr)) {
       if (O.ParamAttr.isSymbolic())
         OS << "($" << O.ParamAttr.Index << " * " << O.ParamAttr.Scale
            << " + " << O.ParamAttr.Offset << " deg)";

@@ -201,10 +201,12 @@ enum class GateKind {
 const char *gateKindName(GateKind K);
 
 /// Returns the adjoint gate kind; P/R gates also negate their parameter.
+/// Two gates on the same wires invert each other exactly when the second's
+/// kind is the adjoint of the first's (and, for P/R, the angles sum to 0).
 GateKind adjointGateKind(GateKind K);
 
-/// True if the gate is self-adjoint (Hermitian).
-bool isHermitianGate(GateKind K);
+/// True for the kinds that carry an angle: P, RX, RY and RZ.
+bool isParamGate(GateKind K);
 
 /// Degrees -> radians for gate angles. Every path that converts a rotation
 /// angle (literal lowering and symbolic bind alike) goes through this one

@@ -56,29 +56,52 @@ struct Ring {
   }
 };
 
+/// Every ring ever made, and those whose thread has exited. A ring is one
+/// lane: its Tid is its index, and it passes from an exited thread to the
+/// next thread that records, so rings number the peak count of threads
+/// recording at once rather than every thread ever started.
 struct Registry {
   std::mutex Mu;
-  std::vector<std::shared_ptr<Ring>> Rings;
-  std::atomic<uint32_t> NextTid{0};
+  std::vector<std::unique_ptr<Ring>> Rings;
+  std::vector<Ring *> Free;
 };
 
 Registry &registry() {
-  static Registry R;
-  return R;
+  // Never destroyed: a thread exiting after static destruction still
+  // returns its ring here.
+  static Registry *R = new Registry;
+  return *R;
 }
 
-/// The calling thread's ring; registered globally on first use and kept
-/// alive by the registry's shared_ptr after the thread exits.
-Ring &myRing() {
-  thread_local std::shared_ptr<Ring> TL = [] {
-    auto R = std::make_shared<Ring>();
+/// Holds the calling thread's ring; hands it back on thread exit.
+struct RingLease {
+  Ring *R = nullptr;
+  ~RingLease() {
+    if (!R)
+      return;
     Registry &G = registry();
-    R->Tid = G.NextTid.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> Lock(G.Mu);
-    G.Rings.push_back(R);
-    return R;
-  }();
-  return *TL;
+    G.Free.push_back(R);
+  }
+};
+
+/// The calling thread's ring: a free lane if one exists, else a new one.
+/// The registry mutex orders the previous owner's writes before ours.
+Ring &myRing() {
+  thread_local RingLease L;
+  if (!L.R) {
+    Registry &G = registry();
+    std::lock_guard<std::mutex> Lock(G.Mu);
+    if (G.Free.empty()) {
+      G.Rings.push_back(std::make_unique<Ring>());
+      L.R = G.Rings.back().get();
+      L.R->Tid = static_cast<uint32_t>(G.Rings.size() - 1);
+    } else {
+      L.R = G.Free.back();
+      G.Free.pop_back();
+    }
+  }
+  return *L.R;
 }
 
 uint64_t originNs() {

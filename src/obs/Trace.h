@@ -16,7 +16,9 @@
 ///     and release-stores the head; the exporter acquire-loads heads at a
 ///     quiescent point (workers joined, daemon drained). Full rings drop
 ///     new events rather than overwrite — an exporter never races a
-///     writer over slot memory.
+///     writer over slot memory. An exited thread's ring, events and all,
+///     passes to the next thread that records, so an exported tid names
+///     a lane rather than one OS thread.
 ///   - A 64-bit trace id rides in thread-local storage (`TraceContext`)
 ///     and stamps every span, correlating one request's spans across the
 ///     wire decoder, queue worker, compiler passes, and simulator worker

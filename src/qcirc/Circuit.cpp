@@ -18,8 +18,7 @@ std::string CircuitInstr::str() const {
   switch (TheKind) {
   case Kind::Gate: {
     OS << gateKindName(Gate);
-    if (Gate == GateKind::P || Gate == GateKind::RX ||
-        Gate == GateKind::RY || Gate == GateKind::RZ) {
+    if (isParamGate(Gate)) {
       if (isSymbolic())
         OS << "($" << ParamIdx << " * " << ParamScale << " + " << ParamOfs
            << " deg)";

@@ -16,11 +16,6 @@ using namespace asdf;
 
 namespace {
 
-bool isParamGate(GateKind K) {
-  return K == GateKind::P || K == GateKind::RX || K == GateKind::RY ||
-         K == GateKind::RZ;
-}
-
 /// True if applying \p B right after \p A yields the identity.
 bool gatesCancel(const Op *A, const Op *B) {
   if (A->Kind != OpKind::Gate || B->Kind != OpKind::Gate)
@@ -32,27 +27,20 @@ bool gatesCancel(const Op *A, const Op *B) {
   for (unsigned I = 0; I < B->numOperands(); ++I)
     if (B->operand(I) != const_cast<Op *>(A)->result(I))
       return false;
-  GateKind KA = A->GateAttr, KB = B->GateAttr;
-  if (isHermitianGate(KA))
-    return KA == KB;
-  if ((KA == GateKind::S && KB == GateKind::Sdg) ||
-      (KA == GateKind::Sdg && KB == GateKind::S) ||
-      (KA == GateKind::T && KB == GateKind::Tdg) ||
-      (KA == GateKind::Tdg && KB == GateKind::T))
+  if (adjointGateKind(A->GateAttr) != B->GateAttr)
+    return false;
+  if (!isParamGate(A->GateAttr))
     return true;
-  if (isParamGate(KA) && KA == KB) {
-    const GateParam &PA = A->ParamAttr, &PB = B->ParamAttr;
-    if (PA.isSymbolic() != PB.isSymbolic())
-      return false;
-    if (PA.isSymbolic())
-      // Symbolic angles cancel only when they sum to zero for *every*
-      // binding: same parameter, exactly opposite scales, near-zero
-      // constant term.
-      return PA.Index == PB.Index && PA.Scale + PB.Scale == 0.0 &&
-             std::abs(PA.Offset + PB.Offset) < 1e-12;
-    return std::abs(PA.concrete() + PB.concrete()) < 1e-12;
-  }
-  return false;
+  const GateParam &PA = A->ParamAttr, &PB = B->ParamAttr;
+  if (PA.isSymbolic() != PB.isSymbolic())
+    return false;
+  if (PA.isSymbolic())
+    // Symbolic angles cancel only when they sum to zero for *every*
+    // binding: same parameter, exactly opposite scales, near-zero
+    // constant term.
+    return PA.Index == PB.Index && PA.Scale + PB.Scale == 0.0 &&
+           std::abs(PA.Offset + PB.Offset) < 1e-12;
+  return std::abs(PA.concrete() + PB.concrete()) < 1e-12;
 }
 
 /// Erases the pair (A, B) where B consumes all of A's results, rewiring
@@ -204,32 +192,20 @@ void emitCCX(GateEmitter &E, unsigned C1, unsigned C2, unsigned T) {
   E.gate(GateKind::X, {C1}, {C2});
 }
 
-/// Emits the Margolus relative-phase Toffoli (RCCX, 4 T gates); Inverse
-/// replays the adjoint. Safe when compute/uncompute pairs enclose uses, as
-/// in Selinger's controlled-iX scheme.
-void emitRCCX(GateEmitter &E, unsigned C1, unsigned C2, unsigned T,
-              bool Inverse) {
-  if (!Inverse) {
-    E.gate(GateKind::H, {}, {T});
-    E.gate(GateKind::T, {}, {T});
-    E.gate(GateKind::X, {C2}, {T});
-    E.gate(GateKind::Tdg, {}, {T});
-    E.gate(GateKind::X, {C1}, {T});
-    E.gate(GateKind::T, {}, {T});
-    E.gate(GateKind::X, {C2}, {T});
-    E.gate(GateKind::Tdg, {}, {T});
-    E.gate(GateKind::H, {}, {T});
-  } else {
-    E.gate(GateKind::H, {}, {T});
-    E.gate(GateKind::T, {}, {T});
-    E.gate(GateKind::X, {C2}, {T});
-    E.gate(GateKind::Tdg, {}, {T});
-    E.gate(GateKind::X, {C1}, {T});
-    E.gate(GateKind::T, {}, {T});
-    E.gate(GateKind::X, {C2}, {T});
-    E.gate(GateKind::Tdg, {}, {T});
-    E.gate(GateKind::H, {}, {T});
-  }
+/// Emits the Margolus relative-phase Toffoli (RCCX, 4 T gates). The gate
+/// list is its own adjoint, so it both computes and uncomputes. Safe when
+/// compute/uncompute pairs enclose uses, as in Selinger's controlled-iX
+/// scheme.
+void emitRCCX(GateEmitter &E, unsigned C1, unsigned C2, unsigned T) {
+  E.gate(GateKind::H, {}, {T});
+  E.gate(GateKind::T, {}, {T});
+  E.gate(GateKind::X, {C2}, {T});
+  E.gate(GateKind::Tdg, {}, {T});
+  E.gate(GateKind::X, {C1}, {T});
+  E.gate(GateKind::T, {}, {T});
+  E.gate(GateKind::X, {C2}, {T});
+  E.gate(GateKind::Tdg, {}, {T});
+  E.gate(GateKind::H, {}, {T});
 }
 
 /// Emits an n-controlled X via a compute/uncompute AND-ancilla chain.
@@ -259,7 +235,7 @@ void emitMCX(GateEmitter &E, const std::vector<unsigned> &Controls,
     Ancillas.push_back(Anc);
     ChainSteps.push_back({Prev, Controls[I], Anc});
     if (Mode == McDecompose::Selinger)
-      emitRCCX(E, Prev, Controls[I], Anc, /*Inverse=*/false);
+      emitRCCX(E, Prev, Controls[I], Anc);
     else
       emitCCX(E, Prev, Controls[I], Anc);
     Prev = Anc;
@@ -267,7 +243,7 @@ void emitMCX(GateEmitter &E, const std::vector<unsigned> &Controls,
   emitCCX(E, Prev, Controls[N - 1], Target);
   for (auto It = ChainSteps.rbegin(); It != ChainSteps.rend(); ++It) {
     if (Mode == McDecompose::Selinger)
-      emitRCCX(E, (*It)[0], (*It)[1], (*It)[2], /*Inverse=*/true);
+      emitRCCX(E, (*It)[0], (*It)[1], (*It)[2]);
     else
       emitCCX(E, (*It)[0], (*It)[1], (*It)[2]);
   }
@@ -294,17 +270,8 @@ bool decomposeOp(Op *O, McDecompose Mode) {
     return false;
   unsigned NC = O->NumControls;
   GateKind K = O->GateAttr;
-  bool NeedsWork = false;
-  if (K == GateKind::Swap)
-    NeedsWork = NC >= 1;
-  else if (K == GateKind::X || K == GateKind::Z)
-    NeedsWork = NC >= 2;
-  else if (K == GateKind::P || K == GateKind::H || K == GateKind::Y ||
-           K == GateKind::S || K == GateKind::Sdg || K == GateKind::T ||
-           K == GateKind::Tdg || K == GateKind::RX || K == GateKind::RY ||
-           K == GateKind::RZ)
-    NeedsWork = NC >= 2;
-  if (!NeedsWork)
+  // A controlled SWAP and any gate with two or more controls decompose.
+  if (NC < (K == GateKind::Swap ? 1u : 2u))
     return false;
 
   Builder B(O->ParentBlock, O);

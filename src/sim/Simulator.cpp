@@ -127,16 +127,16 @@ bool asdf::unitariesEquivalent(const std::vector<std::vector<Amplitude>> &A,
   if (A.size() != B.size())
     return false;
   uint64_t Dim = A.size();
-  // Find a reference entry with significant magnitude to fix the phase.
-  Amplitude Phase(0.0, 0.0);
-  for (uint64_t R = 0; R < Dim && std::abs(Phase) < 0.5; ++R)
+  // Fix the global phase at B's largest-magnitude entry (where A is
+  // nonzero too). No fixed threshold: every entry of H (x) H is 0.5.
+  Amplitude Phase(1.0, 0.0);
+  double Largest = 0.0;
+  for (uint64_t R = 0; R < Dim; ++R)
     for (uint64_t C = 0; C < Dim; ++C)
-      if (std::abs(B[R][C]) > 0.5 && std::abs(A[R][C]) > 1e-12) {
+      if (std::abs(B[R][C]) > Largest && std::abs(A[R][C]) > 1e-12) {
+        Largest = std::abs(B[R][C]);
         Phase = A[R][C] / B[R][C];
-        break;
       }
-  if (std::abs(Phase) < 1e-12)
-    Phase = Amplitude(1.0, 0.0);
   Phase /= std::abs(Phase);
   for (uint64_t R = 0; R < Dim; ++R)
     for (uint64_t C = 0; C < Dim; ++C)

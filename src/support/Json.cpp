@@ -283,9 +283,16 @@ private:
     char C = Text[Pos];
     switch (C) {
     case '{':
-      return parseObject(Out);
-    case '[':
-      return parseArray(Out);
+    case '[': {
+      // The parser recurses per level; cap it so no line overflows the
+      // stack.
+      if (Depth == MaxDepth)
+        return error("nesting too deep");
+      ++Depth;
+      bool Ok = C == '{' ? parseObject(Out) : parseArray(Out);
+      --Depth;
+      return Ok;
+    }
     case '"': {
       std::string S;
       if (!parseString(S))
@@ -529,8 +536,10 @@ private:
     return true;
   }
 
+  static constexpr unsigned MaxDepth = 512;
   const std::string &Text;
   size_t Pos = 0;
+  unsigned Depth = 0;
   std::string Err;
 };
 

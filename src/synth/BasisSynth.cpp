@@ -337,9 +337,10 @@ void asdf::emitQFT(GateEmitter &E, unsigned Offset, unsigned Dim,
   std::vector<Step> Steps;
   for (unsigned J = 0; J < Dim; ++J) {
     Steps.push_back({Step::K::H, Offset + J, 0, 0.0});
+    // pi / 2^(K-J); K - J reaches Dim - 1, past what a 64-bit shift holds.
     for (unsigned K = J + 1; K < Dim; ++K)
       Steps.push_back({Step::K::CP, Offset + K, Offset + J,
-                       M_PI / double(uint64_t(1) << (K - J))});
+                       std::ldexp(M_PI, -int(K - J))});
   }
   for (unsigned I = 0; I < Dim / 2; ++I)
     Steps.push_back({Step::K::Swap, Offset + I, Offset + Dim - 1 - I, 0.0});

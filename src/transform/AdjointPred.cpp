@@ -111,8 +111,7 @@ static bool buildAdjointOp(Builder &B, Op *O, ValueMap &Map) {
     }
     GateKind Adj = adjointGateKind(O->GateAttr);
     GateParam Param = O->ParamAttr;
-    if (O->GateAttr == GateKind::P || O->GateAttr == GateKind::RX ||
-        O->GateAttr == GateKind::RY || O->GateAttr == GateKind::RZ)
+    if (isParamGate(O->GateAttr))
       Param = Param.negated();
     std::vector<Value *> Results = B.gate(Adj, Controls, Targets, Param);
     for (unsigned I = 0; I < O->numOperands(); ++I)
@@ -373,8 +372,8 @@ bool buildPredicatedOp(Builder &B, Op *O, ValueMap &Map, PredState &PS) {
     unsigned M = PS.PredQs.size();
     for (unsigned I = 0; I < M; ++I)
       PS.PredQs[I] = Results[I];
-    for (unsigned I = 0; I < O->numOperands(); ++I)
-      Map[O->operand(I)] = Results[M + I];
+    for (unsigned I = 0; I < O->numResults(); ++I)
+      Map[O->result(I)] = Results[M + I];
     return true;
   }
   case OpKind::QAlloc: {

@@ -300,6 +300,66 @@ TEST(TranspileTest, BlockedCancellationPreserved) {
   EXPECT_EQ(Out.Instrs.size(), 3u);
 }
 
+/// transpileO3 must not change a single shot: same seed, same bits.
+void expectSameShots(const Circuit &C) {
+  Circuit Opt = transpileO3(C);
+  for (uint64_t Seed = 0; Seed < 32; ++Seed)
+    ASSERT_EQ(simulate(C, Seed).Bits, simulate(Opt, Seed).Bits)
+        << "seed " << Seed << "\nbefore:\n"
+        << C.str() << "after:\n"
+        << Opt.str();
+}
+
+TEST(TranspileTest, KeepsGatesConditionedOnOppositeValues) {
+  // The two branches flatten to `if c0==1: X q1` and `if c0==0: X q1`.
+  // Exactly one fires, so r reads 1 on every shot.
+  const char *Source = R"(
+qpu kernel() -> bit[2] {
+    m = 'p' | std.measure
+    r = '0' | (std.flip if m else id) | (id if m else std.flip) | std.measure
+    return m + r
+}
+)";
+  CompileSession S(Source, {});
+  Circuit *C = S.flatCircuit();
+  ASSERT_TRUE(C) << S.errorMessage();
+  expectSameShots(*C);
+}
+
+TEST(TranspileTest, NoPairAcrossAWriteToTheConditionBit) {
+  // The second measurement rewrites c0 between the two conditioned X's:
+  // the first is skipped, the second fires.
+  Circuit C;
+  C.NumQubits = 2;
+  C.NumBits = 2;
+  CircuitInstr Fix = CircuitInstr::gate(GateKind::X, {}, {1});
+  Fix.CondBit = 0;
+  C.append(CircuitInstr::measure(0, 0));
+  C.append(Fix);
+  C.append(CircuitInstr::gate(GateKind::X, {}, {0}));
+  C.append(CircuitInstr::measure(0, 0));
+  C.append(Fix);
+  C.append(CircuitInstr::measure(1, 1));
+  expectSameShots(C);
+}
+
+TEST(TranspileTest, ControlledTwoPiRotationIsNotIdentity) {
+  // RZ(2pi) = -I is a global phase alone but a Z on the control when
+  // controlled: only uncontrolled 2pi and controlled 4pi rotations vanish.
+  Circuit C;
+  C.NumQubits = 3;
+  C.append(CircuitInstr::gate(GateKind::RZ, {0}, {1}, M_PI));
+  C.append(CircuitInstr::gate(GateKind::RZ, {0}, {1}, M_PI));
+  C.append(CircuitInstr::gate(GateKind::RX, {}, {2}, M_PI));
+  C.append(CircuitInstr::gate(GateKind::RX, {}, {2}, M_PI));
+  C.append(CircuitInstr::gate(GateKind::RY, {1}, {2}, 2 * M_PI));
+  C.append(CircuitInstr::gate(GateKind::RY, {1}, {2}, 2 * M_PI));
+  Circuit Out = transpileO3(C);
+  ASSERT_EQ(Out.Instrs.size(), 1u) << Out.str();
+  EXPECT_TRUE(unitariesEquivalent(circuitUnitary(C), circuitUnitary(Out)))
+      << Out.str();
+}
+
 TEST(TranspileTest, PreservesSemantics) {
   Circuit C = buildBaselineCircuit(BenchAlgorithm::Grover,
                                    BaselineStyle::QSharp, 3);

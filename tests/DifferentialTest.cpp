@@ -23,8 +23,13 @@
 /// distributions must match the dense engine's on random dynamic Clifford
 /// circuits.
 ///
+/// A third battery holds the transpile-o3 pass to the simulator on random
+/// circuits rich in rotations: the same unitary up to global phase when
+/// measurement-free, the same shots at a fixed seed when dynamic.
+///
 //===----------------------------------------------------------------------===//
 
+#include "baselines/Baselines.h"
 #include "noise/NoiseModel.h"
 #include "sim/CircuitAnalysis.h"
 #include "sim/Fusion.h"
@@ -37,6 +42,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <random>
 
 using namespace asdf;
@@ -46,15 +52,23 @@ namespace {
 /// A random circuit over \p NumQubits qubits mixing Clifford gates,
 /// rotations, Toffoli-class gates, mid-circuit measurement, reset, and
 /// feed-forward, ending in measure-all. \p CliffordOnly restricts the gate
-/// alphabet to what the tableau engine supports exactly.
+/// alphabet to what the tableau engine supports exactly. \p Rewritable
+/// adds rotations, controlled and not, at multiples of pi/4 from -2pi to
+/// 2pi, so that a circuit optimizer's merges and identity drops fire.
 Circuit randomCircuit(std::mt19937_64 &Rng, unsigned NumQubits,
-                      unsigned NumInstrs, bool CliffordOnly) {
+                      unsigned NumInstrs, bool CliffordOnly,
+                      bool Rewritable = false) {
   Circuit C;
   C.NumQubits = NumQubits;
   C.NumBits = NumQubits;
-  std::uniform_int_distribution<unsigned> PickOp(0, CliffordOnly ? 11 : 15);
+  std::uniform_int_distribution<unsigned> PickOp(
+      0, CliffordOnly ? 11 : Rewritable ? 17 : 15);
   std::uniform_int_distribution<unsigned> PickQubit(0, NumQubits - 1);
   std::uniform_real_distribution<double> PickAngle(-2.0 * M_PI, 2.0 * M_PI);
+  std::uniform_int_distribution<int> PickEighths(-8, 8);
+  const GateKind Rotations[] = {GateKind::P, GateKind::RX, GateKind::RY,
+                                GateKind::RZ};
+  std::uniform_int_distribution<unsigned> PickRotation(0, 3);
   auto Other = [&](unsigned A) {
     unsigned B = PickQubit(Rng);
     while (NumQubits > 1 && B == A)
@@ -117,7 +131,7 @@ Circuit randomCircuit(std::mt19937_64 &Rng, unsigned NumQubits,
       C.append(CircuitInstr::gate(
           N % 2 ? GateKind::RZ : GateKind::P, {}, {A}, PickAngle(Rng)));
       break;
-    default: {
+    case 15: {
       if (NumQubits < 3) {
         C.append(CircuitInstr::gate(GateKind::Tdg, {}, {A}));
         break;
@@ -127,6 +141,14 @@ Circuit randomCircuit(std::mt19937_64 &Rng, unsigned NumQubits,
         D = Other(A);
       C.append(CircuitInstr::gate(N % 2 ? GateKind::X : GateKind::Z,
                                   {B, D}, {A})); // Toffoli / CCZ
+      break;
+    }
+    default: {
+      std::vector<unsigned> Controls;
+      if (NumQubits > 1 && Rng() % 2)
+        Controls.push_back(Other(A));
+      C.append(CircuitInstr::gate(Rotations[PickRotation(Rng)], Controls,
+                                  {A}, PickEighths(Rng) * M_PI / 4));
       break;
     }
     }
@@ -221,8 +243,7 @@ unsigned parameterize(Circuit &C, std::mt19937_64 &Rng) {
   for (CircuitInstr &I : C.Instrs) {
     if (I.TheKind != CircuitInstr::Kind::Gate)
       continue;
-    if (I.Gate != GateKind::RX && I.Gate != GateKind::RY &&
-        I.Gate != GateKind::RZ && I.Gate != GateKind::P)
+    if (!isParamGate(I.Gate))
       continue;
     I.ParamIdx = static_cast<int>(Lifted % 3);
     I.ParamScale = PickScale(Rng);
@@ -826,6 +847,94 @@ TEST(DifferentialTest, StabilizerMatchesStatevectorDistributions) {
         runShots(C, Shots, 800 + Trial, BackendKind::Stabilizer);
     EXPECT_LT(tvDistance(Sv, Stab, Shots), 0.11) << "trial " << Trial;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// transpile-o3 keeps the meaning of generated circuits
+//===----------------------------------------------------------------------===//
+
+/// What transpileO3 removed over a property run, to show its rewrites
+/// fired. Only rotations merge or drop as identities; every other gate
+/// leaves in a cancelling pair.
+struct RewriteTally {
+  unsigned Circuits = 0, Changed = 0, PairsCancelled = 0,
+           RotationsRemoved = 0;
+
+  void add(const Circuit &In, const Circuit &Out) {
+    auto Gates = [](const Circuit &C, bool Rotations) {
+      return static_cast<unsigned>(std::count_if(
+          C.Instrs.begin(), C.Instrs.end(), [&](const CircuitInstr &I) {
+            return I.TheKind == CircuitInstr::Kind::Gate &&
+                   isParamGate(I.Gate) == Rotations;
+          }));
+    };
+    ++Circuits;
+    Changed += Out.Instrs.size() != In.Instrs.size();
+    PairsCancelled += (Gates(In, false) - Gates(Out, false)) / 2;
+    RotationsRemoved += Gates(In, true) - Gates(Out, true);
+  }
+
+  /// Prints the tally and checks that both kinds of rewrite fired often.
+  void report(const char *What) const {
+    std::printf("transpile-o3 on %u %s circuits: %u changed, %u gate pairs "
+                "cancelled, %u rotations cancelled, merged or dropped\n",
+                Circuits, What, Changed, PairsCancelled, RotationsRemoved);
+    EXPECT_GT(PairsCancelled, Circuits / 4);
+    EXPECT_GT(RotationsRemoved, Circuits / 4);
+  }
+};
+
+TEST(DifferentialTest, TranspileO3KeepsUnitaries) {
+  std::mt19937_64 Rng(0x7A45ull);
+  RewriteTally Tally;
+  unsigned Broken = 0;
+  for (unsigned Trial = 0; Trial < 2000; ++Trial) {
+    Circuit C = randomCircuit(Rng, 2 + Trial % 4, 12 + Trial % 24,
+                              /*CliffordOnly=*/false, /*Rewritable=*/true);
+    std::erase_if(C.Instrs, [](const CircuitInstr &I) {
+      return I.TheKind != CircuitInstr::Kind::Gate || I.CondBit >= 0;
+    });
+    Circuit Opt = transpileO3(C);
+    Tally.add(C, Opt);
+    if (!unitariesEquivalent(circuitUnitary(C), circuitUnitary(Opt)) &&
+        Broken++ < 3)
+      ADD_FAILURE() << "trial " << Trial << " before:\n"
+                    << C.str() << "after:\n"
+                    << Opt.str();
+  }
+  EXPECT_EQ(Broken, 0u) << "circuits whose unitary transpile-o3 changed";
+  Tally.report("measurement-free");
+}
+
+TEST(DifferentialTest, TranspileO3KeepsShots) {
+  // No rewrite removes a measurement or reset, so both circuits draw the
+  // same random numbers in the same order and must agree shot for shot.
+  std::mt19937_64 Rng(0x7A46ull);
+  StatevectorBackend Sv;
+  RunOptions Reference;
+  Reference.Jobs = 1;
+  Reference.Fuse = false;
+  RewriteTally Tally;
+  unsigned Broken = 0;
+  for (unsigned Trial = 0; Trial < 2000; ++Trial) {
+    Circuit C = randomCircuit(Rng, 2 + Trial % 5, 12 + Trial % 24,
+                              /*CliffordOnly=*/false, /*Rewritable=*/true);
+    Circuit Opt = transpileO3(C);
+    Tally.add(C, Opt);
+    uint64_t Seed = 7000 + Trial;
+    std::vector<ShotResult> Want = Sv.runBatch(C, 8, Seed, Reference);
+    std::vector<ShotResult> Got = Sv.runBatch(Opt, 8, Seed, Reference);
+    for (unsigned S = 0; S < Want.size(); ++S)
+      if (Want[S].Bits != Got[S].Bits) {
+        if (Broken++ < 3)
+          ADD_FAILURE() << "trial " << Trial << " shot " << S << " before:\n"
+                        << C.str() << "after:\n"
+                        << Opt.str();
+        break;
+      }
+  }
+  EXPECT_EQ(Broken, 0u) << "circuits whose shots transpile-o3 changed";
+  Tally.report("dynamic");
 }
 
 } // namespace

@@ -12,18 +12,24 @@
 /// register naming, instruction order — shows up as a readable diff here
 /// instead of silently altering every downstream artifact.
 ///
+/// It also pins the 80 circuits of the paper's evaluation (§8.3) as they
+/// leave the common transpile-o3 pass: their counts, the fault-tolerant
+/// estimate, and a digest of the circuit text.
+///
 /// Regeneration workflow: README "Golden files". Golden files live at
 /// ASDF_GOLDEN_DIR, baked in by CMake as <source>/tests/golden.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "baselines/Baselines.h"
+#include "BenchCommon.h"
 #include "codegen/QasmEmitter.h"
 #include "codegen/QirEmitter.h"
-#include "compiler/CompileSession.h"
+#include "estimate/ResourceEstimator.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -241,6 +247,44 @@ TEST(EmitterGoldenTest, QirTeleportation) {
   ASSERT_NE(C.QCircIR, nullptr);
   QirCallableStats Stats;
   checkGolden("teleportation.ll", emitQirUnrestricted(*C.QCircIR, &Stats));
+}
+
+TEST(EmitterGoldenTest, PaperCircuitsAfterTranspileO3) {
+  // One line per circuit of Figs. 11-12: five programs, four sizes, and
+  // Asdf's circuit beside the three baseline compilers' circuits.
+  const BenchAlgorithm Algs[] = {BenchAlgorithm::BV, BenchAlgorithm::DJ,
+                                 BenchAlgorithm::Grover, BenchAlgorithm::Simon,
+                                 BenchAlgorithm::PeriodFinding};
+  const BaselineStyle Styles[] = {BaselineStyle::Qiskit,
+                                  BaselineStyle::Quipper,
+                                  BaselineStyle::QSharp};
+  std::string Got;
+  auto Line = [&](BenchAlgorithm Alg, unsigned N, const char *Compiler,
+                  const Circuit &C) {
+    CircuitStats S = C.stats();
+    ResourceEstimate E = estimateResources(C);
+    ContentHasher H;
+    H.str(C.str());
+    std::array<uint64_t, 2> D = H.digest();
+    char Buf[256];
+    std::snprintf(Buf, sizeof(Buf),
+                  "%s %u %s instrs=%llu t=%llu depth=%llu t_depth=%llu "
+                  "runtime_s=%.6e phys_qubits=%llu str=%016llx%016llx\n",
+                  benchAlgorithmName(Alg), N, Compiler,
+                  (unsigned long long)S.Total, (unsigned long long)S.TCount,
+                  (unsigned long long)S.Depth, (unsigned long long)S.TDepth,
+                  E.RuntimeSeconds, (unsigned long long)E.PhysicalQubits,
+                  (unsigned long long)D[0], (unsigned long long)D[1]);
+    Got += Buf;
+  };
+  for (BenchAlgorithm Alg : Algs)
+    for (unsigned N : {16u, 32u, 64u, 128u}) {
+      Line(Alg, N, "Asdf", compileAsdfBenchmark(Alg, N));
+      for (BaselineStyle Style : Styles)
+        Line(Alg, N, baselineStyleName(Style),
+             buildBaselineBenchmark(Alg, Style, N));
+    }
+  checkGolden("paper_circuits.txt", Got);
 }
 
 } // namespace

@@ -18,7 +18,9 @@
 ///     comma-decimal locale (skipping if none is installed) and requires
 ///     byte-identical behavior;
 ///   - the lexer's float literals share the fix: "45.5" in a Qwerty
-///     program must lex to 45.5 under any locale.
+///     program must lex to 45.5 under any locale;
+///   - nesting is capped, so one line of a million '[' is a parse error
+///     rather than a stack overflow in the recursive parser.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -135,6 +137,18 @@ TEST(JsonNumberTest, LexerFloatLiteralsIgnoreLocale) {
   ASSERT_TRUE(Toks[0].is(Token::Kind::Float));
   EXPECT_EQ(Toks[0].FloatValue, 45.5)
       << "float literal truncated at the '.' under a comma-decimal locale";
+}
+
+TEST(JsonParseTest, DeepNestingIsAnErrorNotAStackOverflow) {
+  json::Value V;
+  std::string Error;
+  std::string AtCap = std::string(512, '[') + std::string(512, ']');
+  EXPECT_TRUE(json::parse(AtCap, V, Error)) << Error;
+  std::string OverCap = "{\"a\": " + AtCap + "}";
+  EXPECT_FALSE(json::parse(OverCap, V, Error));
+  EXPECT_NE(Error.find("nesting too deep"), std::string::npos) << Error;
+  EXPECT_FALSE(json::parse(std::string(1000000, '['), V, Error));
+  EXPECT_NE(Error.find("nesting too deep"), std::string::npos) << Error;
 }
 
 } // namespace

@@ -254,22 +254,29 @@ qpu kernel(q: qubit[2]) -> qubit[2] {
 }
 
 TEST(PipelineTest, PredicatedKernelActsOnlyInSpan) {
-  const char *Source = R"(
-qpu flipper(q: qubit) -> qubit {
-    return q | std.flip
-}
-qpu kernel(q: qubit[2]) -> qubit[2] {
-    return q | '1' & flipper
-}
-)";
-  CompileSession Session(Source, {});
-  Circuit *C = Session.flatCircuit();
-  ASSERT_TRUE(C) << Session.errorMessage();
-  // '1' & X == CX.
-  std::vector<std::vector<Amplitude>> U = circuitUnitary(*C);
-  std::vector<std::vector<Amplitude>> CX(4, std::vector<Amplitude>(4));
+  // '1' & X == CX, and '1' & RZ(pi) == controlled-RZ(pi).
+  using Matrix = std::vector<std::vector<Amplitude>>;
+  Matrix CX(4, std::vector<Amplitude>(4)), CRZ(4, std::vector<Amplitude>(4));
   CX[0][0] = CX[1][1] = CX[3][2] = CX[2][3] = Amplitude(1);
-  EXPECT_TRUE(unitariesEquivalent(U, CX, 1e-8));
+  CRZ[0][0] = CRZ[1][1] = Amplitude(1);
+  CRZ[2][2] = Amplitude(0, -1);
+  CRZ[3][3] = Amplitude(0, 1);
+  const std::pair<const char *, Matrix> Bodies[] = {
+      {"std.flip", CX}, {"std.rotate(180)", CRZ}};
+  for (const auto &[Body, Want] : Bodies) {
+    std::string Source = std::string("qpu body(q: qubit) -> qubit {\n"
+                                     "    return q | ") +
+                         Body +
+                         "\n}\n"
+                         "qpu kernel(q: qubit[2]) -> qubit[2] {\n"
+                         "    return q | '1' & body\n}\n";
+    CompileSession Session(Source, {});
+    Circuit *C = Session.flatCircuit();
+    ASSERT_TRUE(C) << Body << ": " << Session.errorMessage();
+    EXPECT_TRUE(unitariesEquivalent(circuitUnitary(*C), Want, 1e-8))
+        << Body << ":\n"
+        << C->str();
+  }
 }
 
 TEST(PipelineTest, RenamingSwapPredication) {

@@ -562,6 +562,19 @@ TEST_F(ServiceEndToEnd, ErrorsTheServerAnswersItselfAreCounted) {
       << Metrics;
 }
 
+TEST_F(ServiceEndToEnd, DeeplyNestedLineIsABadRequestNotACrash) {
+  // A million '[' once overflowed the recursive JSON parser's stack and
+  // killed the daemon. It is a bad request; the daemon keeps serving.
+  std::vector<std::string> Replies = exchangeRawLines(
+      Socket, {std::string(1000000, '['), "{\"id\": 2, \"op\": \"stats\"}"});
+  ASSERT_EQ(Replies.size(), 2u);
+  EXPECT_NE(Replies[0].find("\"ok\":false"), std::string::npos) << Replies[0];
+  EXPECT_NE(Replies[0].find("bad-request"), std::string::npos) << Replies[0];
+  EXPECT_NE(Replies[1].find("\"ok\":true"), std::string::npos) << Replies[1];
+  EXPECT_NE(Replies[1].find("\"requests\""), std::string::npos)
+      << Replies[1];
+}
+
 TEST_F(ServiceEndToEnd, BindRunSweepIsBitIdenticalToAsdfcSweep) {
   // The daemon's bind-params fast path vs asdfc's in-process sweep: same
   // source, sweep spec, shots, and seed must produce byte-identical

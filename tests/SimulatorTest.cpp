@@ -245,6 +245,23 @@ TEST(SimulatorTest, UnitaryEquivalenceUpToGlobalPhase) {
   EXPECT_TRUE(unitariesEquivalent(circuitUnitary(A), circuitUnitary(B)));
 }
 
+TEST(SimulatorTest, UnitaryEquivalenceWhenNoEntryExceedsOneHalf) {
+  // Every entry of H (x) H has magnitude 1/2: the global phase must still
+  // be read off one of them.
+  Circuit C;
+  C.NumQubits = 2;
+  C.append(CircuitInstr::gate(GateKind::H, {}, {0}));
+  C.append(CircuitInstr::gate(GateKind::H, {}, {1}));
+  std::vector<std::vector<Amplitude>> U = circuitUnitary(C), Neg = U;
+  for (auto &Row : Neg)
+    for (Amplitude &X : Row)
+      X = -X;
+  EXPECT_TRUE(unitariesEquivalent(U, Neg));
+  // A relative phase is not a global one.
+  C.append(CircuitInstr::gate(GateKind::Z, {}, {0}));
+  EXPECT_FALSE(unitariesEquivalent(U, circuitUnitary(C)));
+}
+
 TEST(SimulatorTest, OverlapDetectsOrthogonality) {
   StateVector A(1), B(1);
   B.apply(GateKind::X, {}, {0}, 0);
