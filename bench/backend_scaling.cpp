@@ -146,17 +146,16 @@ int main(int argc, char **argv) {
   {
     Circuit C = rotationDense(DenseN, 2);
     StatevectorBackend Sv;
-    RunOptions Ref; // the serial, unfused reference configuration
-    Ref.Jobs = 1;
-    Ref.Fuse = false;
-    Ref.Parallel = ParallelMode::Shot;
-    RunOptions Opt; // the default optimized plan: fuse-k 3, hybrid workers
+    RunOptions Opt; // the batch plan: fused blocks, amplitude-parallel
     SimStats Stats;
     Opt.SimCounters = &Stats;
-    std::vector<ShotResult> A, B;
-    RefSecs = seconds([&] { A = Sv.runBatch(C, 1, 42, Ref); });
+    ShotResult A;
+    std::vector<ShotResult> B;
+    // run() is the serial, unfused reference; shot 0 of a batch runs with
+    // deriveShotSeed(Seed, 0).
+    RefSecs = seconds([&] { A = Sv.run(C, deriveShotSeed(42, 0)); });
     OptSecs = seconds([&] { B = Sv.runBatch(C, 1, 42, Opt); });
-    bool Same = A[0].Bits == B[0].Bits;
+    bool Same = A.Bits == B[0].Bits;
     uint64_t Amps = Stats.AmplitudesTouched;
     AmpsPerSec = OptSecs > 0 ? double(Amps) / OptSecs : 0.0;
     std::printf("\n--- dense single-shot, %u qubits (rotation-dense) ---\n",

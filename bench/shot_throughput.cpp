@@ -7,12 +7,13 @@
 /// \file
 /// Charts the dense execution plan on a rotation-dense circuit (layered
 /// RY/RZ over every wire with CX ladders — the gate mix of Grover and
-/// period finding after decomposition): shots/sec versus worker count with
-/// fusion on and off, plus the single-shot fusion gain on the prefix.
+/// period finding after decomposition): shots/sec of the fused batch
+/// versus worker count, against the serial, unfused per-shot reference
+/// StatevectorBackend::run(), plus the single-shot fusion gain.
 ///
 /// Also re-proves the determinism contract where it matters most: every
-/// (jobs, fuse) configuration must return bit-identical per-shot results,
-/// and the first shots must equal per-shot StatevectorBackend::run().
+/// worker count must return bit-identical per-shot results, and the first
+/// shots must equal per-shot run().
 ///
 /// Usage: shot_throughput [--smoke] [--json <path>] [qubits] [shots] [layers]
 ///        (default 20 1000 4; --smoke = 12 300 3, sized for CI runners —
@@ -101,64 +102,69 @@ int main(int argc, char **argv) {
   std::printf("fusion plan: %s\n\n", FC.summary().c_str());
   Json.config("fusion_plan", FC.summary());
 
-  // Single-shot prefix gain: the whole rotation cascade runs once per call.
+  // The unfused baseline is per-shot run(), which re-simulates the whole
+  // circuit every shot: timed over the first few shots, whose bits anchor
+  // the parity check below. Its first shot is the single-shot baseline.
+  unsigned RefShots = Shots < 8 ? Shots : 8;
+  std::vector<ShotResult> Ref(RefShots);
+  double TU = 0.0, TRef = 0.0;
+  for (unsigned S = 0; S < RefShots; ++S) {
+    TRef += seconds([&] { Ref[S] = Sv.run(C, deriveShotSeed(42, S)); });
+    if (S == 0)
+      TU = TRef;
+  }
   {
-    RunOptions Fused, Unfused;
-    Fused.Jobs = Unfused.Jobs = 1;
-    Unfused.Fuse = false;
-    double TU = seconds([&] { Sv.runBatch(C, 1, 42, Unfused); });
+    RunOptions Fused;
+    Fused.Jobs = 1;
     double TF = seconds([&] { Sv.runBatch(C, 1, 42, Fused); });
-    std::printf("single shot: unfused %.4f s, fused %.4f s  (%.2fx)\n\n",
+    std::printf("single shot: unfused run() %.4f s, fused batch %.4f s  "
+                "(%.2fx)\n\n",
                 TU, TF, TF > 0 ? TU / TF : 0.0);
     Json.metric("single_shot_unfused_seconds", TU, "s");
     Json.metric("single_shot_fused_seconds", TF, "s");
   }
 
-  std::printf("%6s %8s %14s %14s %10s\n", "jobs", "fusion", "seconds",
+  std::printf("%8s %6s %14s %14s %10s\n", "path", "jobs", "seconds",
               "shots/sec", "speedup");
-  double Base = 0.0, FusedAt1 = 0.0, FusedAt4 = 0.0;
-  for (bool Fuse : {false, true}) {
-    for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
-      RunOptions Opts;
-      Opts.Jobs = Jobs;
-      Opts.Fuse = Fuse;
-      SimStats Stats;
-      Opts.SimCounters = &Stats;
-      double T = seconds([&] { Sv.runBatch(C, Shots, 42, Opts); });
-      if (!Fuse && Jobs == 1)
-        Base = T;
-      if (Fuse && Jobs == 1)
-        FusedAt1 = T;
-      if (Fuse && Jobs == 4)
-        FusedAt4 = T;
-      std::printf("%6u %8s %14.4f %14.1f %9.2fx\n", Jobs,
-                  Fuse ? "on" : "off", T, Shots / T,
-                  Base > 0 ? Base / T : 1.0);
-      std::string Tag = std::string("j") + std::to_string(Jobs) +
-                        (Fuse ? "_fused" : "_unfused");
-      Json.metric("shots_per_sec_" + Tag, Shots / T, "shots/sec");
-      if (Fuse && Jobs == 1) {
+  double BaseRate = RefShots / TRef;
+  std::printf("%8s %6u %14.4f %14.1f %9.2fx\n", "run()", 1u, TRef, BaseRate,
+              1.0);
+  Json.metric("shots_per_sec_j1_unfused", BaseRate, "shots/sec");
+  double FusedAt1 = 0.0, FusedAt4 = 0.0;
+  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
+    RunOptions Opts;
+    Opts.Jobs = Jobs;
+    SimStats Stats;
+    Opts.SimCounters = &Stats;
+    double T = seconds([&] { Sv.runBatch(C, Shots, 42, Opts); });
+    if (Jobs == 1)
+      FusedAt1 = T;
+    if (Jobs == 4)
+      FusedAt4 = T;
+    std::printf("%8s %6u %14.4f %14.1f %9.2fx\n", "batch", Jobs, T,
+                Shots / T, Shots / T / BaseRate);
+    Json.metric("shots_per_sec_j" + std::to_string(Jobs) + "_fused",
+                Shots / T, "shots/sec");
+    if (Jobs == 1) {
         // The per-run counters ride along once, from the canonical config.
         Json.metric("fused_ops", double(Stats.FusedOps), "count");
         Json.metric("fused_blocks", double(Stats.FusedBlocks),
                     "count");
         Json.metric("amplitudes_touched",
                     double(Stats.AmplitudesTouched), "count");
-        Json.metric("amps_per_sec",
-                    T > 0 ? double(Stats.AmplitudesTouched) / T : 0.0,
-                    "amps/sec");
-      }
+      Json.metric("amps_per_sec",
+                  T > 0 ? double(Stats.AmplitudesTouched) / T : 0.0,
+                  "amps/sec");
     }
   }
 
-  // Determinism: the fastest and the slowest configuration agree
-  // bit-exactly. Both run the measure tail on the collapsed register, so
-  // the first shots are also anchored to the per-shot reference run(),
-  // which collapses the full state.
+  // Determinism: the serial and the widest batch agree bit-exactly. Both
+  // run the measure tail on the collapsed register, so their first shots
+  // are also anchored to the per-shot reference run(), which collapses the
+  // full state.
   {
     RunOptions Serial, Parallel;
     Serial.Jobs = 1;
-    Serial.Fuse = false;
     Parallel.Jobs = 0;
     unsigned CheckShots = Shots < 64 ? Shots : 64;
     std::vector<ShotResult> A = Sv.runBatch(C, CheckShots, 42, Serial);
@@ -166,11 +172,10 @@ int main(int argc, char **argv) {
     bool Same = true;
     for (unsigned S = 0; S < CheckShots; ++S)
       Same &= A[S].Bits == B[S].Bits;
-    unsigned RefShots = CheckShots < 8 ? CheckShots : 8;
     bool SameAsRun = true;
     for (unsigned S = 0; S < RefShots; ++S)
-      SameAsRun &= Sv.run(C, deriveShotSeed(42, S)).Bits == A[S].Bits;
-    std::printf("\nper-shot parity, serial-unfused vs parallel-fused: %s\n",
+      SameAsRun &= Ref[S].Bits == A[S].Bits;
+    std::printf("\nper-shot parity, serial vs parallel batch: %s\n",
                 Same ? "bit-exact" : "MISMATCH");
     std::printf("per-shot parity, first %u shots vs run(): %s\n", RefShots,
                 SameAsRun ? "bit-exact" : "MISMATCH");

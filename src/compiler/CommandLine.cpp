@@ -8,6 +8,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <string_view>
 
 using namespace asdf;
 
@@ -15,16 +16,17 @@ namespace {
 
 /// Parses all of \p S but its surrounding whitespace (sweep specs read
 /// naturally as "0; 45.5; 90"); from_chars is locale-independent and exact.
-template <typename T> bool parseWhole(const std::string &S, T &Out) {
-  const char *B = S.c_str();
-  const char *E = B + S.size();
-  while (B != E && std::isspace(static_cast<unsigned char>(*B)))
-    ++B;
-  while (E != B && std::isspace(static_cast<unsigned char>(E[-1])))
-    --E;
-  if (B == E)
+/// \p Fmt is from_chars' base or format, if any.
+template <typename T, typename... FmtT>
+bool parseWhole(std::string_view S, T &Out, FmtT... Fmt) {
+  while (!S.empty() && std::isspace(static_cast<unsigned char>(S.front())))
+    S.remove_prefix(1);
+  while (!S.empty() && std::isspace(static_cast<unsigned char>(S.back())))
+    S.remove_suffix(1);
+  if (S.empty())
     return false;
-  std::from_chars_result R = std::from_chars(B, E, Out);
+  const char *E = S.data() + S.size();
+  std::from_chars_result R = std::from_chars(S.data(), E, Out, Fmt...);
   return R.ec == std::errc() && R.ptr == E;
 }
 
@@ -55,6 +57,30 @@ std::vector<std::string> asdf::splitOn(const std::string &S, char Sep) {
 
 bool asdf::parseDoubleArg(const std::string &S, double &Out) {
   return parseWhole(S, Out);
+}
+
+bool asdf::parseUnsignedArg(const std::string &Flag, const std::string &Value,
+                            uint64_t Max, uint64_t &Out,
+                            std::string &Error) {
+  std::string_view Digits = Value;
+  while (!Digits.empty() &&
+         std::isspace(static_cast<unsigned char>(Digits.front())))
+    Digits.remove_prefix(1);
+  int Base = 10;
+  if (Digits.size() > 2 && Digits[0] == '0' &&
+      (Digits[1] == 'x' || Digits[1] == 'X') &&
+      std::isxdigit(static_cast<unsigned char>(Digits[2]))) {
+    Digits.remove_prefix(2);
+    Base = 16;
+  }
+  uint64_t N = 0;
+  if (!parseWhole(Digits, N, Base) || N > Max) {
+    Error = Flag + " value '" + Value + "' is not a whole number from 0 to " +
+            std::to_string(Max);
+    return false;
+  }
+  Out = N;
+  return true;
 }
 
 bool asdf::parseBindArg(const std::string &Arg, ProgramBindings &B,

@@ -16,6 +16,8 @@
 
 #include "ast/Expand.h"
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,23 @@ std::vector<std::string> splitOn(const std::string &S, char Sep);
 /// whitespace allowed (strtod honors LC_NUMERIC, which would silently
 /// truncate "30.5" under a comma-decimal locale).
 bool parseDoubleArg(const std::string &S, double &Out);
+
+/// Parses \p Value, the value of option \p Flag, as a whole number in
+/// [0, \p Max]: decimal digits, or hexadecimal digits after "0x", with
+/// nothing else but surrounding whitespace — no sign, no trailing junk.
+bool parseUnsignedArg(const std::string &Flag, const std::string &Value,
+                      uint64_t Max, uint64_t &Out, std::string &Error);
+
+/// As above, in the range of \p Out's unsigned type.
+template <typename T>
+bool parseUnsignedArg(const std::string &Flag, const std::string &Value,
+                      T &Out, std::string &Error) {
+  uint64_t N;
+  if (!parseUnsignedArg(Flag, Value, std::numeric_limits<T>::max(), N, Error))
+    return false;
+  Out = static_cast<T>(N);
+  return true;
+}
 
 /// Adds one `--bind <Var>=<int>` value to \p B. The whole value must be an
 /// integer, and each variable can be bound once.

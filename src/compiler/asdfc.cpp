@@ -93,15 +93,6 @@ void usage(FILE *Out) {
       "  --jobs <n>              worker threads for --emit run (default 0 =\n"
       "                          one per hardware core; results are\n"
       "                          identical for any value)\n"
-      "  --parallel auto|shot|amp  how the dense engine spends the workers:\n"
-      "                          shot-parallel forks, amplitude-parallel\n"
-      "                          kernels, or (default) a hybrid chosen\n"
-      "                          from shots x qubits; results are\n"
-      "                          bit-identical either way\n"
-      "  --no-fuse               disable the gate-fusion pass of the dense\n"
-      "                          execution plan\n"
-      "  --fuse-k <n>            widest fused block in qubits (default 3 =\n"
-      "                          8x8 matrices; 1 = per-wire runs only)\n"
       "  --sim-stats             print simulation counters (gate kernels,\n"
       "                          fused ops/blocks, amplitudes touched,\n"
       "                          amps/sec) to stderr after --emit run\n"
@@ -232,31 +223,15 @@ int main(int argc, char **argv) {
     } else if (Arg == "--no-peephole") {
       NoPeephole = true;
     } else if (Arg == "--shots") {
-      Spec.Shots = std::atoi(Next());
+      if (!parseUnsignedArg(Arg, Next(), Spec.Shots, Error))
+        usageError(Error);
     } else if (Arg == "--seed") {
-      Spec.Seed = std::strtoull(Next(), nullptr, 0);
+      if (!parseUnsignedArg(Arg, Next(), Spec.Seed, Error))
+        usageError(Error);
     } else if (Arg == "--jobs") {
-      Spec.Opts.Jobs = std::atoi(Next());
+      if (!parseUnsignedArg(Arg, Next(), Spec.Opts.Jobs, Error))
+        usageError(Error);
       JobsExplicitZero = Spec.Opts.Jobs == 0;
-    } else if (Arg == "--parallel") {
-      std::string Mode = Next();
-      if (Mode == "auto")
-        Spec.Opts.Parallel = ParallelMode::Auto;
-      else if (Mode == "shot")
-        Spec.Opts.Parallel = ParallelMode::Shot;
-      else if (Mode == "amp" || Mode == "amplitude")
-        Spec.Opts.Parallel = ParallelMode::Amplitude;
-      else
-        usageError("unknown --parallel mode '" + Mode +
-                   "' (expected auto, shot, or amp)");
-    } else if (Arg == "--no-fuse") {
-      Spec.Opts.Fuse = false;
-    } else if (Arg == "--fuse-k") {
-      int K = std::atoi(Next());
-      if (K < 1 || K > static_cast<int>(MaxFuseQubits))
-        usageError("--fuse-k expects a block width between 1 and " +
-                   std::to_string(MaxFuseQubits) + " qubits");
-      Spec.Opts.FuseMaxQubits = static_cast<unsigned>(K);
     } else if (Arg == "--sim-stats") {
       SimStatsRequested = true;
     } else if (Arg == "--param") {
@@ -295,7 +270,8 @@ int main(int argc, char **argv) {
         usageError("unknown backend '" + Name +
                    "' (expected auto, sv, stab, or mps)");
     } else if (Arg == "--mps-chi") {
-      Spec.Opts.MpsChi = static_cast<unsigned>(std::atoi(Next()));
+      if (!parseUnsignedArg(Arg, Next(), Spec.Opts.MpsChi, Error))
+        usageError(Error);
     } else if (Arg == "--explain-backend") {
       ExplainBackend = true;
     } else {
@@ -474,10 +450,8 @@ int main(int argc, char **argv) {
   // Emit == "run" (the only remaining target; validated at parse time).
   if (!Noise.empty())
     Spec.Opts.Noise = &Noise;
-  NoiseStats Counters;
-  if (Trajectories && Spec.Opts.Noise)
-    Spec.Opts.NoiseCounters = &Counters;
-  if (SimStatsRequested || MetricsRequested)
+  const bool NoiseCounts = Trajectories && Spec.Opts.Noise;
+  if (SimStatsRequested || MetricsRequested || NoiseCounts)
     Spec.Opts.SimCounters = &SimCounters;
   std::chrono::steady_clock::time_point RunStart;
   RunReport Run = runCircuit(FlatCircuit, Spec, [&](const RunReport &R) {
@@ -490,13 +464,12 @@ int main(int argc, char **argv) {
                    "budget %u (shot-parallel runs clamp to the %u "
                    "shot(s))\n",
                    resolveJobCount(0), Spec.Shots);
-    if (Spec.Opts.Fuse && IsSv) {
-      FusedCircuit Plan = fuseCircuit(FlatCircuit, Spec.Opts.Noise,
-                                      Spec.Opts.FuseMaxQubits);
+    if (IsSv) {
+      FusedCircuit Plan = fuseCircuit(FlatCircuit, Spec.Opts.Noise);
       if (Plan.GatesFused > 0)
         std::fprintf(stderr, "fusion: %s\n", Plan.summary().c_str());
     }
-    if (Trajectories && Spec.Opts.Noise) {
+    if (NoiseCounts) {
       NoisePlan Plan = planNoise(*Spec.Opts.Noise, FlatCircuit);
       size_t Sites = 0;
       for (const std::vector<NoiseOp> &Ops : Plan.PerInstr)
@@ -570,14 +543,14 @@ int main(int argc, char **argv) {
                            "report dense-engine counters\n",
                    Engine);
   }
-  if (Trajectories && Spec.Opts.NoiseCounters)
+  if (NoiseCounts)
     std::fprintf(
         stderr,
         "trajectories: %llu channel application(s), %llu error "
         "branch(es), %llu readout flip(s) over %u shot(s)\n",
-        static_cast<unsigned long long>(Counters.ChannelApps.load()),
-        static_cast<unsigned long long>(Counters.ErrorBranches.load()),
-        static_cast<unsigned long long>(Counters.ReadoutFlips.load()),
+        static_cast<unsigned long long>(SimCounters.ChannelApps),
+        static_cast<unsigned long long>(SimCounters.ErrorBranches),
+        static_cast<unsigned long long>(SimCounters.ReadoutFlips),
         Spec.Shots);
   return Finish(0);
 }

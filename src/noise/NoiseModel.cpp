@@ -6,6 +6,8 @@
 
 #include "noise/NoiseModel.h"
 
+#include "sim/Backend.h"
+
 #include <cassert>
 #include <cmath>
 
@@ -301,12 +303,8 @@ std::string NoiseModel::summary() const {
 NoisePlan asdf::planNoise(const NoiseModel &M, const Circuit &C) {
   NoisePlan Plan;
   Plan.PerInstr.resize(C.Instrs.size());
-  Plan.FirstNoisyInstr = C.Instrs.size();
-  for (size_t Idx = 0; Idx < C.Instrs.size(); ++Idx) {
+  for (size_t Idx = 0; Idx < C.Instrs.size(); ++Idx)
     Plan.PerInstr[Idx] = M.noiseFor(C.Instrs[Idx]);
-    if (!Plan.PerInstr[Idx].empty() && Plan.FirstNoisyInstr == C.Instrs.size())
-      Plan.FirstNoisyInstr = Idx;
-  }
   return Plan;
 }
 
@@ -332,25 +330,24 @@ PauliNoisePlan asdf::planPauliNoise(const NoiseModel &M, const Circuit &C) {
 }
 
 unsigned asdf::samplePauli(const PauliNoiseOp &Op, std::mt19937_64 &Rng,
-                           NoiseStats *Stats) {
+                           SimStats *Stats) {
   std::uniform_real_distribution<double> Dist(0.0, 1.0);
   double U = Dist(Rng);
   unsigned P = U < Op.CumX ? 1 : U < Op.CumXY ? 2 : U < Op.CumXYZ ? 3 : 0;
   if (Stats) {
-    Stats->ChannelApps.fetch_add(1, std::memory_order_relaxed);
-    if (P != 0)
-      Stats->ErrorBranches.fetch_add(1, std::memory_order_relaxed);
+    ++Stats->ChannelApps;
+    Stats->ErrorBranches += P != 0;
   }
   return P;
 }
 
 bool asdf::applyReadoutError(const ReadoutError &E, bool Bit,
-                             std::mt19937_64 &Rng, NoiseStats *Stats) {
+                             std::mt19937_64 &Rng, SimStats *Stats) {
   if (E.trivial())
-    return Bit; // Consumes no randomness: jobs/fuse invariance is free.
+    return Bit; // Consumes no randomness: jobs invariance is free.
   std::uniform_real_distribution<double> Dist(0.0, 1.0);
   bool Flip = Dist(Rng) < (Bit ? E.P1to0 : E.P0to1);
-  if (Flip && Stats)
-    Stats->ReadoutFlips.fetch_add(1, std::memory_order_relaxed);
+  if (Stats)
+    Stats->ReadoutFlips += Flip;
   return Bit ^ Flip;
 }

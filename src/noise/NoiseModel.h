@@ -14,8 +14,8 @@
 ///   - the dense statevector engine runs **quantum trajectories**: after
 ///     each noisy gate it samples one Kraus branch per attached channel
 ///     (branch k with probability ||K_k |psi>||^2) from the per-shot RNG
-///     stream, so noisy multi-shot runs stay bit-identical across every
-///     {jobs, fuse} configuration;
+///     stream, so noisy multi-shot runs stay bit-identical at every worker
+///     count;
 ///   - the stabilizer engine requires a **Pauli-only** model (every Kraus
 ///     operator proportional to I/X/Y/Z) and either propagates sampled
 ///     Pauli frames through the Clifford circuit (PauliFrame.h) or, with
@@ -44,7 +44,6 @@
 #include "qcirc/Circuit.h"
 #include "sim/Fusion.h" // Mat2, the currency of Kraus operators
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -52,6 +51,8 @@
 #include <vector>
 
 namespace asdf {
+
+struct SimStats;
 
 /// The probabilities of a Pauli channel: Kraus operators proportional to
 /// I, X, Y, Z with |scale|^2 summing to one.
@@ -93,15 +94,6 @@ struct ReadoutError {
   double P1to0 = 0.0;
 
   bool trivial() const { return P0to1 <= 0.0 && P1to0 <= 0.0; }
-};
-
-/// Cross-thread diagnostics counters for a noisy run (asdfc
-/// --trajectories). Incremented by every engine path.
-struct NoiseStats {
-  std::atomic<uint64_t> ChannelApps{0};   ///< Channel applications sampled.
-  std::atomic<uint64_t> ErrorBranches{0}; ///< Non-first Kraus / non-I Pauli
-                                          ///< branches taken.
-  std::atomic<uint64_t> ReadoutFlips{0};  ///< Recorded bits flipped.
 };
 
 /// One channel application site: \p Channel acts on \p Qubit.
@@ -183,10 +175,6 @@ private:
 struct NoisePlan {
   /// Indexed by instruction; empty vectors for unaffected instructions.
   std::vector<std::vector<NoiseOp>> PerInstr;
-  /// First instruction index with noise attached; C.Instrs.size() if none.
-  /// The shared multi-shot prefix must end here: noisy gates consume
-  /// per-shot randomness.
-  size_t FirstNoisyInstr = 0;
 };
 NoisePlan planNoise(const NoiseModel &M, const Circuit &C);
 
@@ -207,15 +195,16 @@ struct PauliNoisePlan {
 PauliNoisePlan planPauliNoise(const NoiseModel &M, const Circuit &C);
 
 /// Samples one Pauli from \p Op: 0 = I, 1 = X, 2 = Y, 3 = Z, counting the
-/// application (and a non-I branch) into \p Stats. Consumes exactly one
-/// uniform draw.
+/// application (and a non-I branch) into the shot's \p Stats, if any.
+/// Consumes exactly one uniform draw.
 unsigned samplePauli(const PauliNoiseOp &Op, std::mt19937_64 &Rng,
-                     NoiseStats *Stats = nullptr);
+                     SimStats *Stats);
 
 /// Applies \p E to a recorded measurement bit: returns the possibly
-/// flipped bit, consuming one uniform draw unless \p E is trivial.
+/// flipped bit, counting a flip into the shot's \p Stats, if any.
+/// Consumes one uniform draw unless \p E is trivial.
 bool applyReadoutError(const ReadoutError &E, bool Bit, std::mt19937_64 &Rng,
-                       NoiseStats *Stats = nullptr);
+                       SimStats *Stats);
 
 } // namespace asdf
 

@@ -176,7 +176,7 @@ FrameReference::FrameReference(const Circuit &Circ)
 ShotResult FrameReference::sampleShot(uint64_t ShotSeed,
                                       const PauliNoisePlan *Plan,
                                       const NoiseModel *Noise,
-                                      NoiseStats *Stats) const {
+                                      SimStats *Stats) const {
   std::mt19937_64 Rng = tableauShotRng(ShotSeed);
   Frame F(Words);
   ShotResult R;

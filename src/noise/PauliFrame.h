@@ -59,11 +59,12 @@ public:
 
   /// Samples one shot: propagates a Pauli frame through the circuit,
   /// drawing collapse coins, \p Plan's Pauli noise and \p Noise's readout
-  /// errors from the \p ShotSeed stream (both null: an ideal shot).
+  /// errors from the \p ShotSeed stream (both null: an ideal shot), and
+  /// counting the noise draws into the worker's \p Stats, if any.
   /// Bit-identical to the tableau run of StabilizerBackend::run or
   /// runNoisy with the same seed and model.
   ShotResult sampleShot(uint64_t ShotSeed, const PauliNoisePlan *Plan,
-                        const NoiseModel *Noise, NoiseStats *Stats) const;
+                        const NoiseModel *Noise, SimStats *Stats) const;
 
 private:
   /// One measure/reset of the reference run, in instruction order.

@@ -8,6 +8,8 @@
 
 #include "support/FaultInject.h"
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
 using namespace asdf;
@@ -50,6 +52,32 @@ bool parseKind(const std::string &Name, ServiceRequest::Kind &Out) {
   else
     return false;
   return true;
+}
+
+/// Reads \p V into \p Out if it is a whole number in \p Out's range;
+/// otherwise names \p Field in \p Error. Seeds and ids keep the full
+/// 64-bit range.
+template <typename T>
+bool wholeField(const json::Value &V, const std::string &Field, T &Out,
+                std::string &Error) {
+  using Limits = std::numeric_limits<T>;
+  if constexpr (Limits::is_signed) {
+    int64_t N;
+    if (V.toI64(N) && N >= Limits::min() && N <= Limits::max()) {
+      Out = static_cast<T>(N);
+      return true;
+    }
+  } else {
+    uint64_t N;
+    if (V.toU64(N) && N <= Limits::max()) {
+      Out = static_cast<T>(N);
+      return true;
+    }
+  }
+  Error = Field + " must be a whole number from " +
+          std::to_string(Limits::min()) + " to " +
+          std::to_string(Limits::max());
+  return false;
 }
 
 } // namespace
@@ -158,13 +186,9 @@ bool ServiceRequest::fromJson(const json::Value &V, ServiceRequest &Out,
     return false;
   }
 
-  if (const json::Value *Id = V.get("id")) {
-    if (!Id->isNumber()) {
-      Error = "\"id\" must be a number";
+  if (const json::Value *Id = V.get("id"))
+    if (!wholeField(*Id, "\"id\"", Out.Id, Error))
       return false;
-    }
-    Out.Id = Id->asU64();
-  }
   if (const json::Value *T = V.get("timeout")) {
     if (!T->isNumber()) {
       Error = "\"timeout\" must be a number (seconds)";
@@ -172,13 +196,9 @@ bool ServiceRequest::fromJson(const json::Value &V, ServiceRequest &Out,
     }
     Out.TimeoutSecs = T->asDouble();
   }
-  if (const json::Value *T = V.get("trace")) {
-    if (!T->isNumber()) {
-      Error = "\"trace\" must be a number";
+  if (const json::Value *T = V.get("trace"))
+    if (!wholeField(*T, "\"trace\"", Out.Trace, Error))
       return false;
-    }
-    Out.Trace = T->asU64();
-  }
   if (const json::Value *F = V.get("fault")) {
     if (!fault::Compiled) {
       Error = "\"fault\" needs a fault-injection build "
@@ -221,13 +241,10 @@ bool ServiceRequest::fromJson(const json::Value &V, ServiceRequest &Out,
       Error = "\"bind\" must be an object of {var: int}";
       return false;
     }
-    for (const auto &[Name, Member] : Bind->members()) {
-      if (!Member.isNumber()) {
-        Error = "bind value for '" + Name + "' must be an integer";
+    for (const auto &[Name, Member] : Bind->members())
+      if (!wholeField(Member, "bind value for '" + Name + "'",
+                      Out.Bindings.DimVars[Name], Error))
         return false;
-      }
-      Out.Bindings.DimVars[Name] = Member.asI64();
-    }
   }
   if (const json::Value *Cap = V.get("capture")) {
     if (!Cap->isObject()) {
@@ -272,20 +289,12 @@ bool ServiceRequest::fromJson(const json::Value &V, ServiceRequest &Out,
     return true;
   }
   // Run.
-  if (const json::Value *S = V.get("shots")) {
-    if (!S->isNumber()) {
-      Error = "\"shots\" must be a number";
+  if (const json::Value *S = V.get("shots"))
+    if (!wholeField(*S, "\"shots\"", Out.Shots, Error))
       return false;
-    }
-    Out.Shots = static_cast<unsigned>(S->asU64());
-  }
-  if (const json::Value *S = V.get("seed")) {
-    if (!S->isNumber()) {
-      Error = "\"seed\" must be a number";
+  if (const json::Value *S = V.get("seed"))
+    if (!wholeField(*S, "\"seed\"", Out.Seed, Error))
       return false;
-    }
-    Out.Seed = S->asU64();
-  }
   if (const json::Value *B = V.get("backend")) {
     if (!B->isString()) {
       Error = "\"backend\" must be a string";
@@ -293,13 +302,9 @@ bool ServiceRequest::fromJson(const json::Value &V, ServiceRequest &Out,
     }
     Out.Backend = B->asString();
   }
-  if (const json::Value *J = V.get("jobs")) {
-    if (!J->isNumber()) {
-      Error = "\"jobs\" must be a number";
+  if (const json::Value *J = V.get("jobs"))
+    if (!wholeField(*J, "\"jobs\"", Out.Jobs, Error))
       return false;
-    }
-    Out.Jobs = static_cast<unsigned>(J->asU64());
-  }
   if (Out.TheKind != Kind::BindRun)
     return true;
   const json::Value *Params = V.get("params");
@@ -466,6 +471,6 @@ bool asdf::parseRequestLine(const std::string &Line, ServiceRequest &Out,
     return false;
   if (V.isObject())
     if (const json::Value *Id = V.get("id"))
-      IdOut = Id->asU64();
+      Id->toU64(IdOut);
   return ServiceRequest::fromJson(V, Out, Error);
 }

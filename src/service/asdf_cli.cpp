@@ -196,15 +196,13 @@ int main(int argc, char **argv) {
       if (Timeout <= 0)
         usageError("--timeout expects a positive number of seconds");
     } else if (Arg == "--retries") {
-      long long N = std::atoll(Next());
-      if (N < 0)
-        usageError("--retries expects a non-negative count");
-      Retry.MaxRetries = static_cast<unsigned>(N);
+      if (!parseUnsignedArg(Arg, Next(), Retry.MaxRetries, Error))
+        usageError(Error);
     } else if (Arg == "--retry-budget-ms") {
-      long long N = std::atoll(Next());
-      if (N <= 0)
+      if (!parseUnsignedArg(Arg, Next(), Retry.BudgetMs, Error))
+        usageError(Error);
+      if (Retry.BudgetMs == 0)
         usageError("--retry-budget-ms expects a positive count");
-      Retry.BudgetMs = static_cast<uint64_t>(N);
     } else if (Arg == "--entry") {
       Req.Entry = Next();
     } else if (Arg == "--pipeline") {
@@ -219,13 +217,16 @@ int main(int argc, char **argv) {
       if (!parseCaptureArg(Next(), Req.Bindings, Error))
         usageError(Error);
     } else if (Arg == "--shots") {
-      Req.Shots = static_cast<unsigned>(std::atoi(Next()));
+      if (!parseUnsignedArg(Arg, Next(), Req.Shots, Error))
+        usageError(Error);
     } else if (Arg == "--seed") {
-      Req.Seed = std::strtoull(Next(), nullptr, 0);
+      if (!parseUnsignedArg(Arg, Next(), Req.Seed, Error))
+        usageError(Error);
     } else if (Arg == "--backend") {
       Req.Backend = Next();
     } else if (Arg == "--jobs") {
-      Req.Jobs = static_cast<unsigned>(std::atoi(Next()));
+      if (!parseUnsignedArg(Arg, Next(), Req.Jobs, Error))
+        usageError(Error);
     } else if (Arg == "--params") {
       ParamsArg = Next();
       ParamsSet = true;
@@ -234,7 +235,8 @@ int main(int argc, char **argv) {
         usageError(Error);
       SweepSet = true;
     } else if (Arg == "--trace-id") {
-      Req.Trace = std::strtoull(Next(), nullptr, 0);
+      if (!parseUnsignedArg(Arg, Next(), Req.Trace, Error))
+        usageError(Error);
     } else if (Arg == "--json") {
       RawJson = true;
     } else if (!Arg.empty() && Arg[0] == '-') {

@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "compiler/CommandLine.h"
 #include "obs/Trace.h"
 #include "service/DiskCache.h"
 #include "service/Server.h"
@@ -26,6 +27,7 @@
 #include "support/FaultInject.h"
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -88,6 +90,14 @@ void usage(FILE *Out) {
 int main(int argc, char **argv) {
   ServerOptions Options;
   std::string TracePath, MetricsPath;
+  std::string Error;
+  // A MiB count in range for a byte count.
+  auto MiB = [&](const std::string &Flag, const char *Value) -> size_t {
+    uint64_t Mb = 0;
+    if (!parseUnsignedArg(Flag, Value, SIZE_MAX >> 20, Mb, Error))
+      usageError(Error);
+    return static_cast<size_t>(Mb) << 20;
+  };
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     auto Next = [&]() -> const char * {
@@ -104,32 +114,24 @@ int main(int argc, char **argv) {
     } else if (Arg == "--socket") {
       Options.SocketPath = Next();
     } else if (Arg == "--workers") {
-      Options.Service.Workers = static_cast<unsigned>(std::atoi(Next()));
+      if (!parseUnsignedArg(Arg, Next(), Options.Service.Workers, Error))
+        usageError(Error);
     } else if (Arg == "--cache-mb") {
-      long long Mb = std::atoll(Next());
-      if (Mb <= 0)
+      Options.Service.CacheBytes = MiB(Arg, Next());
+      if (Options.Service.CacheBytes == 0)
         usageError("--cache-mb expects a positive number of MiB");
-      Options.Service.CacheBytes =
-          static_cast<size_t>(Mb) * (1 << 20);
     } else if (Arg == "--disk-cache") {
       Options.Service.DiskCacheDir = Next();
     } else if (Arg == "--disk-cache-mb") {
-      long long Mb = std::atoll(Next());
-      if (Mb <= 0)
+      Options.Service.DiskCacheBytes = MiB(Arg, Next());
+      if (Options.Service.DiskCacheBytes == 0)
         usageError("--disk-cache-mb expects a positive number of MiB");
-      Options.Service.DiskCacheBytes =
-          static_cast<size_t>(Mb) * (1 << 20);
     } else if (Arg == "--max-queue") {
-      long long N = std::atoll(Next());
-      if (N < 0)
-        usageError("--max-queue expects a non-negative count");
-      Options.Service.MaxQueueDepth = static_cast<size_t>(N);
+      if (!parseUnsignedArg(Arg, Next(), Options.Service.MaxQueueDepth,
+                            Error))
+        usageError(Error);
     } else if (Arg == "--run-mem-mb") {
-      long long Mb = std::atoll(Next());
-      if (Mb < 0)
-        usageError("--run-mem-mb expects a non-negative number of MiB");
-      Options.Service.RunMemoryBytes =
-          static_cast<size_t>(Mb) * (1 << 20);
+      Options.Service.RunMemoryBytes = MiB(Arg, Next());
     } else if (Arg == "--verbose") {
       Options.Verbose = true;
     } else if (Arg == "--trace") {
@@ -159,7 +161,6 @@ int main(int argc, char **argv) {
                  Daemon.service().diskCacheError().c_str());
     return 1;
   }
-  std::string Error;
   if (!Daemon.start(Error)) {
     std::fprintf(stderr, "asdfd: %s\n", Error.c_str());
     return 1;

@@ -13,6 +13,7 @@
 #include "sim/StatevectorBackend.h"
 #include "sim/mps/MPSBackend.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <mutex>
@@ -192,8 +193,19 @@ void asdf::parallelShotLoop(unsigned Jobs, unsigned Shots,
                    [&](unsigned, unsigned S) { Body(S); });
 }
 
+void asdf::parallelShotLoop(
+    unsigned Jobs, unsigned Shots, SimStats *Counters,
+    const std::function<void(unsigned, unsigned, SimStats *)> &Body) {
+  std::vector<SimStats> WorkerStats(Counters ? std::max(Jobs, 1u) : 0);
+  parallelShotLoop(Jobs, Shots, [&](unsigned W, unsigned S) {
+    Body(W, S, Counters ? &WorkerStats[W] : nullptr);
+  });
+  for (const SimStats &WS : WorkerStats)
+    Counters->merge(WS);
+}
+
 ShotResult SimBackend::runNoisy(const Circuit &C, uint64_t Seed,
-                                const NoiseModel &, NoiseStats *) const {
+                                const NoiseModel &) const {
   return run(C, Seed);
 }
 
@@ -208,8 +220,7 @@ std::vector<ShotResult> SimBackend::runBatch(const Circuit &C, unsigned Shots,
   parallelShotLoop(resolveJobCount(Opts.Jobs, Shots), Shots, [&](unsigned S) {
     if (Opts.deadlineExpired())
       throw DeadlineExceeded();
-    Results[S] = Noise ? runNoisy(C, deriveShotSeed(Seed, S), *Noise,
-                                  Opts.NoiseCounters)
+    Results[S] = Noise ? runNoisy(C, deriveShotSeed(Seed, S), *Noise)
                        : run(C, deriveShotSeed(Seed, S));
   });
   return Results;
@@ -323,7 +334,7 @@ BackendRegistry::selectWithReasons(const Circuit &C, BackendKind Kind,
     V.Name = B->name();
     bool NoiseOk = !Noise || B->supportsNoise(*Noise);
     if (V.Name == "sv") {
-      unsigned Cap = StatevectorBackend::maxQubits(Opts);
+      unsigned Cap = StatevectorBackend::maxQubits();
       V.Eligible = C.NumQubits <= Cap && NoiseOk;
       if (!NoiseOk)
         V.Why = "cannot execute the noise model";
@@ -333,8 +344,7 @@ BackendRegistry::selectWithReasons(const Circuit &C, BackendKind Kind,
       else
         V.Why = std::to_string(C.NumQubits) +
                 " qubits exceed the dense cap (" + std::to_string(Cap) +
-                (Opts.MaxStateQubits ? ", set by options)"
-                                     : ", derived from available memory)");
+                ", derived from available memory)";
     } else if (V.Name == "stab") {
       bool Ok = B->supports(C, P);
       V.Eligible = Ok && NoiseOk;

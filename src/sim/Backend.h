@@ -38,7 +38,6 @@
 
 #include "qcirc/Circuit.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -52,7 +51,6 @@ namespace asdf {
 
 struct CircuitProfile;
 class NoiseModel;
-struct NoiseStats;
 
 /// Which backend `simulate`/`runShots` should use.
 enum class BackendKind {
@@ -88,28 +86,15 @@ public:
   DeadlineExceeded() : std::runtime_error("run deadline exceeded") {}
 };
 
-/// Where the dense engine spends its worker threads.
-enum class ParallelMode {
-  /// Pick from shots x qubits: the shared prefix always runs
-  /// amplitude-parallel; the per-shot remainder runs shot-parallel when
-  /// there are enough shots to keep every worker busy, amplitude-parallel
-  /// otherwise (the low-shot/large-n regime).
-  Auto,
-  /// Shot-parallel only: one serial engine per in-flight shot.
-  Shot,
-  /// Amplitude-parallel only: shots run one after another, each kernel's
-  /// index range split across the workers.
-  Amplitude,
-};
-
-/// Lightweight counters for one dense run (RunOptions::SimCounters, asdfc
-/// --sim-stats, bench JSON). Plain fields bumped once per kernel
-/// application, never per amplitude — parallel runners give each worker
-/// its own instance and merge() at the join, so no site ever shares a
-/// mutable SimStats across threads.
+/// Lightweight counters for one run (RunOptions::SimCounters, asdfc
+/// --sim-stats and --trajectories, bench JSON), shared by every engine.
+/// Plain fields bumped once per kernel application or noise draw, never
+/// per amplitude — shot-parallel runners give each worker its own
+/// instance and merge() at the join (the counting parallelShotLoop), so
+/// no site ever shares a mutable SimStats across threads.
 struct SimStats {
-  /// Raw gate/measure/reset kernels applied (pass-through instructions and
-  /// the unfused path).
+  /// Raw gate/measure/reset kernels applied (the fused plan's
+  /// pass-through instructions, and every measure and reset).
   uint64_t GatesApplied = 0;
   /// Fused ops applied (2x2 runs, diagonal sweeps, multi-qubit blocks).
   uint64_t FusedOps = 0;
@@ -131,6 +116,13 @@ struct SimStats {
   double MpsTruncationError = 0.0;
   /// MPS engine: largest bond dimension any site pair reached.
   uint64_t MpsMaxBond = 0;
+  /// Noisy runs: channel applications sampled (a Kraus branch on the
+  /// dense engine, a Pauli on the tableau).
+  uint64_t ChannelApps = 0;
+  /// Noisy runs: non-first Kraus / non-I Pauli branches taken.
+  uint64_t ErrorBranches = 0;
+  /// Noisy runs: recorded measurement bits flipped by readout error.
+  uint64_t ReadoutFlips = 0;
 
   /// Folds a worker's counts into this instance (caller serializes).
   void merge(const SimStats &Other) {
@@ -143,41 +135,24 @@ struct SimStats {
     MpsTruncationError += Other.MpsTruncationError;
     if (Other.MpsMaxBond > MpsMaxBond)
       MpsMaxBond = Other.MpsMaxBond;
+    ChannelApps += Other.ChannelApps;
+    ErrorBranches += Other.ErrorBranches;
+    ReadoutFlips += Other.ReadoutFlips;
   }
 };
 
-/// Execution-plan knobs threaded through runShots/runBatch. The defaults
-/// are the fast path: gate fusion on, one worker per hardware core. Every
-/// combination returns bit-identical per-shot results up to floating-point
-/// rounding of fused matrices — shot S always runs with
-/// deriveShotSeed(Seed, S) and lands at result index S, regardless of
-/// scheduling, and the dense kernels' reductions use a fixed chunked
+/// What a run may ask of the engines, threaded through runShots/runBatch.
+/// The execution plan itself is each engine's own choice — the dense
+/// engine always fuses and decides per run where its workers go — and
+/// every plan returns bit-identical per-shot results: shot S always runs
+/// with deriveShotSeed(Seed, S) and lands at result index S, regardless
+/// of scheduling, and the dense kernels' reductions use a fixed chunked
 /// summation order, so even amplitude-parallel execution is bit-identical
 /// across worker counts.
 struct RunOptions {
   /// Worker threads for multi-shot runs. 0 means one per hardware core;
   /// 1 forces the serial path.
   unsigned Jobs = 0;
-  /// Run the gate-fusion pass before dense execution (Fusion.h).
-  bool Fuse = true;
-  /// Largest combined support (in qubits) a fused multi-qubit block may
-  /// accumulate: k=3 means up to 8x8 matrices applied in one
-  /// gather/scatter sweep. 1 restricts fusion to per-wire 2x2 runs and
-  /// diagonal coalescing (the pre-block behavior). Clamped to
-  /// [1, MaxFuseQubits].
-  unsigned FuseMaxQubits = 3;
-  /// How the dense engine parallelizes (see ParallelMode).
-  ParallelMode Parallel = ParallelMode::Auto;
-  /// Optional cross-thread simulation counters for the run (asdfc
-  /// --sim-stats, bench JSON). Non-owning; dense engine only.
-  SimStats *SimCounters = nullptr;
-  /// Override input to StatevectorBackend::maxQubits, the dense-cap
-  /// policy consulted by support checks (e.g. the asdfc driver) before a
-  /// run; 0 derives the cap from available physical memory. This is a
-  /// policy knob for those pre-run checks, not a limit enforced inside
-  /// runBatch itself — a forced backend runs whatever it is handed, per
-  /// the BackendRegistry::select contract.
-  unsigned MaxStateQubits = 0;
   /// MPS bond-dimension cap (chi): every SVD the tensor-network engine
   /// runs keeps at most this many singular values, truncating (and
   /// renormalizing) the rest while accumulating the discarded weight in
@@ -190,12 +165,12 @@ struct RunOptions {
   /// ideal execution. Non-owning — the model must outlive the run. Noisy
   /// shots keep the determinism contract: shot S samples all noise from
   /// the deriveShotSeed(Seed, S) stream, so per-shot bits are still
-  /// independent of Jobs and Fuse. Callers must route the model only to a
-  /// backend whose supportsNoise accepts it (auto-dispatch does).
+  /// independent of Jobs. Callers must route the model only to a backend
+  /// whose supportsNoise accepts it (auto-dispatch does).
   const NoiseModel *Noise = nullptr;
-  /// Optional cross-thread diagnostics counters for the noisy run (asdfc
-  /// --trajectories). Non-owning.
-  NoiseStats *NoiseCounters = nullptr;
+  /// Optional counters for the run (SimStats): dense kernels, MPS SVDs,
+  /// and the noise draws of the dense and tableau engines. Non-owning.
+  SimStats *SimCounters = nullptr;
   /// Cooperative deadline: a default-constructed (epoch) time_point means
   /// none. The shot runners check it between shot chunks and runSweep
   /// between points; past the deadline the run throws DeadlineExceeded
@@ -252,6 +227,14 @@ void parallelShotLoop(unsigned Jobs, unsigned Shots,
 void parallelShotLoop(unsigned Jobs, unsigned Shots,
                       const std::function<void(unsigned)> &Body);
 
+/// The counting overload every engine's shot loop uses: \p Body(Worker, S,
+/// Stats) gets its worker's own SimStats (null when \p Counters is null),
+/// and every worker's counts merge into \p Counters after the pool joins.
+/// SimStats fields are plain, so concurrent shots never share one.
+void parallelShotLoop(
+    unsigned Jobs, unsigned Shots, SimStats *Counters,
+    const std::function<void(unsigned, unsigned, SimStats *)> &Body);
+
 /// The classical outcome of one circuit execution.
 struct ShotResult {
   std::vector<bool> Bits; ///< Indexed by classical bit number.
@@ -281,8 +264,7 @@ public:
   /// base implementation ignores \p Noise and runs ideally — callers must
   /// check supportsNoise first; the registry's auto-dispatch does.
   virtual ShotResult runNoisy(const Circuit &C, uint64_t Seed,
-                              const NoiseModel &Noise,
-                              NoiseStats *Stats = nullptr) const;
+                              const NoiseModel &Noise) const;
 
   /// True if this backend executes \p Noise exactly (the dense engine
   /// takes any Kraus model, the tableau only Pauli-only models). The base
@@ -291,9 +273,8 @@ public:
 
   /// Executes \p C \p Shots times, returning outcomes in shot order; shot
   /// S uses seed deriveShotSeed(\p Seed, S), so the result is independent
-  /// of \p Opts (jobs, fusion) up to floating-point rounding of fused
-  /// matrices. The default fans run() out over a shot-parallel work queue;
-  /// backends override it to amortize work across shots.
+  /// of \p Opts.Jobs. The default fans run() out over a shot-parallel work
+  /// queue; backends override it to amortize work across shots.
   virtual std::vector<ShotResult> runBatch(const Circuit &C, unsigned Shots,
                                            uint64_t Seed,
                                            const RunOptions &Opts) const;
@@ -393,8 +374,8 @@ public:
 
   /// As select(), but returns the whole decision: the chosen backend, the
   /// cost-model reasoning, and one verdict per registered backend stating
-  /// why it was or was not eligible. \p Opts supplies the policy knobs the
-  /// verdicts depend on (dense cap override, MPS chi).
+  /// why it was or was not eligible. \p Opts supplies the MPS chi the
+  /// entanglement verdict is measured against.
   BackendSelection selectWithReasons(const Circuit &C, BackendKind Kind,
                                      const RunOptions &Opts = RunOptions(),
                                      const CircuitProfile *Profile = nullptr,

@@ -8,6 +8,7 @@
 
 #include "noise/NoiseModel.h"
 #include "obs/Trace.h"
+#include "sim/mps/MPSBackend.h"
 
 #include <algorithm>
 #include <cassert>
@@ -16,6 +17,9 @@
 using namespace asdf;
 
 using Cplx = std::complex<double>;
+
+static_assert(MaxBlockQubits <= MPSBackend::MaxGateSites,
+              "gateBlockMatrix must build every fused block's gates");
 
 Mat2 asdf::matmul(const Mat2 &A, const Mat2 &B) {
   Mat2 R;
@@ -121,7 +125,8 @@ asdf::gateBlockMatrix(const CircuitInstr &I,
                       const std::vector<unsigned> &Support) {
   assert(I.TheKind == CircuitInstr::Kind::Gate && "gate instructions only");
   const unsigned M = Support.size();
-  assert(M <= MaxFuseQubits && "support too wide for a block matrix");
+  assert(M <= MPSBackend::MaxGateSites &&
+         "support too wide for a block matrix");
   const unsigned Dim = 1u << M;
   // Local bit of Support[j]: MSB-first, matching the global convention.
   auto LocalBit = [&](unsigned Q) -> unsigned {
@@ -235,16 +240,11 @@ bool asdf::isFusionBarrier(const CircuitInstr &I) {
 }
 
 FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise,
-                               unsigned MaxBlockQubits,
                                FusionRecipe *Recipe) {
   obs::Span Sp("fuse", "fusion");
   FusedCircuit FC;
   FC.Source = &C;
   const unsigned N = C.NumQubits;
-  const unsigned MaxK =
-      MaxBlockQubits < 1 ? 1
-      : MaxBlockQubits > MaxFuseQubits ? MaxFuseQubits
-                                       : MaxBlockQubits;
   auto QubitBit = [&](unsigned Q) { return uint64_t(1) << (N - 1 - Q); };
   if (Recipe) {
     *Recipe = FusionRecipe();
@@ -477,11 +477,11 @@ FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise,
       continue;
     }
 
-    if (Union.size() > MaxK) {
+    if (Union.size() > MaxBlockQubits) {
       // Merging would blow the block budget: flush what it touches, then
       // place the gate on its own.
       flushTouching(&S);
-      if (S.size() > MaxK) {
+      if (S.size() > MaxBlockQubits) {
         // Support too wide for any block. Wide diagonals still coalesce
         // into a sweep entry; everything else passes through.
         if (IsDiag) {

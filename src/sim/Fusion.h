@@ -12,23 +12,22 @@
 /// `FusedCircuit` of coarser ops the statevector engine consumes:
 ///
 ///   - **multi-qubit block fusion** (qsim-style): adjacent gates whose
-///     combined support stays within k qubits (k = 3 by default, 8x8
-///     matrices; RunOptions::FuseMaxQubits) greedily accumulate into one
+///     combined support stays within MaxBlockQubits (3 qubits, 8x8
+///     matrices) greedily accumulate into one
 ///     `FusedOp::Block` applied in a single gather/scatter sweep — CX
 ///     ladders interleaved with rotation runs collapse into a handful of
 ///     block sweeps. Open blocks on disjoint supports accumulate
 ///     independently (adjacent up to commuting instructions on other
 ///     wires) and merge when a spanning gate arrives. A block that never
 ///     grew past one wire flushes as a fused 2x2 unitary (or a diagonal
-///     entry when the product stayed diagonal), so k = 1 reproduces the
-///     per-wire run fusion of earlier revisions;
+///     entry when the product stayed diagonal);
 ///   - **diagonal coalescing**: consecutive diagonal ops — controlled
 ///     phases (CZ/CP/CCZ/CRZ...) on wires with no open block and fused
 ///     runs that stayed diagonal (S·T·RZ chains) — merge into a single
 ///     phase sweep that applies every entry in one pass over the state.
 ///     Diagonal gates landing on an open block's support are absorbed into
 ///     the block instead, so H·S·H sandwiches still fuse;
-///   - everything else (gates whose support exceeds k, measurement, reset,
+///   - everything else (gates wider than a block, measurement, reset,
 ///     classically-conditioned instructions) passes through by reference
 ///     into the original instruction. A gate that ends up alone in its
 ///     block also passes through, keeping the engine's specialized
@@ -86,10 +85,11 @@ struct DiagEntry {
   std::complex<double> Phase1{1.0, 0.0};
 };
 
-/// Hard ceiling on FuseMaxQubits: 64x64 block matrices. Past this the
-/// gather/scatter working set and the O(4^k) arithmetic per amplitude stop
-/// paying for the saved memory passes.
-inline constexpr unsigned MaxFuseQubits = 6;
+/// The widest combined support a fused Block may accumulate: 8x8
+/// matrices. A block's arithmetic per amplitude grows as 4^k while the
+/// memory passes it saves grow far slower, and another width rounds the
+/// fused matrices differently, so a change needs its own measurements.
+inline constexpr unsigned MaxBlockQubits = 3;
 
 /// One op of the fused execution plan.
 struct FusedOp {
@@ -204,17 +204,13 @@ struct FusionRecipe {
 /// \p Noise adds channel barriers: a gate with noise attached passes
 /// through unfused (trajectory sampling right after it must see the exact
 /// unfused state, in program order) and closes the shared unconditional
-/// prefix, since it consumes per-shot randomness. \p MaxBlockQubits is the
-/// block-fusion budget k (clamped to [1, MaxFuseQubits]): the widest
-/// combined support a Block op may accumulate; 1 disables multi-qubit
-/// blocks, reproducing per-wire 2x2 run fusion. A non-null \p Recipe
+/// prefix, since it consumes per-shot randomness. A non-null \p Recipe
 /// additionally records the structural decisions of this run so
 /// rebindFusedCircuit can re-materialize the plan for a re-bound circuit;
 /// when \p C is parametric, the returned plan itself is a template —
 /// matrices derived from symbolic angles are placeholders — and must not
 /// be executed, only rebound.
 FusedCircuit fuseCircuit(const Circuit &C, const NoiseModel *Noise = nullptr,
-                         unsigned MaxBlockQubits = 3,
                          FusionRecipe *Recipe = nullptr);
 
 /// Rebuilds the fused plan recorded in \p R for \p Bound — the same
@@ -223,7 +219,7 @@ FusedCircuit fuseCircuit(const Circuit &C, const NoiseModel *Noise = nullptr,
 /// touches a symbolic parameter are recomputed, through the same
 /// floating-point operation sequence fuseCircuit uses, so the result is
 /// bit-identical to fuseCircuit(Bound) with the recording run's noise
-/// model and block budget. The returned plan points into \p Bound, which
+/// model. The returned plan points into \p Bound, which
 /// must outlive it.
 FusedCircuit rebindFusedCircuit(const FusionRecipe &R, const Circuit &Bound);
 
@@ -232,8 +228,9 @@ FusedCircuit rebindFusedCircuit(const FusionRecipe &R, const Circuit &Bound);
 /// and target of \p I (it may be wider; extra qubits tensor in as
 /// identity). Controls fold in as identity rows/columns where any control
 /// bit reads 0. Local basis convention matches FusedOp::Qubits:
-/// Support[0] is the most significant local bit. Exposed for the
-/// block-fusion property tests.
+/// Support[0] is the most significant local bit; at most
+/// MPSBackend::MaxGateSites qubits wide, the widest gate the MPS engine
+/// contracts through it. Exposed for the block-fusion property tests.
 std::vector<std::complex<double>>
 gateBlockMatrix(const CircuitInstr &I, const std::vector<unsigned> &Support);
 

@@ -322,12 +322,13 @@ namespace {
 
 /// One tableau execution of \p C, optionally a noisy one: with \p Plan,
 /// every executed gate is followed by sampled Paulis (O(n) sign updates
-/// each) and every measurement by readout error on the recorded bit.
+/// each) and every measurement by readout error on the recorded bit, the
+/// draws counted into \p Stats if given.
 /// Shared by run(), runNoisy() and feed-forward batches so semantics can
 /// never diverge; FrameReference::sampleShot replays it bit for bit.
 ShotResult runTableau(const Circuit &C, uint64_t Seed,
                       const PauliNoisePlan *Plan, const NoiseModel *Noise,
-                      NoiseStats *Stats) {
+                      SimStats *Stats) {
   Tableau T(C.NumQubits);
   std::mt19937_64 Rng = tableauShotRng(Seed);
   ShotResult R;
@@ -379,12 +380,11 @@ bool StabilizerBackend::supportsNoise(const NoiseModel &Noise) const {
 }
 
 ShotResult StabilizerBackend::runNoisy(const Circuit &C, uint64_t Seed,
-                                       const NoiseModel &Noise,
-                                       NoiseStats *Stats) const {
+                                       const NoiseModel &Noise) const {
   assert(Noise.isPauliOnly() &&
          "non-Pauli noise model reached the tableau engine");
   PauliNoisePlan Plan = planPauliNoise(Noise, C);
-  return runTableau(C, Seed, &Plan, &Noise, Stats);
+  return runTableau(C, Seed, &Plan, &Noise, nullptr);
 }
 
 std::vector<ShotResult>
@@ -408,14 +408,15 @@ StabilizerBackend::runBatch(const Circuit &C, unsigned Shots, uint64_t Seed,
   std::optional<FrameReference> Ref;
   if (!analyzeCircuit(C).HasFeedForward)
     Ref.emplace(C);
-  parallelShotLoop(resolveJobCount(Opts.Jobs, Shots), Shots, [&](unsigned S) {
-    if (Opts.deadlineExpired())
-      throw DeadlineExceeded();
-    uint64_t ShotSeed = deriveShotSeed(Seed, S);
-    Results[S] = Ref ? Ref->sampleShot(ShotSeed, PlanPtr, Noise,
-                                       Opts.NoiseCounters)
-                     : runTableau(C, ShotSeed, PlanPtr, Noise,
-                                  Opts.NoiseCounters);
-  });
+  parallelShotLoop(resolveJobCount(Opts.Jobs, Shots), Shots,
+                   Opts.SimCounters,
+                   [&](unsigned, unsigned S, SimStats *Stats) {
+                     if (Opts.deadlineExpired())
+                       throw DeadlineExceeded();
+                     uint64_t ShotSeed = deriveShotSeed(Seed, S);
+                     Results[S] =
+                         Ref ? Ref->sampleShot(ShotSeed, PlanPtr, Noise, Stats)
+                             : runTableau(C, ShotSeed, PlanPtr, Noise, Stats);
+                   });
   return Results;
 }

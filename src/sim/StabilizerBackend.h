@@ -30,7 +30,6 @@
 namespace asdf {
 
 class NoiseModel;
-struct NoiseStats;
 struct PauliNoisePlan;
 
 /// What one measurement did, recorded for the Pauli-frame sampler
@@ -124,8 +123,7 @@ public:
   ShotResult run(const Circuit &C, uint64_t Seed) const override;
   /// Pauli-only models only (supportsNoise).
   ShotResult runNoisy(const Circuit &C, uint64_t Seed,
-                      const NoiseModel &Noise,
-                      NoiseStats *Stats = nullptr) const override;
+                      const NoiseModel &Noise) const override;
   /// Shot S equals run() (or runNoisy()) with deriveShotSeed(Seed, S):
   /// Pauli frames on one shared reference without feed-forward, per-shot
   /// tableaus with it. Checks the deadline before every shot.

@@ -7,7 +7,6 @@
 #include "sim/StatevectorBackend.h"
 
 #include "noise/NoiseModel.h"
-#include "sim/CircuitAnalysis.h"
 #include "support/BitUtils.h"
 
 #include <algorithm>
@@ -456,18 +455,19 @@ void StateVector::applyMatrix2(unsigned Q, const Mat2 &U) {
 void StateVector::applyBlock(const std::vector<unsigned> &Qubits,
                              const std::vector<Amplitude> &U) {
   const unsigned M = static_cast<unsigned>(Qubits.size());
-  assert(M >= 1 && M <= MaxFuseQubits && "block support out of range");
+  assert(M >= 1 && M <= MaxBlockQubits && "block support out of range");
+  constexpr unsigned MaxDim = 1u << MaxBlockQubits;
   const unsigned Dim = 1u << M;
   assert(U.size() == size_t(Dim) * Dim && "block matrix size mismatch");
 
   // Qubits[0] owns the local MSB; Offset[s] is the global-bit pattern of
   // local basis state s.
-  uint64_t Bits[MaxFuseQubits], Pinned[MaxFuseQubits];
+  uint64_t Bits[MaxBlockQubits], Pinned[MaxBlockQubits];
   for (unsigned J = 0; J < M; ++J)
     Bits[J] = qubitBit(Qubits[J]);
   std::copy(Bits, Bits + M, Pinned);
   std::sort(Pinned, Pinned + M);
-  uint64_t Offset[64];
+  uint64_t Offset[MaxDim];
   for (unsigned S = 0; S < Dim; ++S) {
     uint64_t O = 0;
     for (unsigned J = 0; J < M; ++J)
@@ -480,7 +480,7 @@ void StateVector::applyBlock(const std::vector<unsigned> &Qubits,
   // one or two columns per row, so skipping structural zeros matters.
   std::vector<unsigned> NzCol;
   std::vector<Amplitude> NzVal;
-  unsigned NzBegin[65];
+  unsigned NzBegin[MaxDim + 1];
   NzCol.reserve(size_t(Dim) * Dim);
   NzVal.reserve(size_t(Dim) * Dim);
   for (unsigned R = 0; R < Dim; ++R) {
@@ -519,17 +519,8 @@ void StateVector::applyBlock(const std::vector<unsigned> &Qubits,
           case 2:
             applyBlockDense<4>(A, Ur, Ui, Pinned, Offset, M, B, E);
             break;
-          case 3:
-            applyBlockDense<8>(A, Ur, Ui, Pinned, Offset, M, B, E);
-            break;
-          case 4:
-            applyBlockDense<16>(A, Ur, Ui, Pinned, Offset, M, B, E);
-            break;
-          case 5:
-            applyBlockDense<32>(A, Ur, Ui, Pinned, Offset, M, B, E);
-            break;
           default:
-            applyBlockDense<64>(A, Ur, Ui, Pinned, Offset, M, B, E);
+            applyBlockDense<8>(A, Ur, Ui, Pinned, Offset, M, B, E);
             break;
           }
         });
@@ -540,6 +531,9 @@ void StateVector::applyBlock(const std::vector<unsigned> &Qubits,
   parallelIndexLoop(
       ParJobs, NumGroups, KernelMinChunk >> (M - 1),
       [&](uint64_t B, uint64_t E) {
+        // 64 entries, not MaxDim, on purpose: with the tighter bound GCC
+        // unrolls the row loop and contracts the complex products into
+        // other FMAs, so every sparse block would round differently.
         Amplitude V[64], W[64];
         for (uint64_t G = B; G < E; ++G) {
           uint64_t Base = insertZeroBits(G, Pinned, M);
@@ -604,7 +598,7 @@ void StateVector::applyDiagSweep(const std::vector<DiagEntry> &Entries) {
 }
 
 void StateVector::applyChannel(unsigned Q, const KrausChannel &Ch,
-                               std::mt19937_64 &Rng, NoiseStats *NStats) {
+                               std::mt19937_64 &Rng) {
   // One pass accumulates every branch's probability ||K_k |psi>||^2 —
   // trace preservation (checked at model load) makes them sum to one.
   // Fixed-chunk partial sums combined in chunk order keep the result
@@ -677,10 +671,9 @@ void StateVector::applyChannel(unsigned Q, const KrausChannel &Ch,
   assert(Found && "channel annihilated the state");
   if (!Found)
     return;
-  if (NStats) {
-    NStats->ChannelApps.fetch_add(1, std::memory_order_relaxed);
-    if (Pick != 0)
-      NStats->ErrorBranches.fetch_add(1, std::memory_order_relaxed);
+  if (Stats) {
+    ++Stats->ChannelApps;
+    Stats->ErrorBranches += Pick != 0;
   }
   double Norm = 1.0 / std::sqrt(Probs[Pick]);
   Mat2 U2 = Ch.Ops[Pick];
@@ -836,18 +829,18 @@ std::mt19937_64 shotRng(uint64_t Seed) {
 }
 
 /// The per-run noise hookup of the trajectory executor: the resolved
-/// channel plan plus the model (for readout errors) and the optional
-/// diagnostics counters. Null context means ideal execution.
+/// channel plan plus the model (for readout errors). Null context means
+/// ideal execution.
 struct TrajectoryContext {
   const NoisePlan *Plan = nullptr;
   const NoiseModel *Model = nullptr;
-  NoiseStats *Stats = nullptr;
 };
 
 /// Executes the Measure or Reset \p I on \p SV — a StateVector, or a
 /// CollapsedRegister on a measure/reset tail — recording the bit into
-/// \p R. With \p Noise, readout error flips the recorded bit only: the
-/// collapsed state is untouched, and feed-forward reads the noisy bit.
+/// \p R. With \p Noise, readout error flips the recorded bit only (and
+/// counts into SV's SimStats): the collapsed state is untouched, and
+/// feed-forward reads the noisy bit.
 template <class State>
 void executeReadout(const CircuitInstr &I, State &SV, ShotResult &R,
                     std::mt19937_64 &Rng, const TrajectoryContext *Noise) {
@@ -858,12 +851,12 @@ void executeReadout(const CircuitInstr &I, State &SV, ShotResult &R,
   bool Outcome = SV.measure(I.Targets[0], Rng);
   if (Noise)
     Outcome = applyReadoutError(Noise->Model->readoutFor(I.Targets[0]),
-                                Outcome, Rng, Noise->Stats);
+                                Outcome, Rng, SV.stats());
   R.Bits[static_cast<unsigned>(I.Cbit)] = Outcome;
 }
 
 /// Executes one instruction on \p SV (honoring its classical condition),
-/// recording bits into \p R. Shared by the fused and unfused paths so
+/// recording bits into \p R. Shared by run() and the fused plan so
 /// instruction semantics can never diverge between them. \p Noise, if
 /// given, makes this a trajectory step: one sampled Kraus branch per
 /// channel attached to instruction \p Idx, and readout error on the
@@ -882,13 +875,13 @@ void executeInstr(const CircuitInstr &I, size_t Idx, StateVector &SV,
   SV.apply(I.Gate, I.Controls, I.Targets, I.Param);
   if (Noise)
     for (const NoiseOp &Op : Noise->Plan->PerInstr[Idx])
-      SV.applyChannel(Op.Qubit, *Op.Channel, Rng, Noise->Stats);
+      SV.applyChannel(Op.Qubit, *Op.Channel, Rng);
 }
 
-/// Executes instructions [Start, end) on \p SV, recording bits into \p R.
-void execute(const Circuit &C, size_t Start, StateVector &SV, ShotResult &R,
+/// Executes every instruction of \p C on \p SV, recording bits into \p R.
+void execute(const Circuit &C, StateVector &SV, ShotResult &R,
              std::mt19937_64 &Rng, const TrajectoryContext *Noise = nullptr) {
-  for (size_t N = Start; N < C.Instrs.size(); ++N)
+  for (size_t N = 0; N < C.Instrs.size(); ++N)
     executeInstr(C.Instrs[N], N, SV, R, Rng, Noise);
 }
 
@@ -942,10 +935,7 @@ uint64_t availablePhysicalMemory() {
 
 } // namespace
 
-unsigned StatevectorBackend::maxQubits(const RunOptions &Opts) {
-  if (Opts.MaxStateQubits)
-    return Opts.MaxStateQubits < HardMaxQubits ? Opts.MaxStateQubits
-                                               : HardMaxQubits;
+unsigned StatevectorBackend::maxQubits() {
   uint64_t Avail = availablePhysicalMemory();
   if (Avail == 0)
     return 26; // No answer from the OS: the historical fixed cap.
@@ -973,7 +963,7 @@ ShotResult StatevectorBackend::run(const Circuit &C, uint64_t Seed) const {
   std::mt19937_64 Rng = shotRng(Seed);
   ShotResult R;
   R.Bits.assign(C.NumBits, false);
-  execute(C, 0, SV, R, Rng);
+  execute(C, SV, R, Rng);
   return R;
 }
 
@@ -982,114 +972,86 @@ bool StatevectorBackend::supportsNoise(const NoiseModel &) const {
 }
 
 ShotResult StatevectorBackend::runNoisy(const Circuit &C, uint64_t Seed,
-                                        const NoiseModel &Noise,
-                                        NoiseStats *Stats) const {
+                                        const NoiseModel &Noise) const {
   assert(!C.isParametric() && "bind parameters before running");
   NoisePlan Plan = planNoise(Noise, C);
-  TrajectoryContext Ctx{&Plan, &Noise, Stats};
+  TrajectoryContext Ctx{&Plan, &Noise};
   StateVector SV(C.NumQubits);
   std::mt19937_64 Rng = shotRng(Seed);
   ShotResult R;
   R.Bits.assign(C.NumBits, false);
-  execute(C, 0, SV, R, Rng, &Ctx);
+  execute(C, SV, R, Rng, &Ctx);
   return R;
 }
 
 namespace {
 
-/// Collects into \p Tail the instructions after the shared prefix — of the
-/// fused plan \p FC, or of \p C's instruction stream when FC is null — and
-/// returns true if every one is an unconditional Measure or Reset.
-bool measureResetTail(const Circuit &C, const FusedCircuit *FC, size_t Prefix,
+/// Collects into \p Tail the instructions after the shared prefix of the
+/// fused plan \p FC and returns true if every one is an unconditional
+/// Measure or Reset.
+bool measureResetTail(const FusedCircuit &FC,
                       std::vector<const CircuitInstr *> &Tail) {
-  auto Admit = [&](const CircuitInstr &I) {
+  for (size_t N = FC.UnconditionalPrefixOps; N < FC.Ops.size(); ++N) {
+    const FusedOp &Op = FC.Ops[N];
+    if (Op.TheKind != FusedOp::Kind::Instr)
+      return false;
+    const CircuitInstr &I = FC.Source->Instrs[Op.InstrIndex];
     if (I.TheKind == CircuitInstr::Kind::Gate || I.CondBit >= 0)
       return false;
     Tail.push_back(&I);
-    return true;
-  };
-  if (!FC) {
-    for (size_t N = Prefix; N < C.Instrs.size(); ++N)
-      if (!Admit(C.Instrs[N]))
-        return false;
-    return true;
-  }
-  for (size_t N = Prefix; N < FC->Ops.size(); ++N) {
-    const FusedOp &Op = FC->Ops[N];
-    if (Op.TheKind != FusedOp::Kind::Instr ||
-        !Admit(FC->Source->Instrs[Op.InstrIndex]))
-      return false;
   }
   return true;
 }
 
 /// The batch core behind runBatch and runSweep: executes \p Shots shots
-/// of \p C under the prebuilt execution plan — fused ops \p FC (null for
-/// the unfused instruction stream) with unconditional-prefix boundary
-/// \p Prefix — honoring the RunOptions worker budget and deadline.
-/// Factoring the plan out of the shot loop is what lets runSweep build
-/// one plan per sweep point (re-materialized from a recorded recipe)
-/// without re-fusing from scratch, while keeping every scheduling
-/// decision, RNG stream, and kernel sequence identical to runBatch.
-std::vector<ShotResult> runPlannedBatch(const Circuit &C,
-                                        const FusedCircuit *FC, size_t Prefix,
+/// of FC.Source under the prebuilt fused plan \p FC, honoring the
+/// RunOptions worker budget and deadline. Factoring the plan out of the
+/// shot loop is what lets runSweep build one plan per sweep point
+/// (re-materialized from a recorded recipe) without re-fusing from
+/// scratch, while keeping every scheduling decision, RNG stream, and
+/// kernel sequence identical to runBatch.
+std::vector<ShotResult> runPlannedBatch(const FusedCircuit &FC,
                                         unsigned Shots, uint64_t Seed,
                                         const RunOptions &Opts,
                                         const TrajectoryContext *Traj) {
+  const Circuit &C = *FC.Source;
+  const size_t Prefix = FC.UnconditionalPrefixOps;
   if (Shots == 0)
     return {};
 
-  // Decide where the worker budget goes (ParallelMode). The budget is
-  // resolved against the machine alone — amplitude-level parallelism can
-  // use every worker even for a single shot, which is exactly the
-  // low-shot/large-n regime the hybrid exists for. The shared prefix is
-  // one state, so it always runs amplitude-parallel; the per-shot
-  // remainder goes shot-parallel only when there are enough shots to keep
-  // every worker busy. Either way the results are bit-identical: kernels
-  // are per-amplitude independent and reductions use fixed chunk order.
+  // Decide where the worker budget goes. The budget is resolved against
+  // the machine alone — amplitude-level parallelism can use every worker
+  // even for a single shot. The shared prefix is one state, so it always
+  // runs amplitude-parallel. The rest of each shot runs shot-parallel when
+  // there are enough shots to keep every worker busy, and also when the
+  // state is too small for the kernels to split profitably (below
+  // KernelMinChunk pairs they run serial, so amplitude mode would leave
+  // the workers idle); otherwise shots run one after another on split
+  // kernels (the low-shot/large-n regime). Either way the results are
+  // bit-identical: kernels are per-amplitude independent and reductions
+  // use fixed chunk order.
   unsigned Workers = resolveJobCount(Opts.Jobs);
-  bool ShotParallelRest;
-  switch (Opts.Parallel) {
-  case ParallelMode::Shot:
-    ShotParallelRest = true;
-    break;
-  case ParallelMode::Amplitude:
-    ShotParallelRest = false;
-    break;
-  case ParallelMode::Auto:
-  default:
-    // Shot-parallel when there are enough shots to keep every worker
-    // busy — and also when the state is too small for the kernels to
-    // split profitably (below KernelMinChunk pairs they run serial, so
-    // amplitude mode would leave the workers idle).
-    ShotParallelRest = Shots >= 2 * Workers ||
-                       (uint64_t(1) << C.NumQubits) < 2 * KernelMinChunk;
-    break;
-  }
-  unsigned PrefixAmpJobs = Opts.Parallel == ParallelMode::Shot ? 1 : Workers;
-  unsigned RestAmpJobs = ShotParallelRest ? 1 : Workers;
+  bool ShotParallel = Shots >= 2 * Workers ||
+                      (uint64_t(1) << C.NumQubits) < 2 * KernelMinChunk;
+  unsigned RestAmpJobs = ShotParallel ? 1 : Workers;
 
   // The unconditional prefix is identical for every shot and consumes no
   // randomness (and reads no bits): simulate it once on the shared state.
   StateVector Shared(C.NumQubits);
   Shared.setStats(Opts.SimCounters);
-  Shared.setParallelJobs(PrefixAmpJobs);
+  Shared.setParallelJobs(Workers);
   {
     ShotResult Scratch;
     Scratch.Bits.assign(C.NumBits, false);
     std::mt19937_64 Unused = shotRng(0);
-    if (FC)
-      executeFused(*FC, 0, Prefix, Shared, Scratch, Unused);
-    else
-      for (size_t N = 0; N < Prefix; ++N)
-        executeInstr(C.Instrs[N], N, Shared, Scratch, Unused, nullptr);
+    executeFused(FC, 0, Prefix, Shared, Scratch, Unused);
   }
 
   // A remainder of only unconditional measure/reset needs no fork: each
   // shot collapses a register that reads the shared state, and its
   // survivors halve with every new qubit measured.
   std::vector<const CircuitInstr *> Tail;
-  bool TailOnly = measureResetTail(C, FC, Prefix, Tail);
+  bool TailOnly = measureResetTail(FC, Tail);
 
   // Runs the post-prefix remainder of shot S on \p State: a fork of the
   // shared state, or on a measure/reset tail a CollapsedRegister. Shot S
@@ -1110,10 +1072,8 @@ std::vector<ShotResult> runPlannedBatch(const Circuit &C,
                                  CollapsedRegister>) {
       for (const CircuitInstr *I : Tail)
         executeReadout(*I, State, R, Rng, Traj);
-    } else if (FC) {
-      executeFused(*FC, Prefix, FC->Ops.size(), State, R, Rng, Traj);
     } else {
-      execute(C, Prefix, State, R, Rng, Traj);
+      executeFused(FC, Prefix, FC.Ops.size(), State, R, Rng, Traj);
     }
     return R;
   };
@@ -1131,7 +1091,7 @@ std::vector<ShotResult> runPlannedBatch(const Circuit &C,
     return Results;
   }
 
-  if (!ShotParallelRest) {
+  if (!ShotParallel) {
     // Amplitude-parallel remainder: shots run one after another, each
     // kernel's index range split across the workers. One fork buffer (or
     // register scratch), refilled per shot — no per-shot allocation.
@@ -1166,33 +1126,25 @@ std::vector<ShotResult> runPlannedBatch(const Circuit &C,
     if (MaxJobs < Jobs)
       Jobs = MaxJobs > 1 ? static_cast<unsigned>(MaxJobs) : 1;
   }
-  // SimStats fields are plain (not atomic), so concurrent shots may not
-  // share Opts.SimCounters: each worker accumulates into its own copy,
-  // merged once after the pool joins.
-  std::vector<SimStats> WorkerStats(Jobs);
-  auto StatsFor = [&](unsigned W) {
-    return Opts.SimCounters ? &WorkerStats[W] : nullptr;
-  };
   if (TailOnly) {
     // Per-worker registers; each allocates its scratch on first use.
     std::vector<CollapsedRegister> Regs(Jobs);
-    parallelShotLoop(Jobs, Shots, [&](unsigned W, unsigned S) {
-      Regs[W].start(Shared);
-      Results[S] = runRest(Regs[W], S, StatsFor(W));
-    });
+    parallelShotLoop(Jobs, Shots, Opts.SimCounters,
+                     [&](unsigned W, unsigned S, SimStats *Stats) {
+                       Regs[W].start(Shared);
+                       Results[S] = runRest(Regs[W], S, Stats);
+                     });
   } else {
     // Per-worker fork buffers, hoisted out of the shot loop: each shot
     // copy-assigns the shared prefix state into its worker's buffer
     // instead of allocating (and then freeing) a fresh fork per shot.
     std::vector<StateVector> WorkerState(Jobs, Shared);
-    parallelShotLoop(Jobs, Shots, [&](unsigned W, unsigned S) {
-      WorkerState[W] = Shared;
-      Results[S] = runRest(WorkerState[W], S, StatsFor(W));
-    });
+    parallelShotLoop(Jobs, Shots, Opts.SimCounters,
+                     [&](unsigned W, unsigned S, SimStats *Stats) {
+                       WorkerState[W] = Shared;
+                       Results[S] = runRest(WorkerState[W], S, Stats);
+                     });
   }
-  if (Opts.SimCounters)
-    for (const SimStats &WS : WorkerStats)
-      Opts.SimCounters->merge(WS);
   return Results;
 }
 
@@ -1206,35 +1158,16 @@ StatevectorBackend::runBatch(const Circuit &C, unsigned Shots, uint64_t Seed,
     return {};
 
   // Resolve the noise plan once per batch; per-shot trajectory execution
-  // then never touches a map.
+  // then never touches a map. Noisy gates consume per-shot randomness, so
+  // fuseCircuit's channel barriers end the shared prefix at the first.
   const NoiseModel *Noise =
       Opts.Noise && !Opts.Noise->empty() ? Opts.Noise : nullptr;
+  FusedCircuit FC = fuseCircuit(C, Noise);
   NoisePlan Plan;
-  TrajectoryContext Ctx;
-  const TrajectoryContext *Traj = nullptr;
-  if (Noise) {
+  if (Noise)
     Plan = planNoise(*Noise, C);
-    Ctx = {&Plan, Noise, Opts.NoiseCounters};
-    Traj = &Ctx;
-  }
-
-  // Build the execution plan: fused ops or the raw instruction stream,
-  // each with its unconditional-prefix boundary. Noisy gates consume
-  // per-shot randomness, so the shared prefix ends at the first of them
-  // (fuseCircuit's channel barriers do the same at op granularity).
-  FusedCircuit FC;
-  size_t Prefix;
-  if (Opts.Fuse) {
-    FC = fuseCircuit(C, Noise, Opts.FuseMaxQubits);
-    Prefix = FC.UnconditionalPrefixOps;
-  } else {
-    Prefix = analyzeCircuit(C).UnconditionalGatePrefix;
-    if (Noise && Plan.FirstNoisyInstr < Prefix)
-      Prefix = Plan.FirstNoisyInstr;
-  }
-
-  return runPlannedBatch(C, Opts.Fuse ? &FC : nullptr, Prefix, Shots, Seed,
-                         Opts, Traj);
+  TrajectoryContext Ctx{&Plan, Noise};
+  return runPlannedBatch(FC, Shots, Seed, Opts, Noise ? &Ctx : nullptr);
 }
 
 std::vector<std::vector<ShotResult>>
@@ -1242,11 +1175,6 @@ StatevectorBackend::runSweep(const Circuit &C,
                              const std::vector<std::vector<double>> &Points,
                              unsigned Shots, uint64_t Seed,
                              const RunOptions &Opts) const {
-  // Without fusion there is no plan to amortize: take the reference
-  // bind-and-run loop.
-  if (!Opts.Fuse)
-    return SimBackend::runSweep(C, Points, Shots, Seed, Opts);
-
   const NoiseModel *Noise =
       Opts.Noise && !Opts.Noise->empty() ? Opts.Noise : nullptr;
 
@@ -1255,7 +1183,7 @@ StatevectorBackend::runSweep(const Circuit &C,
   // placeholders — but every structural decision and every concrete-only
   // matrix is now fixed for the whole sweep.
   FusionRecipe Recipe;
-  fuseCircuit(C, Noise, Opts.FuseMaxQubits, &Recipe);
+  fuseCircuit(C, Noise, &Recipe);
 
   // One deep copy of the circuit serves the whole sweep: per point, only
   // the symbolic instructions' concrete Param slots are rewritten —
@@ -1282,16 +1210,11 @@ StatevectorBackend::runSweep(const Circuit &C,
       Bound.Instrs[I].Param = C.Instrs[I].boundParam(Points[P]);
     FusedCircuit FC = rebindFusedCircuit(Recipe, Bound);
     NoisePlan Plan;
-    TrajectoryContext Ctx;
-    const TrajectoryContext *Traj = nullptr;
-    if (Noise) {
+    if (Noise)
       Plan = planNoise(*Noise, Bound);
-      Ctx = {&Plan, Noise, Opts.NoiseCounters};
-      Traj = &Ctx;
-    }
-    Results[P] = runPlannedBatch(Bound, &FC, FC.UnconditionalPrefixOps,
-                                 Shots, deriveSweepPointSeed(Seed, P), Opts,
-                                 Traj);
+    TrajectoryContext Ctx{&Plan, Noise};
+    Results[P] = runPlannedBatch(FC, Shots, deriveSweepPointSeed(Seed, P),
+                                 Opts, Noise ? &Ctx : nullptr);
   }
   return Results;
 }

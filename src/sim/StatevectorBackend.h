@@ -8,7 +8,7 @@
 /// The dense amplitude engine — the stand-in for qir-runner (§7) — behind
 /// the SimBackend interface. Exact for every gate kind at any control
 /// count, memory-bound at 2^n amplitudes; the qubit cap derives from
-/// available physical memory (override via RunOptions::MaxStateQubits).
+/// available physical memory.
 ///
 /// Every kernel is a branch-free strided sweep (QuEST-style): instead of
 /// filtering all 2^n indices with an `(Idx & Mask) == Mask` test, the
@@ -22,18 +22,19 @@
 /// twist. Fused multi-qubit blocks (Fusion.h) apply a 2^k x 2^k matrix in
 /// one gather/scatter sweep.
 ///
-/// Multi-shot runs fuse the circuit, simulate the unconditional gate
-/// prefix once, fork the state per shot, and run the shots on a
-/// work-stealing thread pool — all without changing per-shot RNG
-/// consumption, so every (jobs, fuse) combination replays the same
-/// outcomes. When everything after the prefix is unconditional measure and
+/// Batch runs fuse the circuit, simulate the unconditional gate prefix
+/// once, fork the state per shot, and run the shots on a work-stealing
+/// thread pool — all without changing per-shot RNG consumption, so every
+/// worker count replays the outcomes of the serial, unfused run(), up to
+/// floating-point rounding of the fused matrices. When
+/// everything after the prefix is unconditional measure and
 /// reset (the usual end of a Qwerty kernel), a shot does not fork at all:
 /// it runs on a CollapsedRegister that reads the shared state and keeps
 /// only the survivors of each collapse, so every measurement sweeps half
-/// the amplitudes of the one before. In the low-shot/large-n regime the
-/// engine instead (or in
-/// hybrid, additionally) splits each kernel's index range across the
-/// workers (`setParallelJobs`); all probability reductions use a fixed
+/// the amplitudes of the one before. The shared prefix, and in the
+/// low-shot/large-n regime every shot, instead splits each kernel's index
+/// range across the workers (`setParallelJobs`); all probability
+/// reductions use a fixed
 /// chunked summation order, so amplitude-parallel execution is
 /// bit-identical across worker counts — and bit-identical to the serial
 /// reference.
@@ -57,7 +58,6 @@ namespace asdf {
 
 struct KrausChannel;
 class NoiseModel;
-struct NoiseStats;
 
 using Amplitude = std::complex<double>;
 
@@ -100,13 +100,14 @@ public:
   /// fields are plain, so concurrently-running shots must each attach
   /// their own instance and merge() at the join.
   void setStats(SimStats *S) { Stats = S; }
+  SimStats *stats() const { return Stats; }
 
   /// Quantum-trajectory step: samples one Kraus branch of \p Ch on qubit
   /// \p Q — branch k with probability ||K_k |psi>||^2 — and applies
-  /// K_k / sqrt(p_k). Consumes exactly one uniform draw, so RNG
-  /// consumption is identical on every execution plan.
-  void applyChannel(unsigned Q, const KrausChannel &Ch, std::mt19937_64 &Rng,
-                    NoiseStats *NStats = nullptr);
+  /// K_k / sqrt(p_k), counting the draw into the attached SimStats.
+  /// Consumes exactly one uniform draw, so RNG consumption is identical on
+  /// every execution plan.
+  void applyChannel(unsigned Q, const KrausChannel &Ch, std::mt19937_64 &Rng);
 
   /// Measures qubit \p Q; collapses the state. \p Rng drives sampling.
   bool measure(unsigned Q, std::mt19937_64 &Rng);
@@ -171,6 +172,7 @@ public:
   /// As StateVector::setStats: each measure or reset counts one kernel and
   /// the amplitudes it reads and writes.
   void setStats(SimStats *S) { Stats = S; }
+  SimStats *stats() const { return Stats; }
 
   /// Measures qubit \p Q, exactly as StateVector::measure would.
   bool measure(unsigned Q, std::mt19937_64 &Rng);
@@ -209,26 +211,26 @@ class StatevectorBackend : public SimBackend {
 public:
   const char *name() const override { return "sv"; }
   bool supports(const Circuit &C, const CircuitProfile &P) const override;
-  /// The serial, unfused reference path: the differential tests pin every
-  /// optimized configuration against this.
+  /// The serial, unfused reference path: the differential tests pin
+  /// runBatch and runSweep against this at every worker count.
   ShotResult run(const Circuit &C, uint64_t Seed) const override;
   /// The serial, unfused noisy reference: one quantum trajectory, sampling
   /// a Kraus branch per attached channel after each gate and readout error
   /// after each measurement, all from the shot's RNG stream.
   ShotResult runNoisy(const Circuit &C, uint64_t Seed,
-                      const NoiseModel &Noise,
-                      NoiseStats *Stats = nullptr) const override;
-  /// The execution-plan path: fuses the circuit (unless Opts.Fuse is off;
-  /// Opts.FuseMaxQubits bounds block width), simulates the unconditional
-  /// prefix once (amplitude-parallel), then spends the Opts.Jobs worker
-  /// budget per Opts.Parallel — shot-parallel per-worker forks when shots
-  /// are plentiful, amplitude-parallel kernels in the low-shot/large-n
-  /// regime, chosen automatically in hybrid mode. A remainder of only
-  /// unconditional measure/reset runs each shot on a CollapsedRegister
-  /// (half a state of scratch per worker) instead. With Opts.Noise, runs
-  /// quantum trajectories: noisy gates act as fusion barriers and close
-  /// the shared prefix. Every {jobs, fuse-k, parallel-mode} combination
-  /// returns bit-identical per-shot results.
+                      const NoiseModel &Noise) const override;
+  /// The execution-plan path: fuses the circuit, simulates the
+  /// unconditional prefix once (amplitude-parallel), then spends the
+  /// Opts.Jobs worker budget on the rest of each shot — shot-parallel
+  /// per-worker forks when there are at least two shots per worker or the
+  /// state is too small to split, amplitude-parallel kernels otherwise
+  /// (the low-shot/large-n regime). A remainder of only unconditional
+  /// measure/reset runs each shot on a CollapsedRegister (half a state of
+  /// scratch per worker) instead. With Opts.Noise, runs quantum
+  /// trajectories: noisy gates act as fusion barriers and close the
+  /// shared prefix. Every worker count returns the per-shot bits of run()
+  /// (runNoisy() with noise), up to floating-point rounding of the fused
+  /// matrices.
   std::vector<ShotResult> runBatch(const Circuit &C, unsigned Shots,
                                    uint64_t Seed,
                                    const RunOptions &Opts) const override;
@@ -236,9 +238,8 @@ public:
   /// The parametric fast path: fuses the circuit structure once
   /// (recording a FusionRecipe), then per point binds the parameters and
   /// re-materializes only the angle-dependent matrices before running the
-  /// batch core — bit-identical to recompiling the plan per point, for
-  /// every {jobs, fuse-k, parallel-mode} combination. Falls back to the
-  /// reference bind-and-run loop when fusion is disabled.
+  /// batch core — bit-identical to recompiling the plan per point, at
+  /// every worker count.
   std::vector<std::vector<ShotResult>>
   runSweep(const Circuit &C, const std::vector<std::vector<double>> &Points,
            unsigned Shots, uint64_t Seed,
@@ -250,13 +251,12 @@ public:
   /// index arithmetic and allocation sizes comfortably in range.
   static constexpr unsigned HardMaxQubits = 30;
 
-  /// Widest circuit the dense engine accepts under \p Opts:
-  /// Opts.MaxStateQubits if set, otherwise derived from available physical
-  /// memory (the shared state plus one per-shot fork within half of it —
-  /// one state per quarter; runBatch shrinks its worker count to stay
-  /// inside the same budget), falling back to 26 when the OS won't say.
-  /// Never exceeds HardMaxQubits.
-  static unsigned maxQubits(const RunOptions &Opts = RunOptions());
+  /// Widest circuit the dense engine accepts, derived from available
+  /// physical memory (the shared state plus one per-shot fork within half
+  /// of it — one state per quarter; runBatch shrinks its worker count to
+  /// stay inside the same budget), falling back to 26 when the OS won't
+  /// say. Never exceeds HardMaxQubits.
+  static unsigned maxQubits();
 };
 
 } // namespace asdf

@@ -99,28 +99,11 @@ std::vector<ShotResult> MPSBackend::runBatch(const Circuit &C, unsigned Shots,
   }
 
   unsigned Jobs = resolveJobCount(Opts.Jobs, Shots);
-  if (Jobs <= 1) {
-    MPSState State = Shared;
-    for (unsigned S = 0; S < Shots; ++S) {
-      if (S > 0)
-        State = Shared;
-      Results[S] = runRest(State, S, Opts.SimCounters);
-    }
-    return Results;
-  }
-
-  // SimStats fields are plain, so concurrent shots may not share
-  // Opts.SimCounters: each worker accumulates into its own copy, merged
-  // after the pool joins.
   std::vector<MPSState> WorkerState(Jobs, Shared);
-  std::vector<SimStats> WorkerStats(Jobs);
-  parallelShotLoop(Jobs, Shots, [&](unsigned W, unsigned S) {
-    WorkerState[W] = Shared;
-    Results[S] = runRest(WorkerState[W], S,
-                         Opts.SimCounters ? &WorkerStats[W] : nullptr);
-  });
-  if (Opts.SimCounters)
-    for (const SimStats &WS : WorkerStats)
-      Opts.SimCounters->merge(WS);
+  parallelShotLoop(Jobs, Shots, Opts.SimCounters,
+                   [&](unsigned W, unsigned S, SimStats *Stats) {
+                     WorkerState[W] = Shared;
+                     Results[S] = runRest(WorkerState[W], S, Stats);
+                   });
   return Results;
 }

@@ -106,6 +106,28 @@ int64_t Value::asI64(int64_t Default) const {
   return std::strtoll(NumText.c_str(), nullptr, 10);
 }
 
+namespace {
+
+template <typename T> bool wholeNumber(const std::string &Text, T &Out) {
+  const char *E = Text.data() + Text.size();
+  T N;
+  std::from_chars_result R = std::from_chars(Text.data(), E, N);
+  if (R.ec != std::errc() || R.ptr != E)
+    return false;
+  Out = N;
+  return true;
+}
+
+} // namespace
+
+bool Value::toU64(uint64_t &Out) const {
+  return TheKind == Kind::Number && wholeNumber(NumText, Out);
+}
+
+bool Value::toI64(int64_t &Out) const {
+  return TheKind == Kind::Number && wholeNumber(NumText, Out);
+}
+
 const std::string &Value::asString(const std::string &Default) const {
   return TheKind == Kind::String ? StrVal : Default;
 }

@@ -64,6 +64,13 @@ public:
   /// preserved digit text, not the double.
   uint64_t asU64(uint64_t Default = 0) const;
   int64_t asI64(int64_t Default = 0) const;
+  /// Exact reads for fields that must be whole numbers: true, with \p Out
+  /// set, if this is a number written as an integer (no fraction, no
+  /// exponent) that fits the type; false, with \p Out untouched, for
+  /// anything else — where asU64/asI64 would stop at the first non-digit
+  /// or wrap.
+  bool toU64(uint64_t &Out) const;
+  bool toI64(int64_t &Out) const;
   const std::string &asString(const std::string &Default = emptyString())
       const;
 

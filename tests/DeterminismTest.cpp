@@ -82,22 +82,18 @@ TEST(DeterminismTest, JobsDoNotChangePerShotBits) {
       {"stab/clifford", Cliff, &Stab},
   };
   for (const Case &TC : Cases) {
-    for (bool Fuse : {true, false}) {
-      RunOptions J1, J8;
-      J1.Jobs = 1;
-      J8.Jobs = 8;
-      J1.Fuse = J8.Fuse = Fuse;
-      std::vector<ShotResult> A = TC.B->runBatch(TC.C, Shots, 33, J1);
-      std::vector<ShotResult> B = TC.B->runBatch(TC.C, Shots, 33, J8);
-      ASSERT_EQ(A.size(), B.size());
-      for (unsigned S = 0; S < Shots; ++S)
-        ASSERT_EQ(A[S].Bits, B[S].Bits)
-            << TC.Name << (Fuse ? " fused" : " unfused") << " shot " << S;
-      // And per-shot bits equal independent run() replays.
-      for (unsigned S : {0u, 1u, 31u, 63u})
-        EXPECT_EQ(A[S].Bits, TC.B->run(TC.C, deriveShotSeed(33, S)).Bits)
-            << TC.Name << " shot " << S;
-    }
+    RunOptions J1, J8;
+    J1.Jobs = 1;
+    J8.Jobs = 8;
+    std::vector<ShotResult> A = TC.B->runBatch(TC.C, Shots, 33, J1);
+    std::vector<ShotResult> B = TC.B->runBatch(TC.C, Shots, 33, J8);
+    ASSERT_EQ(A.size(), B.size());
+    for (unsigned S = 0; S < Shots; ++S)
+      ASSERT_EQ(A[S].Bits, B[S].Bits) << TC.Name << " shot " << S;
+    // And per-shot bits equal independent run() replays.
+    for (unsigned S : {0u, 1u, 31u, 63u})
+      EXPECT_EQ(A[S].Bits, TC.B->run(TC.C, deriveShotSeed(33, S)).Bits)
+          << TC.Name << " shot " << S;
   }
 }
 
@@ -137,14 +133,8 @@ TEST(DeterminismTest, DeriveShotSeedMatchesGoldenTable) {
 }
 
 TEST(DeterminismTest, DenseQubitCapDerivation) {
-  // The dense cap is no longer a hard-coded 26: RunOptions overrides win,
-  // the hard cap bounds them, and the memory-derived default is sane.
-  RunOptions Opts;
-  Opts.MaxStateQubits = 24;
-  EXPECT_EQ(StatevectorBackend::maxQubits(Opts), 24u);
-  Opts.MaxStateQubits = 99;
-  EXPECT_EQ(StatevectorBackend::maxQubits(Opts),
-            StatevectorBackend::HardMaxQubits);
+  // The dense cap is no longer a hard-coded 26: the memory-derived cap is
+  // sane and the hard cap bounds it.
   unsigned Derived = StatevectorBackend::maxQubits();
   EXPECT_GE(Derived, 10u);
   EXPECT_LE(Derived, StatevectorBackend::HardMaxQubits);
@@ -176,9 +166,10 @@ TEST(DeterminismTest, ResolveJobCountClamps) {
 
 TEST(DeterminismTest, AmplitudeParallelBitIdenticalAcrossJobs) {
   // 14 qubits: 2^13 pairs, enough for the amplitude-parallel kernels to
-  // actually split their index ranges. The fixed-chunk reductions must
-  // make every jobs count — and the serial unfused reference — agree on
-  // every sampled bit.
+  // actually split their index ranges. Six shots run shot-parallel at up
+  // to 3 workers and one after another on split kernels at 4 and 8. The
+  // fixed-chunk reductions must make every jobs count agree with the
+  // serial unfused reference on every sampled bit.
   Circuit C;
   C.NumQubits = 14;
   C.NumBits = 14;
@@ -198,27 +189,15 @@ TEST(DeterminismTest, AmplitudeParallelBitIdenticalAcrossJobs) {
 
   StatevectorBackend Sv;
   const unsigned Shots = 6;
-  RunOptions Amp1;
-  Amp1.Parallel = ParallelMode::Amplitude;
-  Amp1.Jobs = 1;
-  std::vector<ShotResult> Want = Sv.runBatch(C, Shots, 77, Amp1);
-  for (unsigned Jobs : {2u, 3u, 4u, 8u}) {
-    RunOptions Opts = Amp1;
+  for (unsigned Jobs : {1u, 2u, 3u, 4u, 8u}) {
+    RunOptions Opts;
     Opts.Jobs = Jobs;
     std::vector<ShotResult> Got = Sv.runBatch(C, Shots, 77, Opts);
-    ASSERT_EQ(Want.size(), Got.size());
+    ASSERT_EQ(Got.size(), Shots);
     for (unsigned S = 0; S < Shots; ++S)
-      ASSERT_EQ(Want[S].Bits, Got[S].Bits) << "amp jobs " << Jobs
-                                           << " shot " << S;
+      ASSERT_EQ(Got[S].Bits, Sv.run(C, deriveShotSeed(77, S)).Bits)
+          << "jobs " << Jobs << " shot " << S;
   }
-  // And bit-identical to the serial unfused reference path.
-  RunOptions Ref;
-  Ref.Jobs = 1;
-  Ref.Fuse = false;
-  Ref.Parallel = ParallelMode::Shot;
-  std::vector<ShotResult> RefResults = Sv.runBatch(C, Shots, 77, Ref);
-  for (unsigned S = 0; S < Shots; ++S)
-    EXPECT_EQ(Want[S].Bits, RefResults[S].Bits) << "vs reference, shot " << S;
 }
 
 TEST(DeterminismTest, ParallelLoopsNeverSpawnIdleWorkers) {

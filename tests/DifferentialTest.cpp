@@ -6,16 +6,17 @@
 ///
 /// \file
 /// Differential testing of the dense execution plan against the serial,
-/// unfused reference path. ~200 random circuits — mixed Clifford gates,
-/// rotations at arbitrary angles, multi-controlled gates, mid-circuit
-/// measurement, reset, and feed-forward — each executed under every
-/// {fused, unfused} x {jobs=1, jobs=4} configuration at a fixed seed, with
-/// per-shot results required to agree bit-exactly. The optimized paths
-/// share per-shot seeds and RNG-consumption order with the reference by
-/// construction; these tests are what keeps that true as kernels evolve.
-/// Circuits ending in a measure/reset tail wide enough to span several
-/// reduction chunks pin the collapsed-register path amplitude by amplitude
-/// and across every plan.
+/// unfused reference path, StatevectorBackend::run(). ~200 random circuits
+/// — mixed Clifford gates, rotations at arbitrary angles, multi-controlled
+/// gates, mid-circuit measurement, reset, and feed-forward — each run as a
+/// fused batch at jobs=1 and jobs=4 at a fixed seed, with per-shot results
+/// required to agree bit-exactly. The batch shares per-shot seeds and
+/// RNG-consumption order with the reference by construction; these tests
+/// are what keeps that true as kernels evolve. Circuits ending in a
+/// measure/reset tail wide enough to span several reduction chunks pin the
+/// collapsed-register path amplitude by amplitude, and 14-qubit circuits
+/// drive every branch of the batch — one shot, serial shots on split
+/// kernels, shot-parallel workers — ideal and noisy.
 ///
 /// A second battery pins the stabilizer tableau: jobs=1 vs jobs=4 must be
 /// bit-exact, Pauli-frame batches must equal per-shot tableau runs shot
@@ -167,8 +168,20 @@ void expectBatchesBitExact(const std::vector<ShotResult> &Want,
         << Config << " trial " << Trial << " shot " << S;
 }
 
+/// Shot S of the serial, unfused reference run() for S in [0, Shots).
+std::vector<ShotResult> referenceShots(const Circuit &C, unsigned Shots,
+                                       uint64_t Seed,
+                                       const NoiseModel *Noise = nullptr) {
+  StatevectorBackend Sv;
+  std::vector<ShotResult> Want;
+  for (unsigned S = 0; S < Shots; ++S)
+    Want.push_back(Noise ? Sv.runNoisy(C, deriveShotSeed(Seed, S), *Noise)
+                         : Sv.run(C, deriveShotSeed(Seed, S)));
+  return Want;
+}
+
 //===----------------------------------------------------------------------===//
-// Statevector: fused/parallel configurations vs the serial unfused reference
+// Statevector: the fused batch vs the serial unfused reference
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialTest, RandomCircuitsBitExactAcrossConfigs) {
@@ -180,56 +193,22 @@ TEST(DifferentialTest, RandomCircuitsBitExactAcrossConfigs) {
     Circuit C = randomCircuit(Rng, NumQubits, 18 + Trial % 24,
                               /*CliffordOnly=*/Trial % 4 == 0);
     uint64_t Seed = 1000 + Trial;
+    std::vector<ShotResult> Want = referenceShots(C, Shots, Seed);
 
-    RunOptions Reference;
-    Reference.Jobs = 1;
-    Reference.Fuse = false;
-    std::vector<ShotResult> Want = Sv.runBatch(C, Shots, Seed, Reference);
-
-    // The reference path must equal per-shot run() calls — the amortized
-    // prefix and the batch machinery add nothing observable.
-    for (unsigned S = 0; S < Shots; ++S)
-      ASSERT_EQ(Want[S].Bits, Sv.run(C, deriveShotSeed(Seed, S)).Bits)
-          << "reference vs run() trial " << Trial << " shot " << S;
-
-    // Every execution-plan axis at once: block-fusion budget k, worker
-    // count, and where the workers go (shot- vs amplitude-parallel, plus
-    // the hybrid). All must replay the reference bit-exactly.
-    struct Config {
-      bool Fuse;
-      unsigned FuseK;
-      unsigned Jobs;
-      ParallelMode Mode;
-      const char *Name;
-    };
-    const Config Configs[] = {
-        {false, 3, 4, ParallelMode::Shot, "unfused/shot/j4"},
-        {false, 3, 4, ParallelMode::Amplitude, "unfused/amp/j4"},
-        {true, 1, 1, ParallelMode::Shot, "fuse1/shot/j1"},
-        {true, 1, 4, ParallelMode::Shot, "fuse1/shot/j4"},
-        {true, 1, 4, ParallelMode::Amplitude, "fuse1/amp/j4"},
-        {true, 2, 1, ParallelMode::Shot, "fuse2/shot/j1"},
-        {true, 2, 4, ParallelMode::Shot, "fuse2/shot/j4"},
-        {true, 2, 4, ParallelMode::Amplitude, "fuse2/amp/j4"},
-        {true, 3, 1, ParallelMode::Shot, "fuse3/shot/j1"},
-        {true, 3, 4, ParallelMode::Shot, "fuse3/shot/j4"},
-        {true, 3, 4, ParallelMode::Amplitude, "fuse3/amp/j4"},
-        {true, 3, 4, ParallelMode::Auto, "fuse3/auto/j4"},
-    };
-    for (const Config &Cfg : Configs) {
+    // The fused batch at one and at four workers must replay run() bit for
+    // bit: the amortized prefix, the fused matrices and the shot pool add
+    // nothing observable.
+    for (unsigned Jobs : {1u, 4u}) {
       RunOptions Opts;
-      Opts.Jobs = Cfg.Jobs;
-      Opts.Fuse = Cfg.Fuse;
-      Opts.FuseMaxQubits = Cfg.FuseK;
-      Opts.Parallel = Cfg.Mode;
+      Opts.Jobs = Jobs;
       std::vector<ShotResult> Got = Sv.runBatch(C, Shots, Seed, Opts);
-      expectBatchesBitExact(Want, Got, Cfg.Name, Trial);
+      expectBatchesBitExact(Want, Got, Jobs == 1 ? "j1" : "j4", Trial);
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Parameter sweeps: runSweep vs recompile-per-point, every execution plan
+// Parameter sweeps: runSweep vs recompile-per-point, at every worker count
 //===----------------------------------------------------------------------===//
 
 /// Lifts every rotation-family gate of \p C into a symbolic angle over up
@@ -257,7 +236,7 @@ unsigned parameterize(Circuit &C, std::mt19937_64 &Rng) {
 TEST(DifferentialTest, SweepsBitExactToRecompilePerPoint) {
   // The runSweep contract: Results[P] == runBatch(bindCircuit(C,
   // Points[P]), Shots, deriveSweepPointSeed(Seed, P), Opts) bit-for-bit,
-  // under every execution plan. The fast path memoizes the fused
+  // at every worker count. The fast path memoizes the fused
   // *structure* and re-materializes only angle-dependent matrices per
   // point; these trials are what keeps that a pure optimization.
   std::mt19937_64 Rng(0x5EE9ull);
@@ -275,36 +254,18 @@ TEST(DifferentialTest, SweepsBitExactToRecompilePerPoint) {
       Points.push_back({PickVal(Rng), PickVal(Rng), PickVal(Rng)});
     uint64_t Seed = 0xABC0 + Trial;
 
-    struct Config {
-      bool Fuse;
-      unsigned FuseK;
-      unsigned Jobs;
-      ParallelMode Mode;
-      const char *Name;
-    };
-    const Config Configs[] = {
-        {false, 3, 1, ParallelMode::Shot, "sweep/unfused/j1"},
-        {false, 3, 4, ParallelMode::Shot, "sweep/unfused/shot/j4"},
-        {true, 1, 4, ParallelMode::Shot, "sweep/fuse1/shot/j4"},
-        {true, 2, 4, ParallelMode::Amplitude, "sweep/fuse2/amp/j4"},
-        {true, 3, 1, ParallelMode::Shot, "sweep/fuse3/shot/j1"},
-        {true, 3, 4, ParallelMode::Amplitude, "sweep/fuse3/amp/j4"},
-        {true, 3, 4, ParallelMode::Auto, "sweep/fuse3/auto/j4"},
-    };
-    for (const Config &Cfg : Configs) {
+    for (unsigned Jobs : {1u, 4u}) {
+      const char *Name = Jobs == 1 ? "sweep/j1" : "sweep/j4";
       RunOptions Opts;
-      Opts.Jobs = Cfg.Jobs;
-      Opts.Fuse = Cfg.Fuse;
-      Opts.FuseMaxQubits = Cfg.FuseK;
-      Opts.Parallel = Cfg.Mode;
+      Opts.Jobs = Jobs;
       std::vector<std::vector<ShotResult>> Sweep =
           Sv.runSweep(C, Points, Shots, Seed, Opts);
-      ASSERT_EQ(Sweep.size(), Points.size()) << Cfg.Name;
+      ASSERT_EQ(Sweep.size(), Points.size()) << Name;
       for (size_t P = 0; P < Points.size(); ++P) {
         std::vector<ShotResult> Want =
             Sv.runBatch(bindCircuit(C, Points[P]), Shots,
                         deriveSweepPointSeed(Seed, P), Opts);
-        expectBatchesBitExact(Want, Sweep[P], Cfg.Name, Trial);
+        expectBatchesBitExact(Want, Sweep[P], Name, Trial);
       }
     }
   }
@@ -405,45 +366,50 @@ TEST(DifferentialTest, MeasureTailAmplitudesExact) {
   }
 }
 
+/// The batch shapes that reach each branch of the dense batch core on
+/// states of 14 qubits or more: it runs the rest of each shot
+/// shot-parallel when there are at least two shots per worker, and one
+/// shot after another on split kernels below that. A single shot finishes
+/// on the shared state itself.
+struct BatchShape {
+  unsigned Jobs;
+  unsigned Shots;
+  const char *Name;
+};
+const BatchShape BatchShapes[] = {
+    {4, 1, "one shot/j4"},
+    {4, 4, "split kernels/j4"},
+    {4, 8, "shot-parallel/j4"},
+    {1, 4, "shot-parallel/j1"},
+};
+
+/// Runs \p C as every BatchShape and checks each against \p Want, the
+/// reference shots (at least 8).
+void expectEveryShapeMatches(const Circuit &C, uint64_t Seed,
+                             const std::vector<ShotResult> &Want,
+                             const NoiseModel *Noise, unsigned Trial) {
+  StatevectorBackend Sv;
+  for (const BatchShape &Shape : BatchShapes) {
+    RunOptions Opts;
+    Opts.Jobs = Shape.Jobs;
+    Opts.Noise = Noise;
+    expectBatchesBitExact(
+        std::vector<ShotResult>(Want.begin(), Want.begin() + Shape.Shots),
+        Sv.runBatch(C, Shape.Shots, Seed, Opts), Shape.Name, Trial);
+  }
+}
+
 TEST(DifferentialTest, MeasureTailBitExactAcrossConfigs) {
-  // The same circuits through every plan that runs a tail on the register
-  // — fused or not, shot- or amplitude-parallel, one shot, a sweep — must
+  // The same circuits through every batch branch that runs a tail on the
+  // register — one shot, split kernels, shot-parallel, a sweep — must
   // replay per-shot run() bit-exactly.
   std::mt19937_64 Rng(0x7A11ull);
   StatevectorBackend Sv;
-  const unsigned Shots = 8;
-  struct Config {
-    bool Fuse;
-    unsigned Jobs;
-    ParallelMode Mode;
-    const char *Name;
-  };
-  const Config Configs[] = {
-      {false, 1, ParallelMode::Shot, "tail/unfused/shot/j1"},
-      {false, 4, ParallelMode::Amplitude, "tail/unfused/amp/j4"},
-      {true, 1, ParallelMode::Shot, "tail/fused/shot/j1"},
-      {true, 4, ParallelMode::Shot, "tail/fused/shot/j4"},
-      {true, 4, ParallelMode::Amplitude, "tail/fused/amp/j4"},
-      {true, 4, ParallelMode::Auto, "tail/fused/auto/j4"},
-  };
   for (unsigned NumQubits : {18u, 19u, 20u}) {
     Circuit C = measureTailCircuit(NumQubits, Rng);
     uint64_t Seed = 0x7A10 + NumQubits;
-    std::vector<ShotResult> Want;
-    for (unsigned S = 0; S < Shots; ++S)
-      Want.push_back(Sv.run(C, deriveShotSeed(Seed, S)));
-    for (const Config &Cfg : Configs) {
-      RunOptions Opts;
-      Opts.Fuse = Cfg.Fuse;
-      Opts.Jobs = Cfg.Jobs;
-      Opts.Parallel = Cfg.Mode;
-      expectBatchesBitExact(Want, Sv.runBatch(C, Shots, Seed, Opts), Cfg.Name,
+    expectEveryShapeMatches(C, Seed, referenceShots(C, 8, Seed), nullptr,
                             NumQubits);
-      std::vector<ShotResult> One = Sv.runBatch(C, 1, Seed, Opts);
-      ASSERT_EQ(One.size(), 1u);
-      EXPECT_EQ(One[0].Bits, Want[0].Bits)
-          << Cfg.Name << " single shot, " << NumQubits << " qubits";
-    }
   }
 
   // bind-run: the sweep core takes the same tail path per point.
@@ -452,22 +418,73 @@ TEST(DifferentialTest, MeasureTailBitExactAcrossConfigs) {
   std::vector<std::vector<double>> Points = {{10.0, -20.0, 30.0},
                                              {-45.0, 60.0, 75.0}};
   std::vector<std::vector<ShotResult>> WantSweep(Points.size());
-  for (size_t P = 0; P < Points.size(); ++P) {
-    Circuit Bound = bindCircuit(C, Points[P]);
-    uint64_t PointSeed = deriveSweepPointSeed(0x5EED, P);
-    for (unsigned S = 0; S < 4; ++S)
-      WantSweep[P].push_back(Sv.run(Bound, deriveShotSeed(PointSeed, S)));
-  }
-  for (const Config &Cfg : Configs) {
+  for (size_t P = 0; P < Points.size(); ++P)
+    WantSweep[P] = referenceShots(bindCircuit(C, Points[P]), 8,
+                                  deriveSweepPointSeed(0x5EED, P));
+  for (const BatchShape &Shape : BatchShapes) {
     RunOptions Opts;
-    Opts.Fuse = Cfg.Fuse;
-    Opts.Jobs = Cfg.Jobs;
-    Opts.Parallel = Cfg.Mode;
+    Opts.Jobs = Shape.Jobs;
     std::vector<std::vector<ShotResult>> Sweep =
-        Sv.runSweep(C, Points, 4, 0x5EED, Opts);
-    ASSERT_EQ(Sweep.size(), Points.size()) << Cfg.Name;
+        Sv.runSweep(C, Points, Shape.Shots, 0x5EED, Opts);
+    ASSERT_EQ(Sweep.size(), Points.size()) << Shape.Name;
     for (size_t P = 0; P < Points.size(); ++P)
-      expectBatchesBitExact(WantSweep[P], Sweep[P], Cfg.Name, unsigned(P));
+      expectBatchesBitExact(std::vector<ShotResult>(WantSweep[P].begin(),
+                                                    WantSweep[P].begin() +
+                                                        Shape.Shots),
+                            Sweep[P], Shape.Name, unsigned(P));
+  }
+}
+
+TEST(DifferentialTest, EveryBatchBranchMatchesTheReference) {
+  // 14 qubits: 2^13 pairs, enough for the kernels to split, so each
+  // BatchShape takes its own branch of the batch core. The circuits:
+  // gates after a mid-circuit measurement (every shot forks the prefix
+  // state), a pure measure/reset tail (every shot runs on a collapsed
+  // register), and both again under noise — Kraus channels on the gates,
+  // which end the shared prefix at the first noisy gate, and readout
+  // error alone, which leaves the tail on the register.
+  std::mt19937_64 Rng(0xB7A4Cull);
+  Circuit Forked;
+  Forked.NumQubits = 14;
+  Forked.NumBits = 14;
+  for (unsigned Q = 0; Q < 14; ++Q) {
+    Forked.append(CircuitInstr::gate(GateKind::H, {}, {Q}));
+    Forked.append(CircuitInstr::gate(GateKind::RY, {}, {Q}, 0.2 + 0.15 * Q));
+  }
+  for (unsigned Q = 1; Q < 14; ++Q)
+    Forked.append(CircuitInstr::gate(GateKind::X, {Q - 1}, {Q}));
+  Forked.append(CircuitInstr::measure(0, 0));
+  CircuitInstr Fix = CircuitInstr::gate(GateKind::X, {}, {1});
+  Fix.CondBit = 0;
+  Forked.append(Fix);
+  Forked.append(CircuitInstr::gate(GateKind::RZ, {}, {1}, 0.9));
+  Forked.append(CircuitInstr::gate(GateKind::T, {}, {2}));
+  for (unsigned Q = 1; Q < 14; ++Q)
+    Forked.append(CircuitInstr::measure(Q, Q));
+  Circuit Tail = measureTailCircuit(14, Rng);
+
+  NoiseModel Gates;
+  Gates.addGateChannel(GateKind::RY, KrausChannel::phaseDamping(0.1));
+  Gates.addGateChannel(GateKind::T, KrausChannel::amplitudeDamping(0.2));
+  Gates.setReadoutError(0.05, 0.08);
+  NoiseModel Readout;
+  Readout.setReadoutError(0.1, 0.15);
+
+  struct Case {
+    const Circuit *C;
+    const NoiseModel *Noise;
+  };
+  const Case Cases[] = {{&Forked, nullptr},
+                        {&Tail, nullptr},
+                        {&Forked, &Gates},
+                        {&Tail, &Gates},
+                        {&Tail, &Readout}};
+  for (unsigned I = 0; I < std::size(Cases); ++I) {
+    uint64_t Seed = 0xB0 + I;
+    expectEveryShapeMatches(*Cases[I].C, Seed,
+                            referenceShots(*Cases[I].C, 8, Seed,
+                                           Cases[I].Noise),
+                            Cases[I].Noise, I);
   }
 }
 
@@ -565,10 +582,9 @@ TEST(DifferentialTest, DuplicateControlsAreNotDroppedByFusion) {
   for (unsigned Q = 0; Q < 2; ++Q)
     C.append(CircuitInstr::measure(Q, Q));
   StatevectorBackend Sv;
-  RunOptions Ref, Fused;
-  Ref.Jobs = Fused.Jobs = 1;
-  Ref.Fuse = false;
-  std::vector<ShotResult> Want = Sv.runBatch(C, 1, 5, Ref);
+  RunOptions Fused;
+  Fused.Jobs = 1;
+  std::vector<ShotResult> Want = referenceShots(C, 1, 5);
   std::vector<ShotResult> Got = Sv.runBatch(C, 1, 5, Fused);
   ASSERT_EQ(Want[0].Bits, Got[0].Bits);
   EXPECT_TRUE(Want[0].Bits[0] && Want[0].Bits[1]); // X then CX: |11>
@@ -580,7 +596,7 @@ TEST(DifferentialTest, DuplicateControlsAreNotDroppedByFusion) {
   D.append(CircuitInstr::gate(GateKind::X, {1}, {1}));
   for (unsigned Q = 0; Q < 2; ++Q)
     D.append(CircuitInstr::measure(Q, Q));
-  EXPECT_EQ(Sv.runBatch(D, 1, 5, Ref)[0].Bits,
+  EXPECT_EQ(referenceShots(D, 1, 5)[0].Bits,
             Sv.runBatch(D, 1, 5, Fused)[0].Bits);
 }
 
@@ -747,35 +763,66 @@ TEST(DifferentialTest, MpsExactAmplitudesAtUnlimitedChi) {
   }
 }
 
+TEST(DifferentialTest, MpsWideGatesMatchStatevector) {
+  // Gates on 7 and 8 sites — MPSBackend::MaxGateSites — are contracted
+  // through gateBlockMatrix, whose width bound is the MPS limit, not the
+  // fusion block width. Controls spread over the chain, so the engine
+  // also gathers non-adjacent sites into one window.
+  Circuit C;
+  C.NumQubits = 10;
+  for (unsigned Q = 0; Q < 10; ++Q)
+    C.append(CircuitInstr::gate(GateKind::H, {}, {Q}));
+  C.append(CircuitInstr::gate(GateKind::X, {0, 2, 4, 6, 8, 9}, {5}));
+  C.append(CircuitInstr::gate(GateKind::RY, {1, 3, 5, 7, 9, 0, 2}, {8}, 0.7));
+  C.append(CircuitInstr::gate(GateKind::Z, {9, 8, 7, 6, 5, 4}, {0}));
+  MPSState Mps(C.NumQubits, /*Chi=*/0);
+  StateVector Sv(C.NumQubits);
+  for (const CircuitInstr &I : C.Instrs) {
+    Mps.apply(I);
+    Sv.apply(I.Gate, I.Controls, I.Targets, I.Param);
+  }
+  std::vector<MPSState::Cplx> Amp = Mps.statevector();
+  for (uint64_t Idx = 0; Idx < (uint64_t(1) << C.NumQubits); ++Idx)
+    ASSERT_LT(std::abs(Amp[Idx] - Sv.amplitudes()[Idx]), 1e-8)
+        << "index " << Idx;
+
+  // The same widths through the backend, on a deterministic circuit so
+  // both engines must return the same bits.
+  Circuit D;
+  D.NumQubits = 9;
+  D.NumBits = 9;
+  for (unsigned Q = 0; Q < 7; ++Q)
+    D.append(CircuitInstr::gate(GateKind::X, {}, {Q}));
+  D.append(CircuitInstr::gate(GateKind::X, {0, 1, 2, 3, 4, 5}, {7}));
+  D.append(CircuitInstr::gate(GateKind::X, {0, 1, 2, 3, 4, 5, 6}, {8}));
+  D.append(CircuitInstr::gate(GateKind::X, {0, 1, 2, 3, 4, 5, 7}, {6}));
+  for (unsigned Q = 0; Q < 9; ++Q)
+    D.append(CircuitInstr::measure(Q, Q));
+  ASSERT_EQ(analyzeCircuit(D).MaxGateQubits, MPSBackend::MaxGateSites);
+  std::vector<ShotResult> Want = referenceShots(D, 4, 3);
+  std::vector<ShotResult> Got =
+      MPSBackend().runBatch(D, 4, 3, RunOptions());
+  expectBatchesBitExact(Want, Got, "mps wide gates", 0);
+  EXPECT_EQ(Got[0].str(), "111111011");
+}
+
 TEST(DifferentialTest, MpsMatchesStatevectorDistributions) {
-  // Distributional parity against the dense engine under every dense
-  // execution plan {fuse on/off} x {jobs 1,4} — the engines consume RNG
-  // differently, so the comparison is total variation, not bit equality.
+  // Distributional parity against the dense engine at jobs 1 and 4 — the
+  // engines consume RNG differently, so the comparison is total
+  // variation, not bit equality.
   std::mt19937_64 Rng(0x395Dull);
   const unsigned Shots = 2500;
-  struct Config {
-    bool Fuse;
-    unsigned Jobs;
-    const char *Name;
-  };
-  const Config Configs[] = {
-      {false, 1, "sv-unfused/j1"},
-      {false, 4, "sv-unfused/j4"},
-      {true, 1, "sv-fused/j1"},
-      {true, 4, "sv-fused/j4"},
-  };
   for (unsigned Trial = 0; Trial < 4; ++Trial) {
     Circuit C = randomCircuit(Rng, 3 + Trial, 18, /*CliffordOnly=*/false);
     std::map<std::string, unsigned> Mps =
         runShots(C, Shots, 21 + Trial, BackendKind::MPS);
-    for (const Config &Cfg : Configs) {
+    for (unsigned Jobs : {1u, 4u}) {
       RunOptions Opts;
-      Opts.Fuse = Cfg.Fuse;
-      Opts.Jobs = Cfg.Jobs;
+      Opts.Jobs = Jobs;
       std::map<std::string, unsigned> Sv = runShots(
           C, Shots, 700 + Trial, BackendKind::Statevector, Opts);
       EXPECT_LT(tvDistance(Mps, Sv, Shots), 0.11)
-          << Cfg.Name << " trial " << Trial;
+          << "sv j" << Jobs << " trial " << Trial;
     }
   }
 }
@@ -910,10 +957,6 @@ TEST(DifferentialTest, TranspileO3KeepsShots) {
   // No rewrite removes a measurement or reset, so both circuits draw the
   // same random numbers in the same order and must agree shot for shot.
   std::mt19937_64 Rng(0x7A46ull);
-  StatevectorBackend Sv;
-  RunOptions Reference;
-  Reference.Jobs = 1;
-  Reference.Fuse = false;
   RewriteTally Tally;
   unsigned Broken = 0;
   for (unsigned Trial = 0; Trial < 2000; ++Trial) {
@@ -922,8 +965,8 @@ TEST(DifferentialTest, TranspileO3KeepsShots) {
     Circuit Opt = transpileO3(C);
     Tally.add(C, Opt);
     uint64_t Seed = 7000 + Trial;
-    std::vector<ShotResult> Want = Sv.runBatch(C, 8, Seed, Reference);
-    std::vector<ShotResult> Got = Sv.runBatch(Opt, 8, Seed, Reference);
+    std::vector<ShotResult> Want = referenceShots(C, 8, Seed);
+    std::vector<ShotResult> Got = referenceShots(Opt, 8, Seed);
     for (unsigned S = 0; S < Want.size(); ++S)
       if (Want[S].Bits != Got[S].Bits) {
         if (Broken++ < 3)

@@ -10,8 +10,8 @@
 /// seed, the stabilizer engine's Pauli-frame and Monte-Carlo paths agree
 /// with dense trajectories in distribution, fusion respects channel
 /// barriers, the spec parser round-trips and rejects garbage, and —
-/// load-bearing — noisy runs stay bit-identical across every
-/// {jobs, fuse} configuration.
+/// load-bearing — noisy batches stay bit-identical to the serial unfused
+/// runNoisy() at every worker count, their trajectory counters included.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,22 +128,6 @@ TEST(NoiseModelTest, ValidateRejectsBrokenChannels) {
   std::string Error;
   EXPECT_FALSE(M.validate(Error));
   EXPECT_NE(Error.find("broken"), std::string::npos);
-}
-
-TEST(NoiseModelTest, PlanFindsFirstNoisyInstr) {
-  NoiseModel M;
-  M.addGateChannel(GateKind::T, KrausChannel::depolarizing(0.1));
-  Circuit C;
-  C.NumQubits = 2;
-  C.NumBits = 2;
-  C.append(CircuitInstr::gate(GateKind::H, {}, {0}));
-  C.append(CircuitInstr::gate(GateKind::T, {}, {0}));
-  C.append(CircuitInstr::measure(0, 0));
-  NoisePlan Plan = planNoise(M, C);
-  ASSERT_EQ(Plan.PerInstr.size(), 3u);
-  EXPECT_TRUE(Plan.PerInstr[0].empty());
-  EXPECT_EQ(Plan.PerInstr[1].size(), 1u);
-  EXPECT_EQ(Plan.FirstNoisyInstr, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -605,10 +589,10 @@ NoiseModel krausTestModel() {
 }
 
 TEST(NoiseDeterminismTest, JobsAndFusionDoNotChangeNoisyBits) {
-  // The acceptance bar: noisy runs are bit-identical across
-  // {jobs 1, 4} x {fuse on, off} — both with noise on every gate (nothing
-  // fusible) and with sparse noise, where fusion really merges runs
-  // between the channel barriers.
+  // The acceptance bar: the fused noisy batch at jobs 1 and 4 is
+  // bit-identical to the unfused runNoisy reference — both with noise on
+  // every gate (nothing fusible) and with sparse noise, where fusion
+  // really merges runs between the channel barriers.
   NoiseModel Dense = krausTestModel();
   NoiseModel Sparse;
   Sparse.addGateChannel(GateKind::T, KrausChannel::amplitudeDamping(0.1));
@@ -617,30 +601,19 @@ TEST(NoiseDeterminismTest, JobsAndFusionDoNotChangeNoisyBits) {
   StatevectorBackend Sv;
   const unsigned Shots = 48;
   for (const NoiseModel *M : {&Dense, &Sparse}) {
-    RunOptions Ref;
-    Ref.Jobs = 1;
-    Ref.Fuse = false;
-    Ref.Noise = M;
-    std::vector<ShotResult> Baseline = Sv.runBatch(C, Shots, 21, Ref);
+    std::vector<ShotResult> Want;
+    for (unsigned S = 0; S < Shots; ++S)
+      Want.push_back(Sv.runNoisy(C, deriveShotSeed(21, S), *M));
     for (unsigned Jobs : {1u, 4u}) {
-      for (bool Fuse : {true, false}) {
-        RunOptions Opts;
-        Opts.Jobs = Jobs;
-        Opts.Fuse = Fuse;
-        Opts.Noise = M;
-        std::vector<ShotResult> Got = Sv.runBatch(C, Shots, 21, Opts);
-        ASSERT_EQ(Got.size(), Baseline.size());
-        for (unsigned S = 0; S < Shots; ++S)
-          ASSERT_EQ(Got[S].Bits, Baseline[S].Bits)
-              << "jobs " << Jobs << (Fuse ? " fused" : " unfused")
-              << " shot " << S;
-      }
+      RunOptions Opts;
+      Opts.Jobs = Jobs;
+      Opts.Noise = M;
+      std::vector<ShotResult> Got = Sv.runBatch(C, Shots, 21, Opts);
+      ASSERT_EQ(Got.size(), Want.size());
+      for (unsigned S = 0; S < Shots; ++S)
+        ASSERT_EQ(Got[S].Bits, Want[S].Bits)
+            << "jobs " << Jobs << " shot " << S;
     }
-    // And the serial-unfused batch equals independent runNoisy replays.
-    for (unsigned S : {0u, 7u, 47u})
-      EXPECT_EQ(Baseline[S].Bits,
-                Sv.runNoisy(C, deriveShotSeed(21, S), *M).Bits)
-          << "shot " << S;
   }
 }
 
@@ -664,6 +637,59 @@ TEST(NoiseDeterminismTest, StabilizerNoisyBatchesAreJobsInvariant) {
     std::vector<ShotResult> B = Stab.runBatch(C, 64, 31, J4);
     for (unsigned S = 0; S < 64; ++S)
       ASSERT_EQ(A[S].Bits, B[S].Bits) << "shot " << S;
+  }
+}
+
+TEST(NoiseDeterminismTest, TrajectoryCountersAreJobsInvariant) {
+  // The counters asdfc --trajectories prints. Every engine path counts
+  // into its worker's own SimStats, merged after the join, so jobs 1 and 4
+  // must agree exactly; without conditional gates every shot samples every
+  // insertion site once.
+  NoiseModel Kraus = krausTestModel();
+  NoiseModel Pauli = pauliTestModel();
+  std::mt19937_64 Rng(7);
+  Circuit Plain = randomClifford(Rng, 5, 30);
+  Circuit Dynamic = Plain;
+  CircuitInstr Fix = CircuitInstr::gate(GateKind::Z, {}, {0});
+  Fix.CondBit = 4;
+  Dynamic.append(Fix);
+  Dynamic.append(CircuitInstr::measure(0, 0));
+  ASSERT_TRUE(analyzeCircuit(Dynamic).HasFeedForward);
+  StatevectorBackend Sv;
+  StabilizerBackend Stab;
+  struct Case {
+    const char *Name;
+    const SimBackend *B;
+    const Circuit *C;
+    const NoiseModel *M;
+  };
+  const Case Cases[] = {
+      {"dense trajectories", &Sv, &Plain, &Kraus},
+      {"dense feed-forward", &Sv, &Dynamic, &Kraus},
+      {"pauli frames", &Stab, &Plain, &Pauli},
+      {"tableau feed-forward", &Stab, &Dynamic, &Pauli},
+  };
+  const unsigned Shots = 200;
+  for (const Case &TC : Cases) {
+    SimStats J1, J4;
+    for (unsigned Jobs : {1u, 4u}) {
+      RunOptions Opts;
+      Opts.Jobs = Jobs;
+      Opts.Noise = TC.M;
+      Opts.SimCounters = Jobs == 1 ? &J1 : &J4;
+      TC.B->runBatch(*TC.C, Shots, 13, Opts);
+    }
+    EXPECT_GT(J1.ErrorBranches, 0u) << TC.Name;
+    EXPECT_GT(J1.ReadoutFlips, 0u) << TC.Name;
+    EXPECT_EQ(J1.ChannelApps, J4.ChannelApps) << TC.Name;
+    EXPECT_EQ(J1.ErrorBranches, J4.ErrorBranches) << TC.Name;
+    EXPECT_EQ(J1.ReadoutFlips, J4.ReadoutFlips) << TC.Name;
+    if (TC.C == &Plain) {
+      size_t Sites = 0;
+      for (const std::vector<NoiseOp> &Ops : planNoise(*TC.M, Plain).PerInstr)
+        Sites += Ops.size();
+      EXPECT_EQ(J1.ChannelApps, Shots * Sites) << TC.Name;
+    }
   }
 }
 

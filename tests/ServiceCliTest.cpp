@@ -276,6 +276,17 @@ TEST(ServiceCliExitCodes, UnknownFlagsExitTwo) {
   EXPECT_NE(Out.find("unknown option '--frobnicate'"), std::string::npos);
   EXPECT_EQ(runCommand(std::string(ASDF_ASDFC_PATH) + " --frobnicate", Out),
             2);
+  // The dense engine picks its own plan: the old plan flags are unknown.
+  std::string Coin = writeTemp("service_cli_coin_flags.qw", CoinSource);
+  for (std::string Flag : {"--no-fuse", "--fuse-k", "--parallel"}) {
+    EXPECT_EQ(runCommand(std::string(ASDF_ASDFC_PATH) + " " + Coin +
+                             " --emit run " + Flag + " 2",
+                         Out),
+              2)
+        << Flag;
+    EXPECT_NE(Out.find("unknown option '" + Flag + "'"), std::string::npos)
+        << Out;
+  }
 }
 
 TEST(ServiceCliExitCodes, UsageErrorsExitTwo) {
@@ -347,6 +358,10 @@ TEST(ServiceCliExitCodes, SharedParsersAgreeAcrossTools) {
       {"--bind N=3 --bind N=4", "duplicate --bind for dimension variable"},
       {"--capture secret=101", "capture key 'secret' must be"},
       {"--sweep '0;abc'", "--sweep value 'abc' is not a number"},
+      {"--shots 3x", "--shots value '3x' is not a whole number"},
+      {"--shots -1", "--shots value '-1' is not a whole number"},
+      {"--seed 12abc", "--seed value '12abc' is not a whole number"},
+      {"--jobs 2x", "--jobs value '2x' is not a whole number"},
   };
   auto firstLine = [](const std::string &Out, const std::string &Prefix) {
     EXPECT_EQ(Out.rfind(Prefix, 0), 0u) << Out;
@@ -360,6 +375,37 @@ TEST(ServiceCliExitCodes, SharedParsersAgreeAcrossTools) {
     EXPECT_NE(Diagnosis.find(Want), std::string::npos) << FromAsdfc;
     EXPECT_EQ(firstLine(FromCli, "asdf-cli: "), Diagnosis) << Args;
   }
+}
+
+TEST(ServiceCliExitCodes, WholeNumberFlagsParseTheWholeValue) {
+  // A value with junk after the digits, a sign, or out of its field's
+  // range exits 2; a decimal value, or a 0x seed, keeps its value.
+  std::string Coin = writeTemp("service_cli_coin_numbers.qw", CoinSource);
+  const std::string Asdfc = std::string(ASDF_ASDFC_PATH) + " " + Coin +
+                            " --emit run ";
+  const std::string Cli = std::string(ASDF_ASDF_CLI_PATH) + " run " + Coin;
+  const std::string Daemon = std::string(ASDF_ASDFD_PATH) + " --socket s ";
+  std::string Out;
+  for (const std::string &Bad :
+       {Asdfc + "--mps-chi -1", Asdfc + "--shots abc", Asdfc + "--jobs ''",
+        Asdfc + "--shots 4294967296", Asdfc + "--seed 18446744073709551616",
+        Cli + " --retries -1", Cli + " --retry-budget-ms 5s",
+        Cli + " --trace-id 0x", Daemon + "--workers 2x",
+        Daemon + "--max-queue -1", Daemon + "--cache-mb 1.5",
+        Daemon + "--run-mem-mb 99999999999999999"}) {
+    EXPECT_EQ(runCommand(Bad, Out), 2) << Bad;
+    EXPECT_NE(Out.find("is not a whole number from 0 to "),
+              std::string::npos)
+        << Out;
+  }
+  std::string Hex, Dec;
+  EXPECT_EQ(runCommand("( " + Asdfc + "--shots 3 --seed 0x10 2>/dev/null )",
+                       Hex),
+            0);
+  EXPECT_EQ(
+      runCommand("( " + Asdfc + "--shots 3 --seed 16 2>/dev/null )", Dec), 0);
+  EXPECT_EQ(Hex, Dec);
+  EXPECT_EQ(std::count(Dec.begin(), Dec.end(), '\n'), 3) << Dec;
 }
 
 TEST(ServiceCliExitCodes, RuntimeFailuresExitOne) {

@@ -491,6 +491,52 @@ TEST(ProtocolTest, UnknownFieldsAreRejected) {
   EXPECT_EQ(Id, 5u) << "id recovered best-effort for the error response";
 }
 
+TEST(ProtocolTest, IntegerFieldsMustBeWholeNumbersInRange) {
+  // Fractions, exponents, signs on unsigned fields and values past the
+  // field's range are bad requests that name the field — never truncated
+  // or wrapped into some other run.
+  const std::string Run = R"({"op": "run", "source": "x", )";
+  const std::pair<std::string, std::string> Bad[] = {
+      {R"("shots": 2.5})", "\"shots\""},
+      {R"("shots": 4294967297})", "\"shots\""},
+      {R"("shots": 1e3})", "\"shots\""},
+      {R"("shots": -3})", "\"shots\""},
+      {R"("jobs": -1})", "\"jobs\""},
+      {R"("seed": 18446744073709551617})", "\"seed\""},
+      {R"("seed": "7"})", "\"seed\""},
+      {R"("bind": {"N": 3.5}})", "bind value for 'N'"},
+      {R"("id": 1.5})", "\"id\""},
+      {R"("trace": -2})", "\"trace\""},
+  };
+  for (const auto &[Fields, Field] : Bad) {
+    ServiceRequest R;
+    uint64_t Id = 0;
+    std::string Error;
+    EXPECT_FALSE(parseRequestLine(Run + Fields, R, Id, Error)) << Fields;
+    EXPECT_NE(Error.find(Field + " must be a whole number"),
+              std::string::npos)
+        << Fields << ": " << Error;
+  }
+
+  // In range, every value is kept exactly: seeds and ids use all 64 bits.
+  ServiceRequest R;
+  uint64_t Id = 0;
+  std::string Error;
+  ASSERT_TRUE(parseRequestLine(
+      R"({"id": 18446744073709551615, "op": "run", "source": "x", )"
+      R"("shots": 4294967295, "seed": 18446744073709551615, "jobs": 0, )"
+      R"("trace": 9, "bind": {"N": -3}})",
+      R, Id, Error))
+      << Error;
+  EXPECT_EQ(Id, UINT64_MAX);
+  EXPECT_EQ(R.Id, UINT64_MAX);
+  EXPECT_EQ(R.Shots, UINT32_MAX);
+  EXPECT_EQ(R.Seed, UINT64_MAX);
+  EXPECT_EQ(R.Jobs, 0u);
+  EXPECT_EQ(R.Trace, 9u);
+  EXPECT_EQ(R.Bindings.DimVars["N"], -3);
+}
+
 TEST(ProtocolTest, MalformedLinesFailWithPosition) {
   ServiceRequest R;
   uint64_t Id = 0;

@@ -409,9 +409,9 @@ TEST(BackendEquivalenceTest, DegenerateGatesAreNoOpsOnBothBackends) {
 //===----------------------------------------------------------------------===//
 
 TEST(SimStatsTest, CountersTrackKernelsAndAmplitudes) {
-  // Rotation runs on every wire plus a CX ladder: with the default fuse-k
-  // of 3 the plan must form multi-qubit blocks, and every kernel must
-  // report the amplitudes it touched.
+  // Rotation runs on every wire plus a CX ladder: with 3-qubit blocks the
+  // plan must form multi-qubit blocks, and every kernel must report the
+  // amplitudes it touched.
   Circuit C;
   C.NumQubits = 6;
   C.NumBits = 6;
@@ -435,33 +435,28 @@ TEST(SimStatsTest, CountersTrackKernelsAndAmplitudes) {
   EXPECT_GT(Fused.AmplitudesTouched, 0u);
   EXPECT_GT(Fused.GatesApplied, 0u); // the measure kernels
 
-  SimStats Unfused;
-  RunOptions UnfusedOpts;
-  UnfusedOpts.Jobs = 1;
-  UnfusedOpts.Fuse = false;
-  UnfusedOpts.SimCounters = &Unfused;
-  Sv.runBatch(C, 4, 11, UnfusedOpts);
-  EXPECT_EQ(Unfused.FusedOps, 0u);
-  EXPECT_EQ(Unfused.FusedBlocks, 0u);
-  EXPECT_GT(Unfused.GatesApplied, Fused.GatesApplied);
-  // Fusion's whole point, now measurable: fewer amplitudes touched.
-  EXPECT_LT(Fused.AmplitudesTouched,
-            Unfused.AmplitudesTouched);
-
-  // The measure tail runs on the collapsed register, the same on both
-  // plans: one kernel per measure, and measuring a fresh qubit on 2^m
-  // survivors reads 2^(m-1) for the probability, then reads and writes
-  // the kept 2^(m-1). Per shot, 3 * (32 + 16 + 8 + 4 + 2 + 1) = 189.
+  // The measure tail runs on the collapsed register: one kernel per
+  // measure, and measuring a fresh qubit on 2^m survivors reads 2^(m-1)
+  // for the probability, then reads and writes the kept 2^(m-1). Per
+  // shot, 3 * (32 + 16 + 8 + 4 + 2 + 1) = 189.
   Circuit Gates = C;
   Gates.Instrs.resize(Gates.Instrs.size() - 6);
-  for (RunOptions *Opts : {&FusedOpts, &UnfusedOpts}) {
-    const SimStats &Whole = Opts->Fuse ? Fused : Unfused;
-    SimStats Prefix;
-    Opts->SimCounters = &Prefix;
-    Sv.runBatch(Gates, 4, 11, *Opts);
-    EXPECT_EQ(Whole.GatesApplied - Prefix.GatesApplied, 4u * 6);
-    EXPECT_EQ(Whole.AmplitudesTouched - Prefix.AmplitudesTouched, 4u * 189);
-  }
+  SimStats Prefix;
+  FusedOpts.SimCounters = &Prefix;
+  Sv.runBatch(Gates, 4, 11, FusedOpts);
+  EXPECT_EQ(Fused.GatesApplied - Prefix.GatesApplied, 4u * 6);
+  EXPECT_EQ(Fused.AmplitudesTouched - Prefix.AmplitudesTouched, 4u * 189);
+
+  // The same gates one kernel each, as the unfused run() applies them.
+  SimStats Unfused;
+  StateVector Serial(6);
+  Serial.setStats(&Unfused);
+  for (const CircuitInstr &I : Gates.Instrs)
+    Serial.apply(I.Gate, I.Controls, I.Targets, I.Param);
+  EXPECT_EQ(Unfused.GatesApplied, Gates.Instrs.size());
+  EXPECT_GT(Unfused.GatesApplied, Prefix.GatesApplied);
+  // Fusion's whole point, now measurable: fewer amplitudes touched.
+  EXPECT_LT(Prefix.AmplitudesTouched, Unfused.AmplitudesTouched);
 }
 
 TEST(BackendEquivalenceTest, AutoMatchesForcedStabilizer) {
