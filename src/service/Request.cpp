@@ -190,11 +190,14 @@ bool ServiceRequest::fromJson(const json::Value &V, ServiceRequest &Out,
     if (!wholeField(*Id, "\"id\"", Out.Id, Error))
       return false;
   if (const json::Value *T = V.get("timeout")) {
-    if (!T->isNumber()) {
-      Error = "\"timeout\" must be a number (seconds)";
+    // A NaN default catches numbers too large for a double (1e400). The cap
+    // keeps `now + timeout` inside steady_clock's range.
+    double Secs = T->asDouble(std::numeric_limits<double>::quiet_NaN());
+    if (!(Secs >= 0 && Secs <= MaxTimeoutSecs)) {
+      Error = "\"timeout\" must be a number of seconds from 0 to 1000000";
       return false;
     }
-    Out.TimeoutSecs = T->asDouble();
+    Out.TimeoutSecs = Secs;
   }
   if (const json::Value *T = V.get("trace"))
     if (!wholeField(*T, "\"trace\"", Out.Trace, Error))

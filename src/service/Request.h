@@ -33,6 +33,11 @@
 
 namespace asdf {
 
+/// The longest timeout the wire and asdf-cli accept, in seconds (about 11.6
+/// days): a deadline `now + timeout` stays inside steady_clock's range, and
+/// a client's poll wait in milliseconds inside an int.
+inline constexpr double MaxTimeoutSecs = 1e6;
+
 /// One unit of service work.
 struct ServiceRequest {
   enum class Kind { Compile, Run, BindRun, Stats, Shutdown, Metrics };
@@ -90,10 +95,11 @@ struct ServiceRequest {
 
   //===--- Scheduling ---===//
 
-  /// Per-request timeout in seconds; <= 0 means none. Enforced
-  /// cooperatively: a request whose deadline has passed when a worker
-  /// picks it up (or between its compile and run halves) fails with a
-  /// "timeout" error. An in-flight compiler pass is not preempted.
+  /// Per-request timeout in seconds, in [0, MaxTimeoutSecs]; 0 means
+  /// none. Enforced cooperatively: a request whose deadline has passed
+  /// when a worker picks it up (or between its compile and run halves)
+  /// fails with a "timeout" error. An in-flight compiler pass is not
+  /// preempted.
   double TimeoutSecs = 0.0;
 
   //===--- Testing ---===//

@@ -192,9 +192,10 @@ int main(int argc, char **argv) {
     } else if (Arg == "--socket") {
       Socket = Next();
     } else if (Arg == "--timeout") {
-      Timeout = std::atof(Next());
-      if (Timeout <= 0)
-        usageError("--timeout expects a positive number of seconds");
+      if (!parseDoubleArg(Next(), Timeout) ||
+          !(Timeout > 0 && Timeout <= MaxTimeoutSecs))
+        usageError("--timeout expects a number of seconds above 0, at most "
+                   "1000000");
     } else if (Arg == "--retries") {
       if (!parseUnsignedArg(Arg, Next(), Retry.MaxRetries, Error))
         usageError(Error);

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <memory>
 #include <mutex>
 #include <system_error>
 #include <thread>
@@ -70,17 +71,25 @@ bool asdf::parseBackendKind(const std::string &Name, BackendKind &Kind) {
   return false;
 }
 
-unsigned asdf::resolveJobCount(unsigned RequestedJobs) {
+namespace {
+
+unsigned coreCount() {
   unsigned Cores = std::thread::hardware_concurrency();
-  if (Cores == 0)
-    Cores = 1;
+  return Cores == 0 ? 1 : Cores;
+}
+
+/// Oversubscription past a few threads per core never helps a CPU-bound
+/// sweep, and an absurd request (--jobs 50000, or -1 wrapped unsigned)
+/// must not exhaust thread-creation resources.
+constexpr unsigned MaxJobsPerCore = 4;
+
+} // namespace
+
+unsigned asdf::resolveJobCount(unsigned RequestedJobs) {
+  unsigned Cores = coreCount();
   unsigned Jobs = RequestedJobs == 0 ? Cores : RequestedJobs;
-  // Oversubscription past a few threads per core never helps a CPU-bound
-  // sweep, and an absurd request (--jobs 50000, or -1 wrapped unsigned)
-  // must not exhaust thread-creation resources.
-  unsigned MaxJobs = Cores * 4;
-  if (Jobs > MaxJobs)
-    Jobs = MaxJobs;
+  if (Jobs > Cores * MaxJobsPerCore)
+    Jobs = Cores * MaxJobsPerCore;
   return Jobs < 1 ? 1 : Jobs;
 }
 
@@ -98,30 +107,23 @@ namespace {
 /// idle, so stragglers (shots whose feed-forward takes a longer path,
 /// index ranges crossing a slow page) never serialize the run. Chunks keep
 /// the atomic off the fast path while staying small enough to balance.
-/// Body receives (Worker, Begin, End) with dense worker ids in [0, Jobs).
-void parallelChunkLoop(
-    unsigned Jobs, uint64_t NumItems, uint64_t Chunk,
-    const std::function<void(unsigned, uint64_t, uint64_t)> &Body) {
-  if (Chunk < 1)
-    Chunk = 1;
-  // Clamp the worker count to the actual number of chunks: requesting 8
-  // workers for 3 work items must spawn at most 3, never 5 idle threads.
-  uint64_t NumChunks = (NumItems + Chunk - 1) / Chunk;
-  if (NumChunks < Jobs)
-    Jobs = static_cast<unsigned>(NumChunks);
-  if (Jobs <= 1 || NumItems <= Chunk) {
-    if (NumItems > 0)
-      Body(0, 0, NumItems);
-    return;
-  }
+struct ChunkLoop {
+  ChunkLoop(const std::function<void(unsigned, uint64_t, uint64_t)> &Body,
+            uint64_t NumItems, uint64_t Chunk)
+      : Body(Body), NumItems(NumItems), Chunk(Chunk) {}
+
+  const std::function<void(unsigned, uint64_t, uint64_t)> &Body;
+  const uint64_t NumItems, Chunk;
+  /// Workers inherit the caller's trace id so their sim.worker spans
+  /// correlate with the rest of the request in the exported trace.
+  const uint64_t ParentTrace = obs::currentTraceId();
   std::atomic<uint64_t> Next{0};
   std::atomic<bool> Failed{false};
-  std::exception_ptr FirstError;
   std::mutex ErrorLock;
-  // Workers inherit the spawning request's trace id so their sim.worker
-  // spans correlate with the rest of the request in the exported trace.
-  const uint64_t ParentTrace = obs::currentTraceId();
-  auto Worker = [&](unsigned W) {
+  std::exception_ptr FirstError; ///< Guarded by ErrorLock.
+
+  /// Runs worker \p W until the queue is empty. Never throws.
+  void work(unsigned W) {
     obs::TraceContext TC(ParentTrace);
     obs::Span Sp("sim.worker", "sim");
     try {
@@ -140,21 +142,125 @@ void parallelChunkLoop(
         FirstError = std::current_exception();
       Failed.store(true, std::memory_order_relaxed);
     }
-  };
-  std::vector<std::thread> Threads;
-  Threads.reserve(Jobs - 1);
-  for (unsigned T = 1; T < Jobs; ++T) {
-    try {
-      Threads.emplace_back(Worker, T);
-    } catch (const std::system_error &) {
-      break; // Thread resources exhausted: run with what we got.
+  }
+};
+
+/// A worker thread that outlives the loops it serves. Between loops it
+/// parks in Busy.wait, which spins briefly and then blocks in the kernel,
+/// so an idle process burns no CPU. The loop that borrowed it owns it
+/// until it sees Busy fall back to 0. Never destroyed, so its thread is
+/// never joined: the pool that owns it lives until the process exits.
+struct Helper {
+  /// 1 from the borrower's assignment until the helper finishes the loop.
+  /// Loop and Worker are written before the release store of 1 and read
+  /// after the acquire load that sees it.
+  std::atomic<uint32_t> Busy{0};
+  ChunkLoop *Loop = nullptr;
+  unsigned Worker = 0;
+  std::thread Thread; ///< Last: starts after the fields it reads exist.
+
+  Helper() : Thread([this] { serve(); }) {}
+  Helper(const Helper &) = delete;
+  Helper &operator=(const Helper &) = delete;
+
+  void serve() {
+    for (;;) {
+      Busy.wait(0, std::memory_order_acquire);
+      Loop->work(Worker);
+      Busy.store(0, std::memory_order_release);
+      Busy.notify_one();
     }
   }
-  Worker(0); // This thread is worker 0.
-  for (std::thread &T : Threads)
-    T.join();
-  if (FirstError)
-    std::rethrow_exception(FirstError);
+
+  void start(ChunkLoop &L, unsigned W) {
+    Loop = &L;
+    Worker = W;
+    Busy.store(1, std::memory_order_release);
+    Busy.notify_one();
+  }
+
+  void finish() { Busy.wait(1, std::memory_order_acquire); }
+};
+
+/// The process-wide set of parked helpers. A loop borrows what is parked
+/// and creates a helper only when none is, so a process holds at most as
+/// many helpers as it ever ran at once, and never more than the job cap.
+class HelperPool {
+public:
+  // Full capacity up front: borrow and giveBack then never allocate after
+  // taking a helper, so no helper is lost to an exception.
+  HelperPool() {
+    All.reserve(Cap);
+    Parked.reserve(Cap);
+  }
+
+  /// Appends up to \p Want parked (or new) helpers to \p Out.
+  void borrow(unsigned Want, std::vector<Helper *> &Out) {
+    Out.reserve(std::min<size_t>(Want, Cap));
+    std::lock_guard<std::mutex> Guard(Lock);
+    for (; Want > 0 && !Parked.empty(); --Want) {
+      Out.push_back(Parked.back());
+      Parked.pop_back();
+    }
+    for (; Want > 0 && All.size() < Cap; --Want) {
+      try {
+        All.push_back(std::make_unique<Helper>());
+      } catch (...) {
+        return; // Thread resources exhausted: run with what we got.
+      }
+      Out.push_back(All.back().get());
+    }
+  }
+
+  /// Parks \p Hs again, each finished with its loop.
+  void giveBack(const std::vector<Helper *> &Hs) {
+    std::lock_guard<std::mutex> Guard(Lock);
+    // Reversed, so the next borrower takes the same helpers first.
+    Parked.insert(Parked.end(), Hs.rbegin(), Hs.rend());
+  }
+
+private:
+  const size_t Cap = coreCount() * MaxJobsPerCore;
+  std::mutex Lock;
+  std::vector<std::unique_ptr<Helper>> All; ///< Guarded by Lock.
+  std::vector<Helper *> Parked;             ///< Guarded by Lock.
+};
+
+HelperPool &helperPool() {
+  // Never destroyed: helpers stay parked until the process exits, so none
+  // touches the pool, or runs its thread-exit hooks (its trace ring's
+  // hand-back), after static destruction has begun.
+  static HelperPool *Pool = new HelperPool;
+  return *Pool;
+}
+
+/// Body receives (Worker, Begin, End) with dense worker ids in [0, Jobs).
+void parallelChunkLoop(
+    unsigned Jobs, uint64_t NumItems, uint64_t Chunk,
+    const std::function<void(unsigned, uint64_t, uint64_t)> &Body) {
+  if (Chunk < 1)
+    Chunk = 1;
+  // Clamp the worker count to the actual number of chunks: requesting 8
+  // workers for 3 work items must borrow at most 2 helpers, never 7.
+  uint64_t NumChunks = (NumItems + Chunk - 1) / Chunk;
+  if (NumChunks < Jobs)
+    Jobs = static_cast<unsigned>(NumChunks);
+  if (Jobs <= 1 || NumItems <= Chunk) {
+    if (NumItems > 0)
+      Body(0, 0, NumItems);
+    return;
+  }
+  ChunkLoop Loop(Body, NumItems, Chunk);
+  std::vector<Helper *> Helpers;
+  helperPool().borrow(Jobs - 1, Helpers);
+  for (size_t I = 0; I < Helpers.size(); ++I)
+    Helpers[I]->start(Loop, static_cast<unsigned>(I + 1));
+  Loop.work(0); // This thread is worker 0.
+  for (Helper *H : Helpers)
+    H->finish();
+  helperPool().giveBack(Helpers);
+  if (Loop.FirstError)
+    std::rethrow_exception(Loop.FirstError);
 }
 
 } // namespace

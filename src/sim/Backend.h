@@ -199,18 +199,27 @@ unsigned resolveJobCount(unsigned RequestedJobs);
 unsigned resolveJobCount(unsigned RequestedJobs, unsigned Shots);
 
 /// Runs \p Body(Begin, End) over disjoint subranges covering [0,
-/// \p NumItems) on up to \p Jobs worker threads, claiming chunks of at
-/// least \p MinChunk items from a shared work queue (idle workers steal
-/// the next chunk as they finish — no static partition, so uneven chunk
-/// costs balance out). The generalization of the shot loop that the dense
+/// \p NumItems) on up to \p Jobs workers, claiming chunks of at least
+/// \p MinChunk items from a shared work queue (idle workers steal the
+/// next chunk as they finish — no static partition, so uneven chunk costs
+/// balance out). The generalization of the shot loop that the dense
 /// engine's amplitude-parallel kernels split their index ranges over.
-/// \p Body must be safe to call concurrently for disjoint ranges. The
-/// worker count is clamped to the number of chunks, so no idle thread is
-/// ever spawned; Jobs <= 1 or a single chunk degenerates to one
-/// Body(0, NumItems) call on this thread. If \p Body throws, the queue
-/// drains, every worker joins, and the first exception is rethrown here —
-/// same observable behavior as the serial loop. Thread-creation failure
-/// degrades to fewer workers, never an error.
+/// \p Body must be safe to call concurrently for disjoint ranges.
+///
+/// The calling thread is worker 0. The others are helper threads borrowed
+/// from one process-wide set of parked threads: a loop takes up to
+/// Jobs - 1 of them, creates one only when none is parked (never more
+/// than resolveJobCount's cap in all), and parks them again once each has
+/// finished its part. A parked helper spins briefly, then blocks, so an
+/// idle process burns no CPU. The worker count is clamped to the number
+/// of chunks; Jobs <= 1 or a single chunk degenerates to one
+/// Body(0, NumItems) call on this thread. Loops may run concurrently and
+/// nest: a loop that finds no helper parked runs with the workers it has,
+/// down to the caller alone, and never waits for one. If \p Body throws,
+/// the queue drains, the loop waits for its helpers, and the first
+/// exception is rethrown here — same observable behavior as the serial
+/// loop. Thread-creation failure degrades to fewer workers, never an
+/// error.
 void parallelIndexLoop(unsigned Jobs, uint64_t NumItems, uint64_t MinChunk,
                        const std::function<void(uint64_t, uint64_t)> &Body);
 
@@ -219,7 +228,7 @@ void parallelIndexLoop(unsigned Jobs, uint64_t NumItems, uint64_t MinChunk,
 /// are dense in [0, Jobs), so callers can hoist per-worker scratch (e.g.
 /// a forked state per worker instead of per shot) out of the loop. The
 /// worker count is clamped to Shots — requesting more workers than work
-/// items never spawns idle threads.
+/// items never borrows an idle helper.
 void parallelShotLoop(unsigned Jobs, unsigned Shots,
                       const std::function<void(unsigned, unsigned)> &Body);
 
@@ -229,7 +238,7 @@ void parallelShotLoop(unsigned Jobs, unsigned Shots,
 
 /// The counting overload every engine's shot loop uses: \p Body(Worker, S,
 /// Stats) gets its worker's own SimStats (null when \p Counters is null),
-/// and every worker's counts merge into \p Counters after the pool joins.
+/// and every worker's counts merge into \p Counters after the loop ends.
 /// SimStats fields are plain, so concurrent shots never share one.
 void parallelShotLoop(
     unsigned Jobs, unsigned Shots, SimStats *Counters,

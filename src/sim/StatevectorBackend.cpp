@@ -13,6 +13,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <type_traits>
@@ -109,14 +110,31 @@ bool drawOutcome(double P1, std::mt19937_64 &Rng, double &Norm) {
   return One;
 }
 
-/// Dense fixed-dimension block apply over groups [B, E): compile-time
-/// loop bounds and split re/im matrix planes let the compiler unroll and
-/// vectorize the 2^m x 2^m multiply that dominates rotation-dense blocks.
+/// Dim doubles, one SIMD vector (GCC and Clang vector extension).
+template <unsigned Dim> struct RowLanes {
+  // GCC drops a dependent vector_size on a typedef inside a function
+  // template, so the width is a class template parameter here.
+  typedef double Type __attribute__((vector_size(Dim * sizeof(double))));
+};
+
+/// Applies the 2^m x 2^m block (Dim = 2^m) to groups [B, E), one matrix
+/// row per SIMD lane: \p Cr / \p Ci hold the matrix's columns (Cr[S * Dim
+/// + R] is the real part of row R, column S), each amplitude V[S] of the
+/// group is broadcast, and lane R accumulates
+/// `Ar += Re U[R][S] * Vr[S] - Im U[R][S] * Vi[S]` over ascending S, the
+/// order (and so the rounding) of the scalar row product. Lanes never span
+/// groups, so there is no remainder loop: every group rounds the same
+/// whatever the chunking. The vector type lives only inside this body (no
+/// vector in a signature), so builds without wide registers lower it
+/// without ABI warnings.
 template <unsigned Dim>
-void applyBlockDense(Amplitude *A, const double *__restrict Ur,
-                     const double *__restrict Ui, const uint64_t *Pinned,
-                     const uint64_t *Offset, unsigned M, uint64_t B,
-                     uint64_t E) {
+void applyBlockRows(Amplitude *A, const double *Cr, const double *Ci,
+                    const uint64_t *Pinned, const uint64_t *Offset,
+                    unsigned M, uint64_t B, uint64_t E) {
+  typedef typename RowLanes<Dim>::Type Lanes;
+  Lanes ColR[Dim], ColI[Dim];
+  std::memcpy(ColR, Cr, sizeof(ColR));
+  std::memcpy(ColI, Ci, sizeof(ColI));
   for (uint64_t G = B; G < E; ++G) {
     uint64_t Base = insertZeroBits(G, Pinned, M);
     double Vr[Dim], Vi[Dim];
@@ -125,20 +143,13 @@ void applyBlockDense(Amplitude *A, const double *__restrict Ur,
       Vr[S] = V.real();
       Vi[S] = V.imag();
     }
-    double Wr[Dim], Wi[Dim];
-    for (unsigned R = 0; R < Dim; ++R) {
-      double Ar = 0.0, Ai = 0.0;
-      const double *__restrict RowR = Ur + size_t(R) * Dim;
-      const double *__restrict RowI = Ui + size_t(R) * Dim;
-      for (unsigned S = 0; S < Dim; ++S) {
-        Ar += RowR[S] * Vr[S] - RowI[S] * Vi[S];
-        Ai += RowR[S] * Vi[S] + RowI[S] * Vr[S];
-      }
-      Wr[R] = Ar;
-      Wi[R] = Ai;
+    Lanes Ar = {}, Ai = {};
+    for (unsigned S = 0; S < Dim; ++S) {
+      Ar += ColR[S] * Vr[S] - ColI[S] * Vi[S];
+      Ai += ColR[S] * Vi[S] + ColI[S] * Vr[S];
     }
-    for (unsigned S = 0; S < Dim; ++S)
-      A[Base | Offset[S]] = Amplitude(Wr[S], Wi[S]);
+    for (unsigned R = 0; R < Dim; ++R)
+      A[Base | Offset[R]] = Amplitude(Ar[R], Ai[R]);
   }
 }
 
@@ -249,15 +260,27 @@ void StateVector::matrix2Kernel(uint64_t CtlMask, uint64_t Bit,
   const Amplitude U00 = U.M[0][0], U01 = U.M[0][1];
   const Amplitude U10 = U.M[1][0], U11 = U.M[1][1];
   if (CtlMask == 0) {
+    // The complex products spelled out over split re/im doubles: a
+    // std::complex product checks for NaN (and may call __muldc3), which
+    // keeps the loop scalar.
+    const double R00 = U00.real(), I00 = U00.imag(), R01 = U01.real(),
+                 I01 = U01.imag(), R10 = U10.real(), I10 = U10.imag(),
+                 R11 = U11.real(), I11 = U11.imag();
     parallelIndexLoop(
         ParJobs, Num, KernelMinChunk, [&](uint64_t B, uint64_t E) {
           forPairRuns(B, E, Bit, [&](uint64_t I0, uint64_t Run) {
-            Amplitude *__restrict P0 = A + I0;
-            Amplitude *__restrict P1 = A + (I0 + Bit);
+            double *__restrict P0 = reinterpret_cast<double *>(A + I0);
+            double *__restrict P1 =
+                reinterpret_cast<double *>(A + (I0 + Bit));
             for (uint64_t X = 0; X < Run; ++X) {
-              Amplitude A0 = P0[X], A1 = P1[X];
-              P0[X] = U00 * A0 + U01 * A1;
-              P1[X] = U10 * A0 + U11 * A1;
+              double Re0 = P0[2 * X], Im0 = P0[2 * X + 1];
+              double Re1 = P1[2 * X], Im1 = P1[2 * X + 1];
+              P0[2 * X] = (R00 * Re0 - I00 * Im0) + (R01 * Re1 - I01 * Im1);
+              P0[2 * X + 1] =
+                  (R00 * Im0 + I00 * Re0) + (R01 * Im1 + I01 * Re1);
+              P1[2 * X] = (R10 * Re0 - I10 * Im0) + (R11 * Re1 - I11 * Im1);
+              P1[2 * X + 1] =
+                  (R10 * Im0 + I10 * Re0) + (R11 * Im1 + I11 * Re1);
             }
           });
         });
@@ -476,77 +499,27 @@ void StateVector::applyBlock(const std::vector<unsigned> &Qubits,
     Offset[S] = O;
   }
 
-  // Row-wise nonzero lists: permutation-heavy blocks (CX ladders) touch
-  // one or two columns per row, so skipping structural zeros matters.
-  std::vector<unsigned> NzCol;
-  std::vector<Amplitude> NzVal;
-  unsigned NzBegin[MaxDim + 1];
-  NzCol.reserve(size_t(Dim) * Dim);
-  NzVal.reserve(size_t(Dim) * Dim);
-  for (unsigned R = 0; R < Dim; ++R) {
-    NzBegin[R] = static_cast<unsigned>(NzCol.size());
-    for (unsigned Cc = 0; Cc < Dim; ++Cc) {
-      Amplitude V = U[size_t(R) * Dim + Cc];
-      if (V != Amplitude(0.0, 0.0)) {
-        NzCol.push_back(Cc);
-        NzVal.push_back(V);
-      }
+  alignas(64) double Cr[MaxDim * MaxDim], Ci[MaxDim * MaxDim];
+  for (unsigned R = 0; R < Dim; ++R)
+    for (unsigned S = 0; S < Dim; ++S) {
+      Cr[S * Dim + R] = U[size_t(R) * Dim + S].real();
+      Ci[S * Dim + R] = U[size_t(R) * Dim + S].imag();
     }
-  }
-  NzBegin[Dim] = static_cast<unsigned>(NzCol.size());
 
-  uint64_t NumGroups = Amp.size() >> M;
   Amplitude *A = Amp.data();
-
-  // Dense blocks (rotation products) go through the vectorized
-  // fixed-dimension multiply; sparse ones (permutation-heavy CX ladders)
-  // keep the nonzero walk, which skips most of the 4^m products.
-  bool Sparse = NzCol.size() <= size_t(Dim) * Dim / 4;
-  if (!Sparse) {
-    std::vector<double> Planes(2 * size_t(Dim) * Dim);
-    double *Ur = Planes.data(), *Ui = Planes.data() + size_t(Dim) * Dim;
-    for (size_t I = 0; I < size_t(Dim) * Dim; ++I) {
-      Ur[I] = U[I].real();
-      Ui[I] = U[I].imag();
-    }
-    parallelIndexLoop(
-        ParJobs, NumGroups, KernelMinChunk >> (M - 1),
-        [&](uint64_t B, uint64_t E) {
-          switch (M) {
-          case 1:
-            applyBlockDense<2>(A, Ur, Ui, Pinned, Offset, M, B, E);
-            break;
-          case 2:
-            applyBlockDense<4>(A, Ur, Ui, Pinned, Offset, M, B, E);
-            break;
-          default:
-            applyBlockDense<8>(A, Ur, Ui, Pinned, Offset, M, B, E);
-            break;
-          }
-        });
-    bumpStats(Amp.size(), true, true);
-    return;
-  }
-
   parallelIndexLoop(
-      ParJobs, NumGroups, KernelMinChunk >> (M - 1),
+      ParJobs, Amp.size() >> M, KernelMinChunk >> (M - 1),
       [&](uint64_t B, uint64_t E) {
-        // 64 entries, not MaxDim, on purpose: with the tighter bound GCC
-        // unrolls the row loop and contracts the complex products into
-        // other FMAs, so every sparse block would round differently.
-        Amplitude V[64], W[64];
-        for (uint64_t G = B; G < E; ++G) {
-          uint64_t Base = insertZeroBits(G, Pinned, M);
-          for (unsigned S = 0; S < Dim; ++S)
-            V[S] = A[Base | Offset[S]];
-          for (unsigned R = 0; R < Dim; ++R) {
-            Amplitude Acc(0.0, 0.0);
-            for (unsigned Z = NzBegin[R]; Z < NzBegin[R + 1]; ++Z)
-              Acc += NzVal[Z] * V[NzCol[Z]];
-            W[R] = Acc;
-          }
-          for (unsigned S = 0; S < Dim; ++S)
-            A[Base | Offset[S]] = W[S];
+        switch (M) {
+        case 1:
+          applyBlockRows<2>(A, Cr, Ci, Pinned, Offset, M, B, E);
+          break;
+        case 2:
+          applyBlockRows<4>(A, Cr, Ci, Pinned, Offset, M, B, E);
+          break;
+        default:
+          applyBlockRows<8>(A, Cr, Ci, Pinned, Offset, M, B, E);
+          break;
         }
       });
   bumpStats(Amp.size(), true, true);

@@ -20,7 +20,8 @@
 /// (Z/S/Sdg/T/Tdg/P/RZ) become a strided phase sweep at any control count,
 /// X becomes a pair permutation, and Y a permutation with a fixed +-i
 /// twist. Fused multi-qubit blocks (Fusion.h) apply a 2^k x 2^k matrix in
-/// one gather/scatter sweep.
+/// one gather/scatter sweep, dense or sparse, through one SIMD kernel
+/// whose lanes are the matrix rows.
 ///
 /// Batch runs fuse the circuit, simulate the unconditional gate prefix
 /// once, fork the state per shot, and run the shots on a work-stealing
@@ -82,7 +83,9 @@ public:
 
   /// Applies a fused multi-qubit block: the 2^m x 2^m row-major unitary
   /// \p U over \p Qubits (sorted ascending, Qubits[0] = local MSB,
-  /// matching FusedOp::Qubits) in one gather/scatter sweep.
+  /// matching FusedOp::Qubits) in one gather/scatter sweep. Each output
+  /// amplitude is the row product summed over the columns in ascending
+  /// order, whatever the matrix's zeros and the worker count.
   void applyBlock(const std::vector<unsigned> &Qubits,
                   const std::vector<Amplitude> &U);
 

@@ -22,8 +22,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 using namespace asdf;
@@ -245,6 +249,115 @@ TEST(DeterminismTest, ParallelLoopsNeverSpawnIdleWorkers) {
     ++Calls;
   });
   EXPECT_EQ(Calls, 1u);
+}
+
+/// A number no other thread ever had, even one whose std::thread::id is
+/// reused after an earlier thread exited.
+unsigned threadSerial() {
+  static std::atomic<unsigned> Next{0};
+  thread_local unsigned Serial = Next.fetch_add(1);
+  return Serial;
+}
+
+/// Makes a body slow enough that the helpers of a loop claim chunks too,
+/// not only the calling thread.
+void spinBriefly() {
+  auto Until = std::chrono::steady_clock::now() + std::chrono::microseconds(5);
+  while (std::chrono::steady_clock::now() < Until) {
+  }
+}
+
+TEST(DeterminismTest, LoopsBorrowParkedWorkerThreads) {
+  // A loop used to create and join its own helper threads on every call,
+  // so these 1000 calls ran their bodies on dozens of threads. Parked
+  // helpers go back to the set after every loop, and the next loop
+  // borrows the same ones.
+  std::mutex Lock;
+  std::set<unsigned> Serials;
+  for (unsigned Call = 0; Call < 1000; ++Call)
+    parallelIndexLoop(4, 64, 1, [&](uint64_t, uint64_t) {
+      spinBriefly();
+      std::lock_guard<std::mutex> G(Lock);
+      Serials.insert(threadSerial());
+    });
+  EXPECT_LE(Serials.size(), 4u);
+}
+
+TEST(DeterminismTest, ConcurrentAndNestedLoopsCoverEveryIndexOnce) {
+  // Four callers at jobs 4 compete for the parked helpers, and one body
+  // of every loop runs a nested jobs-2 loop. A loop runs with whatever
+  // helpers it gets, so none may deadlock, and every index of every loop
+  // runs exactly once. Shot-loop worker ids stay below the job count.
+  constexpr unsigned Callers = 4, Rounds = 50, Outer = 4096, Inner = 256;
+  std::atomic<unsigned> Wrong{0}, MaxWorker{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < Callers; ++T)
+    Threads.emplace_back([&] {
+      for (unsigned Round = 0; Round < Rounds; ++Round) {
+        std::vector<int> Seen(Outer, 0), InnerSeen(Inner, 0);
+        parallelIndexLoop(4, Outer, 1, [&](uint64_t B, uint64_t E) {
+          spinBriefly();
+          for (uint64_t I = B; I < E; ++I)
+            ++Seen[I];
+          if (B == 0)
+            parallelIndexLoop(2, Inner, 1, [&](uint64_t IB, uint64_t IE) {
+              for (uint64_t I = IB; I < IE; ++I)
+                ++InnerSeen[I];
+            });
+        });
+        Wrong += std::count_if(Seen.begin(), Seen.end(),
+                               [](int C) { return C != 1; });
+        Wrong += std::count_if(InnerSeen.begin(), InnerSeen.end(),
+                               [](int C) { return C != 1; });
+        std::vector<int> ShotRuns(100, 0);
+        parallelShotLoop(3, 100, [&](unsigned W, unsigned S) {
+          unsigned Max = MaxWorker.load();
+          while (W > Max && !MaxWorker.compare_exchange_weak(Max, W)) {
+          }
+          ++ShotRuns[S];
+        });
+        Wrong += std::count_if(ShotRuns.begin(), ShotRuns.end(),
+                               [](int C) { return C != 1; });
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Wrong.load(), 0u);
+  EXPECT_LT(MaxWorker.load(), 3u);
+}
+
+TEST(DeterminismTest, AThrowingBodyRethrowsOnlyInItsOwnCaller) {
+  // One caller's bodies throw while another's run to completion on the
+  // same parked helpers: only the first sees the exception, and every
+  // helper comes back for the loops after it.
+  std::atomic<unsigned> Caught{0};
+  std::thread Thrower([&] {
+    for (unsigned Round = 0; Round < 100; ++Round) {
+      try {
+        parallelIndexLoop(4, 4096, 1, [](uint64_t B, uint64_t) {
+          spinBriefly();
+          if (B >= 2048)
+            throw std::runtime_error("body failed");
+        });
+      } catch (const std::runtime_error &) {
+        ++Caught;
+      }
+    }
+  });
+  unsigned Wrong = 0;
+  for (unsigned Round = 0; Round < 100; ++Round) {
+    std::vector<int> Seen(4096, 0);
+    EXPECT_NO_THROW(parallelIndexLoop(4, 4096, 1, [&](uint64_t B, uint64_t E) {
+      spinBriefly();
+      for (uint64_t I = B; I < E; ++I)
+        ++Seen[I];
+    }));
+    Wrong += std::count_if(Seen.begin(), Seen.end(),
+                           [](int C) { return C != 1; });
+  }
+  Thrower.join();
+  EXPECT_EQ(Caught.load(), 100u);
+  EXPECT_EQ(Wrong, 0u);
 }
 
 } // namespace

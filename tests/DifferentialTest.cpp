@@ -366,6 +366,145 @@ TEST(DifferentialTest, MeasureTailAmplitudesExact) {
   }
 }
 
+/// Offset[S] is the global index pattern of local basis state S of a
+/// block on \p Qubits (Qubits[0] owns the local MSB), as applyBlock
+/// enumerates it; Offset.back() masks the block's bits.
+std::vector<uint64_t> blockOffsets(unsigned NumQubits,
+                                   const std::vector<unsigned> &Qubits) {
+  const unsigned M = static_cast<unsigned>(Qubits.size());
+  std::vector<uint64_t> Offset(size_t(1) << M, 0);
+  for (unsigned S = 0; S < Offset.size(); ++S)
+    for (unsigned J = 0; J < M; ++J)
+      if ((S >> (M - 1 - J)) & 1)
+        Offset[S] |= uint64_t(1) << (NumQubits - 1 - Qubits[J]);
+  return Offset;
+}
+
+/// The scalar row product: group by group, each output row summed over the
+/// columns in ascending order, on split re/im doubles. The SIMD row-lane
+/// kernel must reproduce its rounding bit for bit.
+std::vector<Amplitude> scalarBlockProduct(std::vector<Amplitude> A,
+                                          unsigned NumQubits,
+                                          const std::vector<unsigned> &Qubits,
+                                          const std::vector<Amplitude> &U) {
+  const std::vector<uint64_t> Offset = blockOffsets(NumQubits, Qubits);
+  const unsigned Dim = static_cast<unsigned>(Offset.size());
+  for (uint64_t Base = 0; Base < A.size(); ++Base) {
+    if (Base & Offset.back())
+      continue;
+    double Vr[8], Vi[8], Wr[8], Wi[8];
+    for (unsigned S = 0; S < Dim; ++S) {
+      Vr[S] = A[Base | Offset[S]].real();
+      Vi[S] = A[Base | Offset[S]].imag();
+    }
+    for (unsigned R = 0; R < Dim; ++R) {
+      double Ar = 0.0, Ai = 0.0;
+      for (unsigned S = 0; S < Dim; ++S) {
+        double Ur = U[R * Dim + S].real(), Ui = U[R * Dim + S].imag();
+        Ar += Ur * Vr[S] - Ui * Vi[S];
+        Ai += Ur * Vi[S] + Ui * Vr[S];
+      }
+      Wr[R] = Ar;
+      Wi[R] = Ai;
+    }
+    for (unsigned S = 0; S < Dim; ++S)
+      A[Base | Offset[S]] = Amplitude(Wr[S], Wi[S]);
+  }
+  return A;
+}
+
+/// The plain complex matrix-vector product, group by group.
+std::vector<Amplitude> complexBlockProduct(const std::vector<Amplitude> &A,
+                                           unsigned NumQubits,
+                                           const std::vector<unsigned> &Qubits,
+                                           const std::vector<Amplitude> &U) {
+  const std::vector<uint64_t> Offset = blockOffsets(NumQubits, Qubits);
+  const unsigned Dim = static_cast<unsigned>(Offset.size());
+  std::vector<Amplitude> W = A;
+  for (uint64_t Base = 0; Base < A.size(); ++Base) {
+    if (Base & Offset.back())
+      continue;
+    for (unsigned R = 0; R < Dim; ++R) {
+      Amplitude Sum(0.0, 0.0);
+      for (unsigned S = 0; S < Dim; ++S)
+        Sum += U[R * Dim + S] * A[Base | Offset[S]];
+      W[Base | Offset[R]] = Sum;
+    }
+  }
+  return W;
+}
+
+TEST(DifferentialTest, BlockKernelAmplitudesExact) {
+  // Every fused block, dense, sparse or diagonal, goes through one SIMD
+  // kernel. Its amplitudes must not depend on how the groups split across
+  // workers (16 qubits: every block splits into 4 chunks), a dense block
+  // must round exactly as the scalar row product, and every block must
+  // agree with a plain complex matrix-vector product.
+  const unsigned N = 16;
+  std::mt19937_64 Rng(0xB10Cull);
+  std::normal_distribution<double> Gauss(0.0, 1.0);
+  std::uniform_real_distribution<double> Unit(-1.0, 1.0);
+  std::vector<Amplitude> Start(uint64_t(1) << N);
+  double Norm = 0.0;
+  for (Amplitude &A : Start) {
+    A = Amplitude(Gauss(Rng), Gauss(Rng));
+    Norm += std::norm(A);
+  }
+  for (Amplitude &A : Start)
+    A /= std::sqrt(Norm);
+
+  // Qubit N-1 owns bit 0 and qubit 0 the top bit.
+  const std::vector<std::vector<unsigned>> Supports = {
+      {15}, {0},     {7},       {14, 15},  {0, 1},    {3, 12},
+      {0, 15}, {13, 14, 15}, {0, 1, 2}, {0, 8, 15}, {2, 6, 11}};
+  for (const std::vector<unsigned> &Q : Supports) {
+    const unsigned M = static_cast<unsigned>(Q.size()), Dim = 1u << M;
+    std::vector<Amplitude> Dense(Dim * Dim), Diagonal(Dim * Dim);
+    for (Amplitude &X : Dense)
+      X = Amplitude(Unit(Rng), Unit(Rng));
+    for (unsigned R = 0; R < Dim; ++R)
+      Diagonal[R * Dim + R] = std::polar(1.0, M_PI * Unit(Rng));
+    // Two nonzeros per row: an H, then a CX or CCX onto the last qubit.
+    std::vector<Amplitude> Sparse =
+        gateBlockMatrix(CircuitInstr::gate(GateKind::H, {}, {Q[0]}), Q);
+    if (M > 1)
+      Sparse = blockMatmul(
+          gateBlockMatrix(
+              CircuitInstr::gate(GateKind::X,
+                                 std::vector<unsigned>(Q.begin(), Q.end() - 1),
+                                 {Q.back()}),
+              Q),
+          Sparse, Dim);
+    const std::pair<const char *, const std::vector<Amplitude> *> Blocks[] = {
+        {"dense", &Dense}, {"sparse", &Sparse}, {"diagonal", &Diagonal}};
+    for (const auto &[Kind, U] : Blocks) {
+      std::string Where = std::string(Kind) + " block on " +
+                          std::to_string(M) + " qubits from " +
+                          std::to_string(Q[0]);
+      std::vector<Amplitude> Serial;
+      for (unsigned Jobs : {1u, 2u, 3u, 4u, 8u}) {
+        StateVector SV(N);
+        SV.amplitudes() = Start;
+        SV.setParallelJobs(Jobs);
+        SV.applyBlock(Q, *U);
+        if (Jobs == 1)
+          Serial = SV.amplitudes();
+        else
+          ASSERT_TRUE(SV.amplitudes() == Serial) << Where << ", jobs " << Jobs;
+      }
+      if (U == &Dense) {
+        EXPECT_TRUE(Serial == scalarBlockProduct(Start, N, Q, Dense))
+            << Where;
+      }
+      std::vector<Amplitude> Want = complexBlockProduct(Start, N, Q, *U);
+      double MaxDiff = 0.0;
+      for (uint64_t I = 0; I < Want.size(); ++I)
+        MaxDiff = std::max(MaxDiff, std::abs(Want[I] - Serial[I]));
+      EXPECT_LE(MaxDiff, 1e-13) << Where;
+    }
+  }
+}
+
 /// The batch shapes that reach each branch of the dense batch core on
 /// states of 14 qubits or more: it runs the rest of each shot
 /// shot-parallel when there are at least two shots per worker, and one

@@ -313,6 +313,21 @@ TEST(ServiceCliExitCodes, UsageErrorsExitTwo) {
   EXPECT_NE(Out.find("--emit"), std::string::npos);
 }
 
+TEST(ServiceCliExitCodes, TimeoutMustBeSecondsInRange) {
+  // atof read "2x" as 2 s and "nan" as no timeout, and 1e10 s overflowed
+  // the poll wait's milliseconds.
+  for (const char *Bad : {"2x", "nan", "inf", "1e10", "0", "-1"}) {
+    std::string Out;
+    EXPECT_EQ(runCommand(std::string(ASDF_ASDF_CLI_PATH) +
+                             " --socket /nonexistent/asdf.sock --timeout " +
+                             Bad + " stats",
+                         Out),
+              2)
+        << Bad << ": " << Out;
+    EXPECT_NE(Out.find("--timeout"), std::string::npos) << Bad << ": " << Out;
+  }
+}
+
 TEST(ServiceCliExitCodes, SweepUsageErrors) {
   std::string Rot = writeTemp("service_cli_rot_usage.qw", RotSource);
   std::string Out;

@@ -537,6 +537,30 @@ TEST(ProtocolTest, IntegerFieldsMustBeWholeNumbersInRange) {
   EXPECT_EQ(R.Bindings.DimVars["N"], -3);
 }
 
+TEST(ProtocolTest, TimeoutMustBeSecondsInRange) {
+  // A deadline past steady_clock's range overflowed: 1e10 s was answered
+  // at once with "deadline passed", and 1e400, too large for a double,
+  // silently meant no timeout.
+  const std::string Run = R"({"op": "run", "source": "x", "timeout": )";
+  for (const char *Bad : {"1e10", "-1", "1e400", "1000000.5", "\"5\""}) {
+    ServiceRequest R;
+    uint64_t Id = 0;
+    std::string Error;
+    EXPECT_FALSE(parseRequestLine(Run + Bad + "}", R, Id, Error)) << Bad;
+    EXPECT_NE(Error.find("\"timeout\""), std::string::npos)
+        << Bad << ": " << Error;
+  }
+  const std::pair<const char *, double> Good[] = {
+      {"0", 0.0}, {"0.25", 0.25}, {"1000000", 1e6}};
+  for (const auto &[Text, Secs] : Good) {
+    ServiceRequest R;
+    uint64_t Id = 0;
+    std::string Error;
+    ASSERT_TRUE(parseRequestLine(Run + Text + "}", R, Id, Error)) << Error;
+    EXPECT_EQ(R.TimeoutSecs, Secs) << Text;
+  }
+}
+
 TEST(ProtocolTest, MalformedLinesFailWithPosition) {
   ServiceRequest R;
   uint64_t Id = 0;
