@@ -159,9 +159,9 @@ int main(int argc, char **argv) {
   }
 
   // Determinism: the serial and the widest batch agree bit-exactly. Both
-  // run the measure tail on the collapsed register, so their first shots
-  // are also anchored to the per-shot reference run(), which collapses the
-  // full state.
+  // walk the measure tail's outcome trie, so their first shots are also
+  // anchored to the per-shot reference run(), which collapses the full
+  // state.
   {
     RunOptions Serial, Parallel;
     Serial.Jobs = 1;

@@ -32,12 +32,14 @@
 #include "obs/Trace.h"
 #include "sim/Simulator.h"
 #include "support/BuildInfo.h"
+#include "support/FaultInject.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
@@ -138,9 +140,8 @@ bool validEmit(const std::string &E) {
   return Valid.count(E) != 0;
 }
 
-} // namespace
-
-int main(int argc, char **argv) {
+/// All of asdfc; main adds only the out-of-memory exit.
+int asdfcMain(int argc, char **argv) {
   if (argc >= 2 && (std::strcmp(argv[1], "-h") == 0 ||
                     std::strcmp(argv[1], "--help") == 0)) {
     usage(stdout);
@@ -289,6 +290,10 @@ int main(int argc, char **argv) {
   if (!TracePath.empty())
     obs::enableTracing();
 
+  // Fault-injection builds arm named failure points from $ASDF_FAULTS, as
+  // asdfd does; production builds compile this to a no-op.
+  fault::armFromEnv();
+
   // Resolve the pipeline plan: --pipeline text wins; the legacy shorthands
   // only modify the default plan, and combining them with an explicit
   // --pipeline would be ambiguous.
@@ -315,6 +320,8 @@ int main(int argc, char **argv) {
   std::ostringstream Buf;
   Buf << In.rdbuf();
 
+  if (fault::shouldFail("compile.bad-alloc"))
+    throw std::bad_alloc();
   CompileSession Session(Buf.str(), Bindings, Opts);
   SimStats SimCounters;
   double RunSecs = 0.0;
@@ -553,4 +560,17 @@ int main(int argc, char **argv) {
         static_cast<unsigned long long>(SimCounters.ReadoutFlips),
         Spec.Shots);
   return Finish(0);
+}
+
+} // namespace
+
+int main(int argc, char **argv) {
+  // An allocation failure anywhere (a binding too large to compile, a
+  // state that does not fit) is a runtime failure like any other.
+  try {
+    return asdfcMain(argc, argv);
+  } catch (const std::bad_alloc &) {
+    std::fprintf(stderr, "asdfc: out of memory\n");
+    return 1;
+  }
 }

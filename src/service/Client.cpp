@@ -39,6 +39,7 @@ void ServiceClient::close() {
     ::close(Fd);
   Fd = -1;
   Buffer.clear();
+  Scanned = 0;
 }
 
 bool ServiceClient::connect(const std::string &SocketPath,
@@ -194,12 +195,14 @@ bool ServiceClient::callWithRetry(const ServiceRequest &R,
 bool ServiceClient::readLine(std::string &Line, std::string &Error,
                              double TimeoutSecs) {
   while (true) {
-    size_t Nl = Buffer.find('\n');
+    size_t Nl = Buffer.find('\n', Scanned);
     if (Nl != std::string::npos) {
       Line = Buffer.substr(0, Nl);
       Buffer.erase(0, Nl + 1);
+      Scanned = 0;
       return true;
     }
+    Scanned = Buffer.size(); // The next scan resumes here.
     if (TimeoutSecs > 0) {
       pollfd P{Fd, POLLIN, 0};
       int Ready = ::poll(&P, 1, static_cast<int>(TimeoutSecs * 1000));
@@ -243,6 +246,7 @@ bool ServiceClient::readLine(std::string &Line, std::string &Error,
                         std::to_string(Buffer.size()) +
                         " partial byte(s) discarded)";
       Buffer.clear();
+      Scanned = 0;
       return false;
     }
     Buffer.append(Chunk, static_cast<size_t>(N));

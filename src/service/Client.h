@@ -101,6 +101,7 @@ private:
 
   int Fd = -1;
   std::string Buffer;
+  size_t Scanned = 0; ///< Buffer[0, Scanned) holds no newline.
   std::string Path;
   FailKind LastFail = FailKind::None;
 };

@@ -218,6 +218,22 @@ void Server::connectionMain(int Fd) {
     LiveConnFds.insert(Fd);
   }
   std::string Buffer;
+  // Buffer[0, Scanned) holds no newline: each scan resumes there, so a
+  // long line costs time linear in its length.
+  size_t Scanned = 0;
+  // Set once an over-cap line is answered: its bytes are dropped through
+  // its newline.
+  bool Discarding = false;
+  auto RefuseLongLine = [&] {
+    State->writeLine(
+        Service
+            .refuse(0, "bad-request",
+                    "request line longer than " +
+                        std::to_string(MaxRequestLineBytes) +
+                        " bytes (16 MiB); discarded through its newline")
+            .toJson()
+            .write());
+  };
   char Chunk[4096];
   bool Open = true;
   while (Open) {
@@ -231,10 +247,18 @@ void Server::connectionMain(int Fd) {
       break; // EOF (client done, or drain woke us via SHUT_RD).
     Buffer.append(Chunk, static_cast<size_t>(N));
     size_t Start = 0;
-    for (size_t Nl = Buffer.find('\n', Start); Nl != std::string::npos;
-         Nl = Buffer.find('\n', Start)) {
+    for (size_t Nl = Buffer.find('\n', Scanned); Nl != std::string::npos;
+         Nl = Buffer.find('\n', Scanned)) {
       std::string Line = Buffer.substr(Start, Nl - Start);
-      Start = Nl + 1;
+      Start = Scanned = Nl + 1;
+      if (Discarding) {
+        Discarding = false; // The over-cap line ends here.
+        continue;
+      }
+      if (Line.size() > MaxRequestLineBytes) {
+        RefuseLongLine();
+        continue;
+      }
       if (Line.empty())
         continue;
       ServiceRequest Req;
@@ -291,6 +315,16 @@ void Server::connectionMain(int Fd) {
       }
     }
     Buffer.erase(0, Start);
+    Scanned = Buffer.size();
+    if (Buffer.size() > MaxRequestLineBytes || Discarding) {
+      // The pending line is over the cap: answer it once, then keep
+      // dropping its bytes until its newline arrives.
+      if (!Discarding)
+        RefuseLongLine();
+      Discarding = true;
+      Buffer.clear();
+      Scanned = 0;
+    }
   }
   // Every submitted request must answer before the fd closes.
   State->waitDrained();

@@ -14,6 +14,10 @@
 /// finishes (correlated by `id`), while requests from all connections
 /// share the daemon's workers and one artifact cache.
 ///
+/// A request line may hold at most Server::MaxRequestLineBytes bytes. A
+/// longer one is answered with one `bad-request` and discarded through its
+/// newline; the connection keeps serving.
+///
 /// Shutdown is graceful from either direction: a client `shutdown` op or
 /// a SIGTERM/SIGINT (via `requestShutdown`, which is async-signal-safe:
 /// one write to a self-pipe). Both paths stop the accept loop, let
@@ -46,6 +50,10 @@ struct ServerOptions {
 
 class Server {
 public:
+  /// The longest request line a connection reads, newline excluded:
+  /// 16 MiB.
+  static constexpr size_t MaxRequestLineBytes = size_t(16) << 20;
+
   explicit Server(ServerOptions Options);
   ~Server();
 

@@ -94,7 +94,9 @@ public:
 /// no site ever shares a mutable SimStats across threads.
 struct SimStats {
   /// Raw gate/measure/reset kernels applied (the fused plan's
-  /// pass-through instructions, and every measure and reset).
+  /// pass-through instructions, and every measure and reset). On a dense
+  /// measure/reset tail, one per distinct outcome prefix (a node of the
+  /// batch's tail walk), not one per shot; so are the tail's amplitudes.
   uint64_t GatesApplied = 0;
   /// Fused ops applied (2x2 runs, diagonal sweeps, multi-qubit blocks).
   uint64_t FusedOps = 0;

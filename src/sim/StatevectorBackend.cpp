@@ -16,7 +16,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <type_traits>
 
 #if __has_include(<unistd.h>)
 #include <unistd.h>
@@ -80,7 +79,10 @@ double chunkedNormSum(const Amplitude *Hi, uint64_t NumPairs, uint64_t Bit,
     PartialVec.resize(NumChunks);
     Partial = PartialVec.data();
   }
-  parallelIndexLoop(Jobs, NumChunks, 1, [&](uint64_t CB, uint64_t CE) {
+  // Each worker's share spans at least KernelMinChunk pairs, as in the
+  // kernels: a sum over a few survivors runs serial.
+  const uint64_t MinChunks = std::max<uint64_t>(1, KernelMinChunk / ChunkPairs);
+  parallelIndexLoop(Jobs, NumChunks, MinChunks, [&](uint64_t CB, uint64_t CE) {
     for (uint64_t C = CB; C < CE; ++C) {
       uint64_t PB = C * ChunkPairs;
       uint64_t PE = std::min(PB + ChunkPairs, NumPairs);
@@ -99,15 +101,17 @@ double chunkedNormSum(const Amplitude *Hi, uint64_t NumPairs, uint64_t Bit,
   return P;
 }
 
-/// Samples a measurement against \p P1 (one uniform draw) and sets \p Norm
-/// to what the kept half is divided by.
-bool drawOutcome(double P1, std::mt19937_64 &Rng, double &Norm) {
+/// Samples a measurement against \p P1: one uniform draw.
+bool drawOutcome(double P1, std::mt19937_64 &Rng) {
   std::uniform_real_distribution<double> Dist(0.0, 1.0);
-  bool One = Dist(Rng) < P1;
-  Norm = std::sqrt(One ? P1 : 1.0 - P1);
-  if (Norm < 1e-300)
-    Norm = 1.0;
-  return One;
+  return Dist(Rng) < P1;
+}
+
+/// What the kept half of a measurement that drew \p One against \p P1 is
+/// divided by.
+double keptNorm(double P1, bool One) {
+  double Norm = std::sqrt(One ? P1 : 1.0 - P1);
+  return Norm < 1e-300 ? 1.0 : Norm;
 }
 
 /// Dim doubles, one SIMD vector (GCC and Clang vector extension).
@@ -664,8 +668,9 @@ double StateVector::probOne(unsigned Q) const {
 }
 
 bool StateVector::measure(unsigned Q, std::mt19937_64 &Rng) {
-  double Norm;
-  bool One = drawOutcome(probOne(Q), Rng, Norm);
+  double P1 = probOne(Q);
+  bool One = drawOutcome(P1, Rng);
+  double Norm = keptNorm(P1, One);
   uint64_t Bit = qubitBit(Q);
   // Collapse: scale the kept half, zero the other — two unit-stride
   // streams per pair run, no per-index branch.
@@ -693,12 +698,114 @@ void StateVector::reset(unsigned Q, std::mt19937_64 &Rng) {
     apply(GateKind::X, {}, {Q}, 0.0);
 }
 
+namespace {
+
+/// Where the full-state bit \p Full of a qubit not yet collapsed sits
+/// among the survivors' index bits.
+uint64_t survivorBit(const CollapsedState &V, uint64_t Full) {
+  return uint64_t(1) << (std::countr_zero(Full) -
+                         std::popcount(V.FixedMask & (Full - 1)));
+}
+
+/// Tail step 1: the probability that the qubit with full-state bit \p Full
+/// reads 1, summed as StateVector::probOne sums it — on the full state's
+/// chunk grid, seen from the survivors. A chunk holds ReduceChunk pairs of
+/// full-state indices with the qubit's bit removed, and the other
+/// collapsed qubits pin the low bits among those. A collapsed qubit sums
+/// all survivors (collapsed to 1) or nothing (collapsed to 0: every term is
+/// an exact zero). Adds the amplitudes read to \p Touched.
+double collapsedProbOne(const CollapsedState &V, uint64_t Full,
+                        unsigned Jobs, uint64_t &Touched) {
+  uint64_t Others = V.FixedMask & ~Full;
+  uint64_t PairFixed = ((Others & ~(Full - 1)) >> 1) | (Others & (Full - 1));
+  uint64_t Chunk = ReduceChunk >> std::popcount(PairFixed & (ReduceChunk - 1));
+  if (!(V.FixedMask & Full)) {
+    uint64_t Bit = survivorBit(V, Full);
+    Touched += V.Size / 2;
+    return chunkedNormSum(V.Amp + Bit, V.Size / 2, Bit, Chunk, Jobs);
+  }
+  if (!(V.FixedVals & Full))
+    return 0.0;
+  Touched += V.Size;
+  return chunkedNormSum(V.Amp, V.Size, V.Size, Chunk, Jobs);
+}
+
+/// The amplitudes collapseTo writes for the qubit with full-state bit
+/// \p Full: the kept half of a new qubit, all survivors of a collapsed one.
+uint64_t collapsedSize(const CollapsedState &V, uint64_t Full) {
+  return V.FixedMask & Full ? V.Size : V.Size / 2;
+}
+
+/// Tail step 4: the state a draw of \p One leaves, each kept survivor
+/// divided by \p Norm (keptNorm) as StateVector::measure divides it, written
+/// into \p Dst (room for collapsedSize amplitudes; \p Dst == V.Amp collapses
+/// in place). A new qubit keeps one half. A collapsed qubit that drew
+/// against its fixed value leaves only exact zeros; one that drew its value
+/// is divided by the norm, or left where it is (the result still reads
+/// V.Amp) when the norm is 1. Adds the amplitudes read and written to
+/// \p Touched.
+CollapsedState collapseTo(const CollapsedState &V, uint64_t Full, bool One,
+                          double Norm, Amplitude *Dst, unsigned Jobs,
+                          uint64_t &Touched) {
+  CollapsedState W = V;
+  if (!(V.FixedMask & Full)) {
+    // Kept pair P is read at insertZeroBit(P, Bit), plus Bit if One, and
+    // written at P.
+    const uint64_t Bit = survivorBit(V, Full), Half = V.Size / 2;
+    const Amplitude *Src = V.Amp + (One ? Bit : 0);
+    auto Keep = [&](uint64_t B, uint64_t E) {
+      uint64_t P = B;
+      forPairRuns(B, E, Bit, [&](uint64_t I0, uint64_t Run) {
+        const Amplitude *From = Src + I0;
+        Amplitude *To = Dst + P;
+        for (uint64_t X = 0; X < Run; ++X)
+          To[X] = From[X] / Norm;
+        P += Run;
+      });
+    };
+    if (V.Amp != Dst) {
+      parallelIndexLoop(Jobs, Half, KernelMinChunk, Keep);
+    } else if (Jobs <= 1 || Half <= KernelMinChunk) {
+      Keep(0, Half); // Forward: each write lands at or below its read.
+    } else {
+      // In place, the pairs below Bit read below 2 Bit, and the pairs
+      // [L, 2L) for L >= Bit read [2L, 4L): what the next round writes. So
+      // each doubling round splits across workers once the one before it
+      // is done.
+      for (uint64_t Lo = 0, Hi = Bit; Lo < Half;
+           Lo = Hi, Hi = std::min(2 * Hi, Half))
+        parallelIndexLoop(Jobs, Hi - Lo, KernelMinChunk,
+                          [&](uint64_t B, uint64_t E) {
+                            Keep(Lo + B, Lo + E);
+                          });
+    }
+    Touched += V.Size;
+    W.Amp = Dst;
+    W.Size = V.Size / 2;
+    W.FixedMask |= Full;
+    if (One)
+      W.FixedVals |= Full;
+  } else if (One != bool(V.FixedVals & Full)) {
+    // The kept half held only exact zeros, so now the whole state does.
+    std::fill(Dst, Dst + V.Size, Amplitude(0.0, 0.0));
+    Touched += V.Size;
+    W.Amp = Dst;
+    W.FixedVals ^= Full;
+  } else if (Norm != 1.0) {
+    for (uint64_t I = 0; I < V.Size; ++I)
+      Dst[I] = V.Amp[I] / Norm;
+    Touched += 2 * V.Size;
+    W.Amp = Dst;
+  }
+  return W;
+}
+
+} // namespace
+
 void CollapsedRegister::begin(const StateVector &S, Amplitude *Dst) {
   NumQubits = S.numQubits();
-  Cur = S.amplitudes().data();
+  State = CollapsedState{S.amplitudes().data(), S.amplitudes().size(), 0, 0};
   Scratch = Dst;
-  Size = S.amplitudes().size();
-  FixedMask = FixedVals = 0;
 }
 
 void CollapsedRegister::start(const StateVector &S) {
@@ -714,77 +821,18 @@ void CollapsedRegister::startInPlace(StateVector &S) {
 
 bool CollapsedRegister::measure(unsigned Q, std::mt19937_64 &Rng) {
   const uint64_t Full = uint64_t(1) << (NumQubits - 1 - Q);
-  const bool Collapsed = FixedMask & Full;
-  // The full state's chunk grid seen from the survivors: a chunk holds
-  // ReduceChunk pairs of full-state indices with Q's bit removed, and the
-  // other collapsed qubits pin the low bits among those.
-  uint64_t Others = FixedMask & ~Full;
-  uint64_t PairFixed = ((Others & ~(Full - 1)) >> 1) | (Others & (Full - 1));
-  uint64_t Chunk = ReduceChunk >> std::popcount(PairFixed & (ReduceChunk - 1));
-  // Q's bit among the survivors' index bits, if Q is still free.
-  uint64_t Bit = uint64_t(1) << (std::countr_zero(Full) -
-                                 std::popcount(FixedMask & (Full - 1)));
   uint64_t Touched = 0;
-  double P1 = 0.0; // Collapsed to 0: every term is an exact zero.
-  if (!Collapsed) {
-    P1 = chunkedNormSum(Cur + Bit, Size / 2, Bit, Chunk, ParJobs);
-    Touched += Size / 2;
-  } else if (FixedVals & Full) {
-    P1 = chunkedNormSum(Cur, Size, Size, Chunk, ParJobs);
-    Touched += Size;
-  }
-  LastProbOne = P1;
-  double Norm;
-  bool One = drawOutcome(P1, Rng, Norm);
-
-  if (!Collapsed) {
-    // Keep one half, divided as StateVector::measure divides it. Reading
-    // the prefix state into the scratch splits across workers; compacting
-    // in place must run forward (each write lands at or below its read).
-    const Amplitude *Src = Cur;
-    Amplitude *Dst = Scratch;
-    uint64_t KeepOff = One ? Bit : 0;
-    auto Keep = [&](uint64_t B, uint64_t E) {
-      uint64_t P = B;
-      forPairRuns(B, E, Bit, [&](uint64_t I0, uint64_t Run) {
-        const Amplitude *From = Src + I0 + KeepOff;
-        Amplitude *To = Dst + P;
-        for (uint64_t X = 0; X < Run; ++X)
-          To[X] = From[X] / Norm;
-        P += Run;
-      });
-    };
-    if (Src == Dst)
-      Keep(0, Size / 2);
-    else
-      parallelIndexLoop(ParJobs, Size / 2, KernelMinChunk, Keep);
-    Touched += Size;
-    Cur = Scratch;
-    Size /= 2;
-    FixedMask |= Full;
-    if (One)
-      FixedVals |= Full;
-  } else if (One != bool(FixedVals & Full)) {
-    // The kept half held only exact zeros, so now the whole state does.
-    std::fill(Scratch, Scratch + Size, Amplitude(0.0, 0.0));
-    Touched += Size;
-    FixedVals ^= Full;
-  } else if (Norm != 1.0) {
-    for (uint64_t I = 0; I < Size; ++I)
-      Scratch[I] /= Norm;
-    Touched += 2 * Size;
-  }
-  if (Stats) {
-    ++Stats->GatesApplied;
-    Stats->AmplitudesTouched += Touched;
-  }
+  LastProbOne = collapsedProbOne(State, Full, ParJobs, Touched);
+  bool One = drawOutcome(LastProbOne, Rng);
+  State = collapseTo(State, Full, One, keptNorm(LastProbOne, One), Scratch,
+                     ParJobs, Touched);
   return One;
 }
 
 void CollapsedRegister::reset(unsigned Q, std::mt19937_64 &Rng) {
   // Q is collapsed after the measure, so the X flips its fixed value.
   if (measure(Q, Rng))
-    FixedVals ^= uint64_t(1) << (NumQubits - 1 - Q);
+    State.FixedVals ^= uint64_t(1) << (NumQubits - 1 - Q);
 }
 
 double StateVector::overlap(const StateVector &Other) const {
@@ -809,13 +857,12 @@ struct TrajectoryContext {
   const NoiseModel *Model = nullptr;
 };
 
-/// Executes the Measure or Reset \p I on \p SV — a StateVector, or a
-/// CollapsedRegister on a measure/reset tail — recording the bit into
+/// Executes the Measure or Reset \p I on \p SV, recording the bit into
 /// \p R. With \p Noise, readout error flips the recorded bit only (and
 /// counts into SV's SimStats): the collapsed state is untouched, and
-/// feed-forward reads the noisy bit.
-template <class State>
-void executeReadout(const CircuitInstr &I, State &SV, ShotResult &R,
+/// feed-forward reads the noisy bit. The tail walk
+/// (walkMeasureResetTail) keeps the same order of draws.
+void executeReadout(const CircuitInstr &I, StateVector &SV, ShotResult &R,
                     std::mt19937_64 &Rng, const TrajectoryContext *Noise) {
   if (I.TheKind == CircuitInstr::Kind::Reset) {
     SV.reset(I.Targets[0], Rng);
@@ -976,6 +1023,239 @@ bool measureResetTail(const FusedCircuit &FC,
   return true;
 }
 
+/// One node of a tail walk: the shots Order[Begin, End) that drew the same
+/// outcomes at every tail step before \p Step, and their common register.
+struct TailNode {
+  CollapsedState State;
+  unsigned Step = 0;
+  unsigned Begin = 0, End = 0;
+  /// The walk may overwrite State.Amp: no other node reads it.
+  bool Owned = false;
+  /// State.Amp is the top live buffer of the walk's BufferStack.
+  bool PopsBuffer = false;
+  /// Set once the node's shots have drawn against P1: Order[Begin, Mid)
+  /// drew 0 and Order[Mid, End) drew 1.
+  bool Drawn = false;
+  unsigned Mid = 0;
+  double P1 = 0.0;
+  /// The next outcome to collapse a child for; 2 when none is left.
+  unsigned NextChild = 0;
+};
+
+/// Collapse buffers used as a stack; slots above Live are free and keep
+/// their storage for reuse.
+struct BufferStack {
+  std::vector<std::vector<Amplitude>> Slots;
+  size_t Live = 0;
+
+  /// The first free slot, with room for \p Need amplitudes.
+  Amplitude *next(uint64_t Need) {
+    if (Live == Slots.size())
+      Slots.emplace_back();
+    std::vector<Amplitude> &B = Slots[Live];
+    if (B.size() < Need) {
+      B.clear();
+      B.resize(Need);
+    }
+    return B.data();
+  }
+};
+
+/// A node with at most this many survivors runs every kernel serial, and
+/// so does each node below it: its subtree is one worker's job.
+constexpr uint64_t SmallTailNode = 2 * KernelMinChunk;
+
+/// One batch's walk of a measure/reset tail (walkMeasureResetTail), one
+/// group of shots at a time.
+struct TailWalk {
+  TailWalk(const Circuit &C, const std::vector<const CircuitInstr *> &Tail,
+           const RunOptions &Opts, const TrajectoryContext *Noise,
+           unsigned Jobs, std::vector<ShotResult> &Results)
+      : C(C), Tail(Tail), Opts(Opts), Noise(Noise), Jobs(Jobs),
+        Results(Results), WorkerBuffers(Jobs) {}
+
+  const Circuit &C;
+  const std::vector<const CircuitInstr *> &Tail;
+  const RunOptions &Opts;
+  const TrajectoryContext *Noise;
+  const unsigned Jobs;
+  std::vector<ShotResult> &Results;
+
+  unsigned First = 0;                ///< The group's first shot.
+  std::vector<std::mt19937_64> Rngs; ///< Per group shot.
+  std::vector<unsigned> Order;       ///< Group shots, grouped by node.
+  std::vector<char> DrewOne;         ///< Each group shot's latest draw.
+  BufferStack PathBuffers;           ///< The walk from the root.
+  std::vector<BufferStack> WorkerBuffers; ///< Subtree walks, per worker.
+  std::vector<TailNode> Subtrees;    ///< Small subtrees not yet walked.
+  BufferStack SubtreeRoots;          ///< Their roots' survivors.
+
+  /// Walks the trie below \p Root depth first on an explicit stack, each
+  /// kernel on \p KernelJobs workers, counting into \p Stats. With
+  /// \p Defer, a child small enough to be one worker's job is collapsed
+  /// into its own buffer and queued in Subtrees instead.
+  void walk(const TailNode &Root, BufferStack &Buffers, unsigned KernelJobs,
+            SimStats *Stats, bool Defer);
+  /// Walks the queued subtrees in parallel, each on one worker.
+  void runSubtrees();
+};
+
+void TailWalk::walk(const TailNode &Root, BufferStack &Buffers,
+                    unsigned KernelJobs, SimStats *Stats, bool Defer) {
+  uint64_t Nodes = 0, Touched = 0;
+  std::vector<TailNode> Path;
+  Path.reserve(Tail.size() - Root.Step);
+  Path.push_back(Root);
+  while (!Path.empty()) {
+    TailNode &N = Path.back();
+    const CircuitInstr &I = *Tail[N.Step];
+    const unsigned Q = I.Targets[0];
+    const uint64_t Full = uint64_t(1) << (C.NumQubits - 1 - Q);
+    if (!N.Drawn) {
+      if (Opts.deadlineExpired())
+        throw DeadlineExceeded();
+      N.P1 = collapsedProbOne(N.State, Full, KernelJobs, Touched);
+      for (unsigned K = N.Begin; K < N.End; ++K) {
+        const unsigned G = Order[K];
+        const bool One = drawOutcome(N.P1, Rngs[G]);
+        DrewOne[G] = One;
+        if (I.TheKind == CircuitInstr::Kind::Measure)
+          Results[First + G].Bits[static_cast<unsigned>(I.Cbit)] =
+              Noise ? applyReadoutError(Noise->Model->readoutFor(Q), One,
+                                        Rngs[G], Stats)
+                    : One;
+      }
+      N.Mid = static_cast<unsigned>(
+          std::partition(Order.begin() + N.Begin, Order.begin() + N.End,
+                         [&](unsigned G) { return !DrewOne[G]; }) -
+          Order.begin());
+      N.Drawn = true;
+      ++Nodes;
+    }
+    // The children in outcome order, skipping one no shot drew.
+    unsigned Out = N.NextChild;
+    if (Out == 0 && N.Mid == N.Begin)
+      Out = 1;
+    if (Out == 1 && N.Mid == N.End)
+      Out = 2;
+    if (Out == 2 || N.Step + 1 == Tail.size()) {
+      if (N.PopsBuffer)
+        --Buffers.Live;
+      Path.pop_back();
+      continue;
+    }
+    N.NextChild = Out + 1;
+    const bool InPlace = N.Owned && (Out == 1 || N.Mid == N.End);
+    const uint64_t Need = collapsedSize(N.State, Full);
+    const bool Subtree = Defer && Need <= SmallTailNode;
+    // Every buffer the walk writes is a mutable one: the prefix state's,
+    // or a BufferStack slot.
+    Amplitude *Dst = Subtree   ? SubtreeRoots.next(Need)
+                     : InPlace ? const_cast<Amplitude *>(N.State.Amp)
+                               : Buffers.next(Need);
+    TailNode Child;
+    Child.State = collapseTo(N.State, Full, Out == 1, keptNorm(N.P1, Out == 1),
+                             Dst, KernelJobs, Touched);
+    if (I.TheKind == CircuitInstr::Kind::Reset && Out == 1)
+      Child.State.FixedVals ^= Full; // The reset's X.
+    Child.Step = N.Step + 1;
+    Child.Begin = Out == 1 ? N.Mid : N.Begin;
+    Child.End = Out == 1 ? N.End : N.Mid;
+    if (Child.State.Amp == N.State.Amp) {
+      // Collapsed in place, or left as it was: still the parent's buffer.
+      Child.Owned = InPlace;
+      Child.PopsBuffer = InPlace && N.PopsBuffer;
+      if (InPlace)
+        N.PopsBuffer = false;
+    } else if (Subtree) {
+      ++SubtreeRoots.Live;
+      Child.Owned = true;
+      Subtrees.push_back(Child);
+      // A few subtrees per worker balance the load, and few enough that
+      // their roots are still cached when they run.
+      if (Subtrees.size() >= 4 * size_t(Jobs))
+        runSubtrees();
+      continue;
+    } else {
+      ++Buffers.Live;
+      Child.Owned = Child.PopsBuffer = true;
+    }
+    Path.push_back(Child); // N dangles from here on.
+  }
+  if (Stats) {
+    Stats->GatesApplied += Nodes;
+    Stats->AmplitudesTouched += Touched;
+  }
+}
+
+void TailWalk::runSubtrees() {
+  // Each subtree reads and writes only its own buffers and its own shots'
+  // streams, draws and bits.
+  parallelShotLoop(Jobs, static_cast<unsigned>(Subtrees.size()),
+                   Opts.SimCounters,
+                   [&](unsigned W, unsigned T, SimStats *Stats) {
+                     walk(Subtrees[T], WorkerBuffers[W], 1, Stats, false);
+                   });
+  Subtrees.clear();
+  SubtreeRoots.Live = 0;
+}
+
+/// Runs the measure/reset tail \p Tail of \p C for all \p Shots shots,
+/// which start from the prefix state \p Shared, writing Results[S]. Shots
+/// that have drawn the same outcomes so far hold identical registers, so
+/// each group of TailGroupShots shots walks the trie of its outcome
+/// prefixes depth first, on an explicit stack (no tail length can
+/// overflow a thread stack). At each node the walk sums the probability
+/// once on the node's survivors (collapsedProbOne), lets each of its shots
+/// draw from the shot's own stream (drawOutcome, then readout error),
+/// splits the shots by outcome, and collapses each child that drew once
+/// (collapseTo) — the steps of CollapsedRegister::measure, so every shot
+/// sees the arithmetic and the draws of its own register, and so the bits
+/// of run(). A child after the last step is not collapsed: nothing reads
+/// it. A node's last child collapses in place when no other node reads its
+/// parent's buffer (the last group may consume \p Shared), so the walk
+/// holds at most one buffer per tail step on its current path.
+///
+/// Large nodes split their kernels across \p Jobs workers. Below
+/// SmallTailNode survivors every kernel runs serial, so with more than one
+/// worker those subtrees are queued and walked one per worker, four per
+/// worker at a time. Counts one gate kernel per node, and the amplitudes
+/// each node reads and writes.
+void walkMeasureResetTail(const Circuit &C,
+                          const std::vector<const CircuitInstr *> &Tail,
+                          StateVector &Shared, unsigned Shots, uint64_t Seed,
+                          unsigned Jobs, const RunOptions &Opts,
+                          const TrajectoryContext *Noise,
+                          std::vector<ShotResult> &Results) {
+  TailWalk Walk(C, Tail, Opts, Noise, Jobs, Results);
+  const unsigned GroupShots = StatevectorBackend::TailGroupShots;
+  unsigned Count = 0; // First + Count never passes Shots, so never wraps.
+  for (unsigned First = 0; First < Shots; First += Count) {
+    if (Opts.deadlineExpired())
+      throw DeadlineExceeded();
+    Count = std::min(GroupShots, Shots - First);
+    Walk.First = First;
+    Walk.Rngs.clear();
+    Walk.Order.resize(Count);
+    Walk.DrewOne.resize(Count);
+    for (unsigned G = 0; G < Count; ++G) {
+      Walk.Rngs.push_back(shotRng(deriveShotSeed(Seed, First + G)));
+      Walk.Order[G] = G;
+      Results[First + G].Bits.assign(C.NumBits, false);
+    }
+    if (Tail.empty())
+      continue;
+    TailNode Root;
+    Root.State = CollapsedState{Shared.amplitudes().data(),
+                                Shared.amplitudes().size(), 0, 0};
+    Root.End = Count;
+    Root.Owned = First + Count == Shots; // Later groups read Shared.
+    Walk.walk(Root, Walk.PathBuffers, Jobs, Opts.SimCounters, Jobs > 1);
+    if (!Walk.Subtrees.empty())
+      Walk.runSubtrees();
+  }
+}
+
 /// The batch core behind runBatch and runSweep: executes \p Shots shots
 /// of FC.Source under the prebuilt fused plan \p FC, honoring the
 /// RunOptions worker budget and deadline. Factoring the plan out of the
@@ -995,14 +1275,14 @@ std::vector<ShotResult> runPlannedBatch(const FusedCircuit &FC,
   // Decide where the worker budget goes. The budget is resolved against
   // the machine alone — amplitude-level parallelism can use every worker
   // even for a single shot. The shared prefix is one state, so it always
-  // runs amplitude-parallel. The rest of each shot runs shot-parallel when
-  // there are enough shots to keep every worker busy, and also when the
-  // state is too small for the kernels to split profitably (below
-  // KernelMinChunk pairs they run serial, so amplitude mode would leave
-  // the workers idle); otherwise shots run one after another on split
-  // kernels (the low-shot/large-n regime). Either way the results are
-  // bit-identical: kernels are per-amplitude independent and reductions
-  // use fixed chunk order.
+  // runs amplitude-parallel, and so does a measure/reset tail's walk. The
+  // rest of each forked shot runs shot-parallel when there are enough
+  // shots to keep every worker busy, and also when the state is too small
+  // for the kernels to split profitably (below KernelMinChunk pairs they
+  // run serial, so amplitude mode would leave the workers idle); otherwise
+  // shots run one after another on split kernels (the low-shot/large-n
+  // regime). Either way the results are bit-identical: kernels are
+  // per-amplitude independent and reductions use fixed chunk order.
   unsigned Workers = resolveJobCount(Opts.Jobs);
   bool ShotParallel = Shots >= 2 * Workers ||
                       (uint64_t(1) << C.NumQubits) < 2 * KernelMinChunk;
@@ -1020,20 +1300,22 @@ std::vector<ShotResult> runPlannedBatch(const FusedCircuit &FC,
     executeFused(FC, 0, Prefix, Shared, Scratch, Unused);
   }
 
-  // A remainder of only unconditional measure/reset needs no fork: each
-  // shot collapses a register that reads the shared state, and its
-  // survivors halve with every new qubit measured.
+  std::vector<ShotResult> Results(Shots);
+  // A remainder of only unconditional measure/reset forks nothing.
   std::vector<const CircuitInstr *> Tail;
-  bool TailOnly = measureResetTail(FC, Tail);
+  if (measureResetTail(FC, Tail)) {
+    walkMeasureResetTail(C, Tail, Shared, Shots, Seed, Workers, Opts, Traj,
+                         Results);
+    return Results;
+  }
 
-  // Runs the post-prefix remainder of shot S on \p State: a fork of the
-  // shared state, or on a measure/reset tail a CollapsedRegister. Shot S
-  // always uses deriveShotSeed(Seed, S) and lands at Results[S], so the
-  // outcome is independent of worker count and matches the serial path.
-  // The shot boundary is also the cooperative deadline check: an expired
-  // deadline abandons the batch here (and propagates out of the worker
-  // pool) rather than mid-kernel.
-  auto runRest = [&](auto &State, unsigned S, SimStats *Stats) {
+  // Runs the post-prefix remainder of shot S on \p State, a fork of the
+  // shared state. Shot S always uses deriveShotSeed(Seed, S) and lands at
+  // Results[S], so the outcome is independent of worker count and matches
+  // the serial path. The shot boundary is also the cooperative deadline
+  // check: an expired deadline abandons the batch here (and propagates out
+  // of the worker pool) rather than mid-kernel.
+  auto runRest = [&](StateVector &State, unsigned S, SimStats *Stats) {
     if (Opts.deadlineExpired())
       throw DeadlineExceeded();
     State.setParallelJobs(RestAmpJobs);
@@ -1041,41 +1323,20 @@ std::vector<ShotResult> runPlannedBatch(const FusedCircuit &FC,
     std::mt19937_64 Rng = shotRng(deriveShotSeed(Seed, S));
     ShotResult R;
     R.Bits.assign(C.NumBits, false);
-    if constexpr (std::is_same_v<std::decay_t<decltype(State)>,
-                                 CollapsedRegister>) {
-      for (const CircuitInstr *I : Tail)
-        executeReadout(*I, State, R, Rng, Traj);
-    } else {
-      executeFused(FC, Prefix, FC.Ops.size(), State, R, Rng, Traj);
-    }
+    executeFused(FC, Prefix, FC.Ops.size(), State, R, Rng, Traj);
     return R;
   };
 
-  std::vector<ShotResult> Results(Shots);
   if (Shots == 1) {
     // Single shot: finish directly on the shared state, no fork.
-    if (TailOnly) {
-      CollapsedRegister Reg;
-      Reg.startInPlace(Shared);
-      Results[0] = runRest(Reg, 0, Opts.SimCounters);
-    } else {
-      Results[0] = runRest(Shared, 0, Opts.SimCounters);
-    }
+    Results[0] = runRest(Shared, 0, Opts.SimCounters);
     return Results;
   }
 
   if (!ShotParallel) {
     // Amplitude-parallel remainder: shots run one after another, each
-    // kernel's index range split across the workers. One fork buffer (or
-    // register scratch), refilled per shot — no per-shot allocation.
-    if (TailOnly) {
-      CollapsedRegister Reg;
-      for (unsigned S = 0; S < Shots; ++S) {
-        Reg.start(Shared);
-        Results[S] = runRest(Reg, S, Opts.SimCounters);
-      }
-      return Results;
-    }
+    // kernel's index range split across the workers. One fork buffer,
+    // refilled per shot — no per-shot allocation.
     StateVector SV = Shared;
     for (unsigned S = 0; S < Shots; ++S) {
       if (S > 0)
@@ -1087,37 +1348,26 @@ std::vector<ShotResult> runPlannedBatch(const FusedCircuit &FC,
 
   unsigned Jobs = resolveJobCount(Opts.Jobs, Shots);
   if (uint64_t Avail = availablePhysicalMemory()) {
-    // Each in-flight shot holds a fork of the shared state (or half of one
-    // as register scratch), so near the qubit cap shrink the worker count
-    // until shared + per-worker states fit in half of available memory —
-    // the budget maxQubits admitted the circuit under.
+    // Each in-flight shot holds a fork of the shared state, so near the
+    // qubit cap shrink the worker count until shared + per-worker states
+    // fit in half of available memory — the budget maxQubits admitted the
+    // circuit under.
     uint64_t StateBytes = uint64_t(sizeof(Amplitude)) << C.NumQubits;
-    uint64_t WorkerBytes = TailOnly ? StateBytes / 2 : StateBytes;
     uint64_t Budget = Avail / 2;
     uint64_t MaxJobs =
-        Budget > StateBytes ? (Budget - StateBytes) / WorkerBytes : 0;
+        Budget > StateBytes ? (Budget - StateBytes) / StateBytes : 0;
     if (MaxJobs < Jobs)
       Jobs = MaxJobs > 1 ? static_cast<unsigned>(MaxJobs) : 1;
   }
-  if (TailOnly) {
-    // Per-worker registers; each allocates its scratch on first use.
-    std::vector<CollapsedRegister> Regs(Jobs);
-    parallelShotLoop(Jobs, Shots, Opts.SimCounters,
-                     [&](unsigned W, unsigned S, SimStats *Stats) {
-                       Regs[W].start(Shared);
-                       Results[S] = runRest(Regs[W], S, Stats);
-                     });
-  } else {
-    // Per-worker fork buffers, hoisted out of the shot loop: each shot
-    // copy-assigns the shared prefix state into its worker's buffer
-    // instead of allocating (and then freeing) a fresh fork per shot.
-    std::vector<StateVector> WorkerState(Jobs, Shared);
-    parallelShotLoop(Jobs, Shots, Opts.SimCounters,
-                     [&](unsigned W, unsigned S, SimStats *Stats) {
-                       WorkerState[W] = Shared;
-                       Results[S] = runRest(WorkerState[W], S, Stats);
-                     });
-  }
+  // Per-worker fork buffers, hoisted out of the shot loop: each shot
+  // copy-assigns the shared prefix state into its worker's buffer instead
+  // of allocating (and then freeing) a fresh fork per shot.
+  std::vector<StateVector> WorkerState(Jobs, Shared);
+  parallelShotLoop(Jobs, Shots, Opts.SimCounters,
+                   [&](unsigned W, unsigned S, SimStats *Stats) {
+                     WorkerState[W] = Shared;
+                     Results[S] = runRest(WorkerState[W], S, Stats);
+                   });
   return Results;
 }
 

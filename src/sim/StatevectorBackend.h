@@ -27,18 +27,20 @@
 /// once, fork the state per shot, and run the shots on a work-stealing
 /// thread pool — all without changing per-shot RNG consumption, so every
 /// worker count replays the outcomes of the serial, unfused run(), up to
-/// floating-point rounding of the fused matrices. When
-/// everything after the prefix is unconditional measure and
-/// reset (the usual end of a Qwerty kernel), a shot does not fork at all:
-/// it runs on a CollapsedRegister that reads the shared state and keeps
-/// only the survivors of each collapse, so every measurement sweeps half
-/// the amplitudes of the one before. The shared prefix, and in the
-/// low-shot/large-n regime every shot, instead splits each kernel's index
-/// range across the workers (`setParallelJobs`); all probability
-/// reductions use a fixed
-/// chunked summation order, so amplitude-parallel execution is
-/// bit-identical across worker counts — and bit-identical to the serial
-/// reference.
+/// floating-point rounding of the fused matrices. When everything after
+/// the prefix is unconditional measure and reset (the usual end of a
+/// Qwerty kernel), no shot forks at all: the batch walks one trie of
+/// outcome prefixes. Shots that have drawn the same outcomes so far hold
+/// identical collapsed registers, so each node sums its probability once,
+/// lets each of its shots draw from the shot's own stream, and collapses
+/// once per outcome drawn, keeping only the survivors: every new qubit
+/// measured halves the amplitudes the next step reads. The walk's small
+/// subtrees run one per worker. The shared prefix, the walk's large nodes
+/// and, in the low-shot/large-n regime, every forked shot split each
+/// kernel's index range across the workers (`setParallelJobs`); all
+/// probability reductions use a fixed chunked summation order, so
+/// amplitude-parallel execution is bit-identical across worker counts —
+/// and bit-identical to the serial reference.
 ///
 /// Convention: qubit 0 is the leftmost qubit and occupies the most
 /// significant bit of a basis-state index, matching the eigenbit convention
@@ -146,14 +148,28 @@ private:
   void bumpStats(uint64_t Touched, bool Fused, bool Block = false) const;
 };
 
+/// The survivors of a run of collapses: the amplitudes of the full-state
+/// indices i with (i & FixedMask) == FixedVals, ascending by index. Every
+/// other amplitude of the state is zero. A CollapsedRegister holds one;
+/// so does each node of runBatch's measure/reset tail walk.
+struct CollapsedState {
+  const Amplitude *Amp = nullptr;
+  uint64_t Size = 0;
+  /// The collapsed qubits' bits in full-state index space, and their
+  /// values.
+  uint64_t FixedMask = 0, FixedVals = 0;
+};
+
 /// One shot's measure/reset tail, run on the survivors of its collapses
-/// instead of on a fork of the full state. The register starts as a view
-/// of a prefix state; each collapse of a new qubit writes only the kept
-/// half, divided by the same norm StateVector::measure divides by, into a
-/// scratch of 2^(n-1) amplitudes, so the next measurement sweeps half as
-/// many. Measuring or resetting a qubit that is already collapsed reads
-/// its survivors (collapsed to 1) or nothing (collapsed to 0: an exact
-/// zero probability), and a reset's X only flips the qubit's fixed value.
+/// instead of on a fork of the full state: the per-shot form of the tail
+/// walk runBatch takes, built from the same steps. The register starts as
+/// a view of a prefix state; each collapse of a new qubit writes only the
+/// kept half, divided by the same norm StateVector::measure divides by,
+/// into a scratch of 2^(n-1) amplitudes, so the next measurement sweeps
+/// half as many. Measuring or resetting a qubit that is already collapsed
+/// reads its survivors (collapsed to 1) or nothing (collapsed to 0: an
+/// exact zero probability), and a reset's X only flips the qubit's fixed
+/// value.
 ///
 /// Bit-exact with StateVector by construction: every draw and norm is the
 /// same computation, and every probability is summed over the full
@@ -165,17 +181,13 @@ public:
   /// writes into this register's own scratch (allocated once, 2^(n-1)
   /// amplitudes). S must stay unchanged until the shot ends.
   void start(const StateVector &S);
-  /// Restarts on \p S and collapses inside S's own buffer (no scratch,
-  /// serial compaction): for a single shot that consumes the state.
+  /// Restarts on \p S and collapses inside S's own buffer (no scratch):
+  /// for a single shot that consumes the state.
   void startInPlace(StateVector &S);
 
-  /// As StateVector::setParallelJobs (the sums split across workers; so
-  /// does a collapse that reads the prefix state into the scratch).
+  /// As StateVector::setParallelJobs (the sums and the collapses split
+  /// across workers).
   void setParallelJobs(unsigned Jobs) { ParJobs = Jobs < 1 ? 1 : Jobs; }
-  /// As StateVector::setStats: each measure or reset counts one kernel and
-  /// the amplitudes it reads and writes.
-  void setStats(SimStats *S) { Stats = S; }
-  SimStats *stats() const { return Stats; }
 
   /// Measures qubit \p Q, exactly as StateVector::measure would.
   bool measure(unsigned Q, std::mt19937_64 &Rng);
@@ -185,25 +197,18 @@ public:
   /// The probability of reading 1 the last measure or reset sampled
   /// against.
   double lastProbOne() const { return LastProbOne; }
-  /// The survivors, ascending by full-state index: the amplitudes of the
-  /// indices i with (i & fixedMask()) == fixedValues(). Every other
-  /// amplitude of the state is zero.
-  const Amplitude *survivors() const { return Cur; }
-  uint64_t size() const { return Size; }
-  /// The collapsed qubits' bits in full-state index space, and their
-  /// values.
-  uint64_t fixedMask() const { return FixedMask; }
-  uint64_t fixedValues() const { return FixedVals; }
+  /// The survivors (CollapsedState).
+  const Amplitude *survivors() const { return State.Amp; }
+  uint64_t size() const { return State.Size; }
+  uint64_t fixedMask() const { return State.FixedMask; }
+  uint64_t fixedValues() const { return State.FixedVals; }
 
 private:
   unsigned NumQubits = 0;
-  const Amplitude *Cur = nullptr; ///< The survivors.
-  Amplitude *Scratch = nullptr;   ///< Where collapses write.
-  uint64_t Size = 0;
-  uint64_t FixedMask = 0, FixedVals = 0;
-  std::vector<Amplitude> Own; ///< The scratch, unless collapsing in place.
+  CollapsedState State;
+  Amplitude *Scratch = nullptr; ///< Where collapses write.
+  std::vector<Amplitude> Own;   ///< The scratch, unless collapsing in place.
   unsigned ParJobs = 1;
-  SimStats *Stats = nullptr;
   double LastProbOne = 0.0;
 
   void begin(const StateVector &S, Amplitude *Dst);
@@ -228,12 +233,12 @@ public:
   /// per-worker forks when there are at least two shots per worker or the
   /// state is too small to split, amplitude-parallel kernels otherwise
   /// (the low-shot/large-n regime). A remainder of only unconditional
-  /// measure/reset runs each shot on a CollapsedRegister (half a state of
-  /// scratch per worker) instead. With Opts.Noise, runs quantum
-  /// trajectories: noisy gates act as fusion barriers and close the
-  /// shared prefix. Every worker count returns the per-shot bits of run()
-  /// (runNoisy() with noise), up to floating-point rounding of the fused
-  /// matrices.
+  /// measure/reset forks nothing: the shots walk one trie of outcome
+  /// prefixes, each node summed and collapsed once for all of its shots.
+  /// With Opts.Noise, runs quantum trajectories: noisy gates act as fusion
+  /// barriers and close the shared prefix. Every worker count returns the
+  /// per-shot bits of run() (runNoisy() with noise), up to floating-point
+  /// rounding of the fused matrices.
   std::vector<ShotResult> runBatch(const Circuit &C, unsigned Shots,
                                    uint64_t Seed,
                                    const RunOptions &Opts) const override;
@@ -249,6 +254,10 @@ public:
            const RunOptions &Opts) const override;
   /// The dense engine executes any Kraus model.
   bool supportsNoise(const NoiseModel &Noise) const override;
+
+  /// Shots per walk of a measure/reset tail: a group's RNG streams (2.4
+  /// KiB of mt19937_64 state each, 10 MiB in all) live for the whole walk.
+  static constexpr unsigned TailGroupShots = 4096;
 
   /// Absolute cap regardless of memory: 2^30 amplitudes (16 GiB) keeps
   /// index arithmetic and allocation sizes comfortably in range.

@@ -20,8 +20,8 @@
 /// Arming sources, in priority order:
 ///  - programmatic: `fault::arm("disk.write=1")` from a test;
 ///  - environment:  ASDF_FAULTS="disk.write=1,wire.torn-write=2@1"
-///    (read once by `armFromEnv()`, which asdfd calls at startup — the
-///    only way to arm a *spawned* daemon);
+///    (read once by `armFromEnv()`, which asdfd and asdfc call at startup
+///    — the only way to arm a *spawned* process);
 ///  - wire: the test-only request field "fault" (docs/protocol.md),
 ///    accepted only by fault-injection builds.
 ///
@@ -38,6 +38,7 @@
 ///                     the connection drops.
 ///   worker.stall      JobQueue worker: 150 ms stall before the job runs.
 ///   compile.bad-alloc Service compile: the compiler throws bad_alloc.
+///                     asdfc: bad_alloc is thrown before compiling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,8 +60,8 @@ inline constexpr bool Compiled = true;
 bool arm(const std::string &Spec, std::string &Error);
 
 /// Arms from $ASDF_FAULTS if set (malformed values abort loudly: a test
-/// that mistypes a fault name must not silently pass). Called by asdfd at
-/// startup.
+/// that mistypes a fault name must not silently pass). Called by asdfd and
+/// asdfc at startup.
 void armFromEnv();
 
 /// Disarms every point and zeroes all counters.

@@ -277,14 +277,15 @@ TEST(DifferentialTest, SweepsBitExactToRecompilePerPoint) {
 
 /// A rotation prefix, then a shuffled tail of only measure and reset:
 /// every qubit measured once, half as many measured again and as many
-/// reset (before or after their measurement). Varied RY angles and a CX
-/// ladder make every probability a sum of many distinct terms, so any
-/// regrouping of the sum shows in its last bits. At 18, 19 and 20 qubits
-/// the sums span 2, 4 and 8 reduction chunks.
-Circuit measureTailCircuit(unsigned NumQubits, std::mt19937_64 &Rng) {
+/// reset (before or after their measurement). Varied RY angles (in [0.1,
+/// \p MaxAngle)) and a CX ladder make every probability a sum of many
+/// distinct terms, so any regrouping of the sum shows in its last bits.
+/// At 18, 19 and 20 qubits the sums span 2, 4 and 8 reduction chunks.
+Circuit measureTailCircuit(unsigned NumQubits, std::mt19937_64 &Rng,
+                           double MaxAngle = 3.0) {
   Circuit C;
   C.NumQubits = NumQubits;
-  std::uniform_real_distribution<double> PickAngle(0.1, 3.0);
+  std::uniform_real_distribution<double> PickAngle(0.1, MaxAngle);
   for (unsigned Q = 0; Q < NumQubits; ++Q)
     C.append(CircuitInstr::gate(GateKind::RY, {}, {Q}, PickAngle(Rng)));
   for (unsigned Q = 1; Q < NumQubits; ++Q)
@@ -362,6 +363,41 @@ TEST(DifferentialTest, MeasureTailAmplitudesExact) {
         ASSERT_EQ(K, Reg.size()) << Where;
         ASSERT_EQ(Mismatches, 0u) << Where;
       }
+    }
+  }
+}
+
+TEST(DifferentialTest, InPlaceCollapseSplitsExactly) {
+  // A collapse inside the buffer it reads splits across workers in
+  // doubling rounds of pairs. On a random 17-qubit state, measuring the
+  // top, the bottom and a middle qubit splits (at least 2^14 pairs), and
+  // must leave exactly (== on doubles) the survivors of a serial in-place
+  // collapse, as must the serial measures that follow.
+  const unsigned N = 17;
+  std::mt19937_64 Rng(0x1A9ull);
+  std::normal_distribution<double> Gauss(0.0, 1.0);
+  StateVector Start(N);
+  double Norm = 0.0;
+  for (Amplitude &A : Start.amplitudes()) {
+    A = Amplitude(Gauss(Rng), Gauss(Rng));
+    Norm += std::norm(A);
+  }
+  for (Amplitude &A : Start.amplitudes())
+    A /= std::sqrt(Norm);
+  for (unsigned Seed = 0; Seed < 4; ++Seed) {
+    StateVector Serial = Start, Split = Start;
+    CollapsedRegister A, B;
+    A.startInPlace(Serial);
+    B.setParallelJobs(4);
+    B.startInPlace(Split);
+    std::mt19937_64 RngA(Seed), RngB(Seed);
+    for (unsigned Q : {0u, 16u, 8u, 15u, 1u}) {
+      ASSERT_EQ(A.measure(Q, RngA), B.measure(Q, RngB))
+          << "seed " << Seed << ", qubit " << Q;
+      ASSERT_EQ(A.size(), B.size());
+      ASSERT_TRUE(std::equal(A.survivors(), A.survivors() + A.size(),
+                             B.survivors()))
+          << "seed " << Seed << ", qubit " << Q;
     }
   }
 }
@@ -571,6 +607,38 @@ TEST(DifferentialTest, MeasureTailBitExactAcrossConfigs) {
                                                     WantSweep[P].begin() +
                                                         Shape.Shots),
                             Sweep[P], Shape.Name, unsigned(P));
+  }
+
+  // A second walk group of 17 shots. Small angles leave most qubits near
+  // |0>, so the shots share most outcome prefixes; readout error flips
+  // recorded bits without splitting the trie. The walk's work depends on
+  // the outcomes alone, so every worker count counts the same.
+  Circuit Small = measureTailCircuit(12, Rng, 0.4);
+  NoiseModel Readout;
+  Readout.setReadoutError(0.02, 0.03);
+  const unsigned Shots = StatevectorBackend::TailGroupShots + 17;
+  const uint64_t Seed = 0x6A0B;
+  std::vector<ShotResult> Want = referenceShots(Small, Shots, Seed, &Readout);
+  SimStats J1;
+  for (unsigned Jobs : {1u, 2u, 4u}) {
+    SimStats Got;
+    RunOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.Noise = &Readout;
+    Opts.SimCounters = &Got;
+    expectBatchesBitExact(Want, Sv.runBatch(Small, Shots, Seed, Opts),
+                          "two groups", Jobs);
+    if (Jobs == 1) {
+      J1 = Got;
+      EXPECT_GT(J1.ReadoutFlips, 0u);
+      // Per-shot registers would run 24 tail kernels a shot; the walk
+      // runs fewer than one.
+      EXPECT_LT(J1.GatesApplied, uint64_t(Shots));
+      continue;
+    }
+    EXPECT_EQ(Got.GatesApplied, J1.GatesApplied) << "jobs " << Jobs;
+    EXPECT_EQ(Got.AmplitudesTouched, J1.AmplitudesTouched) << "jobs " << Jobs;
+    EXPECT_EQ(Got.ReadoutFlips, J1.ReadoutFlips) << "jobs " << Jobs;
   }
 }
 

@@ -724,6 +724,53 @@ TEST(NoiseDeterminismTest, StabilizerBatchesHonorAnExpiredDeadline) {
       }
 }
 
+TEST(NoiseDeterminismTest, DenseBatchesHonorAnExpiredDeadline) {
+  // The dense twin of the test above. Forked shots check the deadline
+  // before every shot, in each branch of the batch core: one shot, split
+  // kernels and shot-parallel (14 qubits, so the kernels split). The
+  // measure/reset tail's walk checks it before every group and node.
+  // Kraus channels on the gates fork every shot; readout error alone
+  // leaves the tail to the walk.
+  Circuit Tail;
+  Tail.NumQubits = 14;
+  Tail.NumBits = 14;
+  for (unsigned Q = 0; Q < 14; ++Q)
+    Tail.append(CircuitInstr::gate(GateKind::RY, {}, {Q}, 0.3 + 0.1 * Q));
+  for (unsigned Q = 1; Q < 14; ++Q)
+    Tail.append(CircuitInstr::gate(GateKind::X, {Q - 1}, {Q}));
+  Circuit Forked = Tail;
+  for (unsigned Q = 0; Q < 14; ++Q) {
+    Tail.append(CircuitInstr::measure(Q, Q));
+    Tail.append(CircuitInstr::reset(Q));
+  }
+  Forked.append(CircuitInstr::measure(0, 0));
+  CircuitInstr Fix = CircuitInstr::gate(GateKind::X, {}, {1});
+  Fix.CondBit = 0;
+  Forked.append(Fix);
+  for (unsigned Q = 1; Q < 14; ++Q)
+    Forked.append(CircuitInstr::measure(Q, Q));
+  NoiseModel Kraus = krausTestModel();
+  NoiseModel Readout;
+  Readout.setReadoutError(0.02, 0.03);
+  StatevectorBackend Sv;
+  const NoiseModel *Models[] = {nullptr, &Readout, &Kraus};
+  const std::pair<unsigned, unsigned> Shapes[] = {{4, 1}, {4, 4}, {4, 8},
+                                                  {1, 4}};
+  for (const NoiseModel *Noise : Models)
+    for (const Circuit *C : {&Tail, &Forked})
+      for (auto [Jobs, Shots] : Shapes) {
+        RunOptions Opts;
+        Opts.Jobs = Jobs;
+        Opts.Noise = Noise;
+        Opts.Deadline =
+            std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+        EXPECT_THROW(Sv.runBatch(*C, Shots, 5, Opts), DeadlineExceeded)
+            << (Noise == &Kraus ? "kraus" : Noise ? "readout" : "ideal")
+            << (C == &Tail ? " tail" : " forked") << ", jobs " << Jobs
+            << ", " << Shots << " shots";
+      }
+}
+
 TEST(NoiseDeterminismTest, SeedsMatterAndReplaysAreExact) {
   NoiseModel M = krausTestModel();
   Circuit C = mixedNoisyCircuit();

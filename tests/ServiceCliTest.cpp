@@ -66,6 +66,13 @@ const char *RotSource = "qpu kernel() -> bit {\n"
                         "    return 'p' | std.rotate($theta) | std.measure\n"
                         "}\n";
 
+/// RotSource on 16 qubits: a state large enough for the dense kernels to
+/// split across workers.
+const char *WideRotSource =
+    "qpu kernel() -> bit[16] {\n"
+    "    return 'p'[16] | std[16].rotate($theta) | std[16].measure\n"
+    "}\n";
+
 /// Runs a shell command, captures combined stdout+stderr, returns the exit
 /// code.
 int runCommand(const std::string &Cmd, std::string &Output) {
@@ -683,14 +690,14 @@ TEST(ServiceTrace, TraceIdCorrelatesWireToKernelWorkers) {
                           std::to_string(::getpid()) + ".json";
   ::unlink(Socket.c_str());
   ::unlink(TraceFile.c_str());
-  std::string Rot = writeTemp("service_cli_rot_trace.qw", RotSource);
+  std::string Rot = writeTemp("service_cli_rot_trace.qw", WideRotSource);
 
   Daemon D;
   ASSERT_TRUE(D.start(Socket, {"--trace", TraceFile}))
       << "daemon failed to start with --trace";
   std::string Out;
-  // --jobs 4 with 64 shots forces the multi-worker simulation path, so
-  // distinct sim.worker spans (distinct threads) appear in the trace.
+  // --jobs 4 on a 16-qubit state splits the dense kernels across workers,
+  // so distinct sim.worker spans (distinct threads) appear in the trace.
   ASSERT_EQ(runCommand("( " + cli(Socket) + "bind-run " + Rot +
                            " --params theta --sweep '0; 45.5; 90'"
                            " --shots 64 --jobs 4 --seed 7"
@@ -1066,6 +1073,26 @@ TEST(ServiceFaultE2E, InjectedCompileBadAllocShedsThenHeals) {
   runCommand(cli(Socket) + "shutdown", Ignore);
   D.wait();
   ::unlink(Socket.c_str());
+}
+
+TEST(ServiceFaultE2E, AsdfcOutOfMemoryExitsOneWithOneLine) {
+  // An allocation failure in asdfc is a runtime failure (exit 1, one
+  // stderr line), not std::terminate (exit 134).
+  std::string Coin = writeTemp("service_cli_asdfc_oom_coin.qw", CoinSource);
+  std::string Out;
+  EXPECT_EQ(runCommand("ASDF_FAULTS=compile.bad-alloc=1 " +
+                           std::string(ASDF_ASDFC_PATH) + " " + Coin +
+                           " --emit qasm",
+                       Out),
+            1)
+      << Out;
+  EXPECT_EQ(Out, "asdfc: out of memory\n");
+  // Unarmed, the same command compiles.
+  EXPECT_EQ(runCommand(std::string(ASDF_ASDFC_PATH) + " " + Coin +
+                           " --emit qasm",
+                       Out),
+            0)
+      << Out;
 }
 
 #endif // ASDF_FAULT_INJECTION

@@ -27,6 +27,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "service/Server.h"
 #include "service/Service.h"
 
 #include "codegen/QasmEmitter.h"
@@ -37,8 +38,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -47,6 +50,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -1282,6 +1287,57 @@ TEST(ServiceTest, ShutdownFlipsTheFlagAndSubmitRejects) {
   EXPECT_EQ(Service.submit(coinRunRequest(), [](ServiceResponse) {}),
             JobQueue::Submit::Draining)
       << "submit after drain must be rejected without running";
+}
+
+TEST(ServiceTest, OverCapRequestLineIsRefusedAndTheConnectionServesOn) {
+  // A line one byte over the cap gets one bad-request naming the cap, its
+  // bytes are dropped through its newline, and the next request on the
+  // same connection is answered. The newline scan resumes where it
+  // stopped, so reading the line costs time linear in its length.
+  ServerOptions Options;
+  Options.SocketPath =
+      ::testing::TempDir() + "asdf-long-line-" + std::to_string(::getpid());
+  Options.Service.Workers = 1;
+  Server S(Options);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  std::thread Serve([&] { S.serve(); });
+
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Options.SocketPath.c_str(),
+               sizeof(Addr.sun_path) - 1);
+  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  std::string Out(Server::MaxRequestLineBytes + 1, 'x');
+  Out += "\n{\"id\": 7, \"op\": \"stats\"}\n";
+  for (size_t Sent = 0; Sent < Out.size();) {
+    ssize_t N = ::send(Fd, Out.data() + Sent, Out.size() - Sent, 0);
+    ASSERT_GT(N, 0);
+    Sent += static_cast<size_t>(N);
+  }
+  std::string In;
+  char Chunk[4096];
+  while (std::count(In.begin(), In.end(), '\n') < 2) {
+    ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
+    ASSERT_GT(N, 0) << "the connection closed after: " << In;
+    In.append(Chunk, static_cast<size_t>(N));
+  }
+  ::close(Fd);
+  S.requestShutdown();
+  Serve.join();
+
+  std::string First = In.substr(0, In.find('\n'));
+  std::string Second = In.substr(First.size() + 1);
+  EXPECT_NE(First.find("\"kind\":\"bad-request\""), std::string::npos)
+      << First;
+  EXPECT_NE(First.find(std::to_string(Server::MaxRequestLineBytes)),
+            std::string::npos)
+      << First;
+  EXPECT_NE(Second.find("\"id\":7"), std::string::npos) << Second;
+  EXPECT_NE(Second.find("\"ok\":true"), std::string::npos) << Second;
 }
 
 //===----------------------------------------------------------------------===//

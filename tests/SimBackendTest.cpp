@@ -23,6 +23,7 @@
 
 #include <cmath>
 #include <random>
+#include <set>
 
 using namespace asdf;
 
@@ -429,23 +430,38 @@ TEST(SimStatsTest, CountersTrackKernelsAndAmplitudes) {
   RunOptions FusedOpts;
   FusedOpts.Jobs = 1;
   FusedOpts.SimCounters = &Fused;
-  Sv.runBatch(C, 4, 11, FusedOpts);
+  std::vector<ShotResult> Shots = Sv.runBatch(C, 4, 11, FusedOpts);
   EXPECT_GT(Fused.FusedOps, 0u);
   EXPECT_GT(Fused.FusedBlocks, 0u);
   EXPECT_GT(Fused.AmplitudesTouched, 0u);
   EXPECT_GT(Fused.GatesApplied, 0u); // the measure kernels
 
-  // The measure tail runs on the collapsed register: one kernel per
-  // measure, and measuring a fresh qubit on 2^m survivors reads 2^(m-1)
-  // for the probability, then reads and writes the kept 2^(m-1). Per
-  // shot, 3 * (32 + 16 + 8 + 4 + 2 + 1) = 189.
+  // The measure tail is one walk over the shots' outcome trie. A node at
+  // step D is a distinct prefix of the shots' first D outcomes; it counts
+  // one kernel and reads half its 2^(6-D) survivors for the probability.
+  // Before the last step it then reads the kept half and writes it once
+  // per outcome drawn there (a distinct prefix of D + 1 outcomes): 2^(6-D)
+  // per child.
+  uint64_t Kernels = 0, Amps = 0;
+  for (unsigned D = 0; D < 6; ++D) {
+    std::set<std::string> Nodes, Children;
+    for (const ShotResult &R : Shots) {
+      Nodes.insert(R.str().substr(0, D));
+      Children.insert(R.str().substr(0, D + 1));
+    }
+    Kernels += Nodes.size();
+    Amps += Nodes.size() * (32u >> D);
+    if (D + 1 < 6)
+      Amps += Children.size() * (64u >> D);
+  }
+  EXPECT_LT(Kernels, 4u * 6); // The root, at least, is shared.
   Circuit Gates = C;
   Gates.Instrs.resize(Gates.Instrs.size() - 6);
   SimStats Prefix;
   FusedOpts.SimCounters = &Prefix;
   Sv.runBatch(Gates, 4, 11, FusedOpts);
-  EXPECT_EQ(Fused.GatesApplied - Prefix.GatesApplied, 4u * 6);
-  EXPECT_EQ(Fused.AmplitudesTouched - Prefix.AmplitudesTouched, 4u * 189);
+  EXPECT_EQ(Fused.GatesApplied - Prefix.GatesApplied, Kernels);
+  EXPECT_EQ(Fused.AmplitudesTouched - Prefix.AmplitudesTouched, Amps);
 
   // The same gates one kernel each, as the unfused run() applies them.
   SimStats Unfused;
