@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Measures what parametric compilation buys: a parameter sweep served by
-/// the bind-params fast path (compile the $-parameterized program once,
-/// re-materialize only the angle-dependent matrix entries per point)
+/// the bind-params fast path (compile the $-parameterized program and
+/// plan its fusion once, build the fused ops per point)
 /// against the honest baseline — a full textual recompile of the program
 /// with the literals substituted, once per sweep point.
 ///
@@ -54,8 +54,8 @@ double now() {
 
 /// The sweep subject: a variational-style ansatz — rotation layers over
 /// each basis family interleaved with basis translations — so the flat
-/// circuit is rotation-rich (every layer re-materializes per point) while
-/// the structure — and the fusion plan — is angle-independent.
+/// circuit is rotation-rich (every layer's matrices are rebuilt per point)
+/// while the structure — and the fusion plan — is angle-independent.
 const char *ParametricSource =
     "qpu kernel[N]() -> bit[N] {\n"
     "    return 'p'[N] | std[N].rotate($a) | pm[N].rotate($b) | "

@@ -5,32 +5,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "compiler/CommandLine.h"
+#include "support/ParseNumber.h"
 
 #include <cctype>
-#include <charconv>
 #include <string_view>
 
 using namespace asdf;
-
-namespace {
-
-/// Parses all of \p S but its surrounding whitespace (sweep specs read
-/// naturally as "0; 45.5; 90"); from_chars is locale-independent and exact.
-/// \p Fmt is from_chars' base or format, if any.
-template <typename T, typename... FmtT>
-bool parseWhole(std::string_view S, T &Out, FmtT... Fmt) {
-  while (!S.empty() && std::isspace(static_cast<unsigned char>(S.front())))
-    S.remove_prefix(1);
-  while (!S.empty() && std::isspace(static_cast<unsigned char>(S.back())))
-    S.remove_suffix(1);
-  if (S.empty())
-    return false;
-  const char *E = S.data() + S.size();
-  std::from_chars_result R = std::from_chars(S.data(), E, Out, Fmt...);
-  return R.ec == std::errc() && R.ptr == E;
-}
-
-} // namespace
 
 bool asdf::splitEq(const std::string &Arg, std::string &Key,
                    std::string &Value) {

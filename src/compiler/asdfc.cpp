@@ -107,7 +107,8 @@ void usage(FILE *Out) {
       "                          separated value list in declaration order\n"
       "                          (e.g. \"0,90;45,90;90,90\" for two\n"
       "                          parameters x three points). Compiles and\n"
-      "                          fuses once, re-binds per point; per-point\n"
+      "                          plans fusion once, then binds and builds\n"
+      "                          the fused ops per point; per-point\n"
       "                          results are bit-identical to recompiling\n"
       "  --noise <file.ini>      noise model for --emit run (INI spec; see\n"
       "                          README \"Noisy simulation\"). Pauli-only\n"

@@ -109,6 +109,12 @@ bool asdf::isParamGate(GateKind K) {
          K == GateKind::RZ;
 }
 
+bool asdf::isDiagonalGate(GateKind K) {
+  return K == GateKind::Z || K == GateKind::S || K == GateKind::Sdg ||
+         K == GateKind::T || K == GateKind::Tdg || K == GateKind::P ||
+         K == GateKind::RZ;
+}
+
 const char *asdf::opKindName(OpKind K) {
   switch (K) {
   case OpKind::QbPrep:

@@ -208,6 +208,10 @@ GateKind adjointGateKind(GateKind K);
 /// True for the kinds that carry an angle: P, RX, RY and RZ.
 bool isParamGate(GateKind K);
 
+/// True for the kinds whose matrix is diagonal: Z, S, Sdg, T, Tdg, P and
+/// RZ.
+bool isDiagonalGate(GateKind K);
+
 /// Degrees -> radians for gate angles. Every path that converts a rotation
 /// angle (literal lowering and symbolic bind alike) goes through this one
 /// function, so bound results match recompiled results bitwise.

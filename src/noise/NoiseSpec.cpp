@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "noise/NoiseSpec.h"
+#include "support/ParseNumber.h"
 
 #include <cctype>
 #include <cstdlib>
@@ -80,17 +81,6 @@ struct Section {
   unsigned Qubit = 0;
 };
 
-bool parseQubitIndex(const std::string &S, unsigned &Q) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  unsigned long V = std::strtoul(S.c_str(), &End, 10);
-  if (End == S.c_str() || *End != '\0')
-    return false;
-  Q = static_cast<unsigned>(V);
-  return true;
-}
-
 } // namespace
 
 bool asdf::parseNoiseSpec(const std::string &Text, NoiseModel &M,
@@ -145,7 +135,7 @@ bool asdf::parseNoiseSpec(const std::string &Text, NoiseModel &M,
                       "swap, or *)");
         }
       } else if (Kind == "qubit") {
-        if (!parseQubitIndex(Arg, Sec.Qubit))
+        if (!parseWhole(Arg, Sec.Qubit))
           return Fail("bad qubit index '" + Arg + "'");
         Sec.TheKind = Section::Kind::Qubit;
       } else if (Kind == "readout") {
@@ -153,7 +143,7 @@ bool asdf::parseNoiseSpec(const std::string &Text, NoiseModel &M,
           Sec.TheKind = Section::Kind::Readout;
           OpenReadout(&M.globalReadoutError());
         } else {
-          if (!parseQubitIndex(Arg, Sec.Qubit))
+          if (!parseWhole(Arg, Sec.Qubit))
             return Fail("bad qubit index '" + Arg + "'");
           Sec.TheKind = Section::Kind::QubitReadout;
           OpenReadout(M.qubitReadoutOverride(Sec.Qubit));

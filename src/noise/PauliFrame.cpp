@@ -177,7 +177,7 @@ ShotResult FrameReference::sampleShot(uint64_t ShotSeed,
                                       const PauliNoisePlan *Plan,
                                       const NoiseModel *Noise,
                                       SimStats *Stats) const {
-  std::mt19937_64 Rng = tableauShotRng(ShotSeed);
+  std::mt19937_64 Rng = shotRng(ShotSeed);
   Frame F(Words);
   ShotResult R;
   R.Bits.assign(C->NumBits, false);

@@ -1,4 +1,4 @@
-//===- Backend.cpp - Pluggable simulation-backend interface ---------------===//
+//===- Backend.cpp - Simulation-backend interface and dispatch ------------===//
 //
 // Part of the Asdf reproduction. MIT license.
 //
@@ -38,6 +38,10 @@ uint64_t asdf::deriveShotSeed(uint64_t Seed, uint64_t Shot) {
   Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
   Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
   return Z ^ (Z >> 31);
+}
+
+std::mt19937_64 asdf::shotRng(uint64_t Seed) {
+  return std::mt19937_64(Seed * 0x9E3779B97F4A7C15ull + 0xDEADBEEF);
 }
 
 uint64_t asdf::deriveSweepPointSeed(uint64_t Seed, uint64_t Point) {
@@ -359,23 +363,14 @@ SimBackend::runShots(const Circuit &C, unsigned Shots, uint64_t Seed,
 }
 
 BackendRegistry::BackendRegistry() {
-  registerBackend(std::make_unique<StatevectorBackend>());
-  registerBackend(std::make_unique<StabilizerBackend>());
-  registerBackend(std::make_unique<MPSBackend>());
+  Backends.push_back(std::make_unique<StatevectorBackend>());
+  Backends.push_back(std::make_unique<StabilizerBackend>());
+  Backends.push_back(std::make_unique<MPSBackend>());
 }
 
 BackendRegistry &BackendRegistry::instance() {
   static BackendRegistry Registry;
   return Registry;
-}
-
-void BackendRegistry::registerBackend(std::unique_ptr<SimBackend> B) {
-  for (std::unique_ptr<SimBackend> &Existing : Backends)
-    if (std::string(Existing->name()) == B->name()) {
-      Existing = std::move(B);
-      return;
-    }
-  Backends.push_back(std::move(B));
 }
 
 SimBackend *BackendRegistry::lookup(const std::string &Name) const {
@@ -419,7 +414,7 @@ BackendRegistry::selectWithReasons(const Circuit &C, BackendKind Kind,
                                    const RunOptions &Opts,
                                    const CircuitProfile *Profile,
                                    const NoiseModel *Noise) const {
-  assert(!Backends.empty() && "built-in backends missing");
+  assert(!Backends.empty() && "engines missing");
   CircuitProfile P = Profile ? *Profile : analyzeCircuit(C);
   CostModel Cost = estimateCost(C, &P);
   if (Noise && Noise->empty())
@@ -432,9 +427,8 @@ BackendRegistry::selectWithReasons(const Circuit &C, BackendKind Kind,
   BackendSelection Sel;
   Sel.CostSummary = Cost.summary();
 
-  // One verdict per registered backend: can auto-dispatch hand it this
-  // circuit, and why (not). Built-in names get precise reasons; test- or
-  // plugin-registered engines get the generic supports() verdict.
+  // One verdict per engine: can auto-dispatch hand it this circuit, and
+  // why (not).
   for (const std::unique_ptr<SimBackend> &B : Backends) {
     BackendVerdict V;
     V.Name = B->name();
@@ -466,7 +460,8 @@ BackendRegistry::selectWithReasons(const Circuit &C, BackendKind Kind,
       else
         V.Why = "Clifford-only circuit: polynomial tableau updates at any "
                 "width";
-    } else if (V.Name == "mps") {
+    } else {
+      assert(V.Name == "mps" && "unknown engine");
       bool Ok = B->supports(C, P);
       bool BondOk = Cost.estimatedMaxBond() <= ChiBar;
       V.Eligible = Ok && BondOk && !Noise;
@@ -488,10 +483,6 @@ BackendRegistry::selectWithReasons(const Circuit &C, BackendKind Kind,
         V.Why = "estimated max bond " +
                 std::to_string(Cost.estimatedMaxBond()) + " fits chi " +
                 std::to_string(ChiBar);
-    } else {
-      V.Eligible = B->supports(C, P) && NoiseOk;
-      V.Why = V.Eligible ? "supports the circuit"
-                         : "does not support the circuit";
     }
     Sel.Verdicts.push_back(std::move(V));
   }
@@ -509,7 +500,7 @@ BackendRegistry::selectWithReasons(const Circuit &C, BackendKind Kind,
   // does not (the state cannot be allocated).
   auto Forced = [&](const char *Name) -> BackendSelection & {
     SimBackend *B = lookup(Name);
-    assert(B && "built-in backend missing");
+    assert(B && "engine missing");
     Sel.Chosen = B;
     const BackendVerdict *V = VerdictFor(Name);
     Sel.Reason = "forced by --backend " + std::string(Name);
@@ -549,15 +540,6 @@ BackendRegistry::selectWithReasons(const Circuit &C, BackendKind Kind,
       return Sel;
     }
   }
-  // Plugin backends (tests register these) are considered after the
-  // built-ins, in registration order.
-  for (const BackendVerdict &V : Sel.Verdicts)
-    if (V.Eligible) {
-      Sel.Chosen = lookup(V.Name);
-      Sel.Supported = true;
-      Sel.Reason = V.Why;
-      return Sel;
-    }
   Sel.Chosen = Backends.front().get();
   Sel.Supported = false;
   Sel.Reason = "no registered backend supports this circuit";

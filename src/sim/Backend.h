@@ -1,4 +1,4 @@
-//===- Backend.h - Pluggable simulation-backend interface -----------------===//
+//===- Backend.h - Simulation-backend interface and dispatch --------------===//
 //
 // Part of the Asdf reproduction. MIT license.
 //
@@ -7,7 +7,7 @@
 /// \file
 /// The simulation-backend subsystem. A `SimBackend` executes flat circuits
 /// (§7) and reports which circuits it can run exactly; the `BackendRegistry`
-/// owns the built-in engines and auto-dispatches each circuit to the fastest
+/// owns the three engines and auto-dispatches each circuit to the fastest
 /// backend that supports it:
 ///
 ///   - `StatevectorBackend` — dense amplitudes, any gate set, <= 26 qubits;
@@ -43,6 +43,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,6 +69,12 @@ bool parseBackendKind(const std::string &Name, BackendKind &Kind);
 /// splitmix64 finalizer: statistically independent streams per shot, yet
 /// fully determined by (Seed, Shot).
 uint64_t deriveShotSeed(uint64_t Seed, uint64_t Shot);
+
+/// The generator a dense or tableau shot with seed \p Seed draws from:
+/// shared by both engines' per-shot and batch paths and by the Pauli-frame
+/// sampler, whose shots replay tableau runs bit for bit. The MPS engine
+/// salts its own.
+std::mt19937_64 shotRng(uint64_t Seed);
 
 /// Derives the base seed for point \p Point of a parameter sweep with base
 /// seed \p Seed: the sweep-level analogue of deriveShotSeed, salted so
@@ -302,9 +309,9 @@ public:
   /// deriveSweepPointSeed(Seed, P), Opts) for every point, on every
   /// backend and execution plan. The default implementation is exactly
   /// that loop; backends override it to reuse work across points (the
-  /// dense engine fuses the circuit structure once and re-materializes
-  /// only angle-dependent matrices per point). A non-parametric \p C is
-  /// allowed — each point must then be an empty value list.
+  /// dense engine plans fusion once and builds the fused ops per point).
+  /// A non-parametric \p C is allowed — each point must then be an empty
+  /// value list.
   virtual std::vector<std::vector<ShotResult>>
   runSweep(const Circuit &C, const std::vector<std::vector<double>> &Points,
            unsigned Shots, uint64_t Seed, const RunOptions &Opts) const;
@@ -357,14 +364,11 @@ struct BackendSelection {
   std::string rejectionSummary() const;
 };
 
-/// Owns the engines and picks one per circuit.
+/// Owns the three engines and picks one per circuit.
 class BackendRegistry {
 public:
-  /// The process-wide registry, with the built-in backends registered.
+  /// The process-wide registry: sv, stab and mps, in that order.
   static BackendRegistry &instance();
-
-  /// Registers \p B under B->name(), replacing any same-named backend.
-  void registerBackend(std::unique_ptr<SimBackend> B);
 
   /// Finds a backend by name(); null if absent.
   SimBackend *lookup(const std::string &Name) const;

@@ -67,42 +67,14 @@ Mat2 asdf::gateMatrix2(GateKind G, double Theta) {
   return Mat2::identity();
 }
 
-namespace {
-
-/// The phases a diagonal gate puts on |0> and |1> of its target (applied
-/// only where every control reads 1). False for non-diagonal gates.
-bool diagonalPhases(GateKind G, double Theta, Cplx &P0, Cplx &P1) {
-  const Cplx I(0.0, 1.0);
-  P0 = Cplx(1.0, 0.0);
-  switch (G) {
-  case GateKind::Z:
-    P1 = Cplx(-1.0, 0.0);
-    return true;
-  case GateKind::S:
-    P1 = I;
-    return true;
-  case GateKind::Sdg:
-    P1 = -I;
-    return true;
-  case GateKind::T:
-    P1 = std::exp(I * (M_PI / 4.0));
-    return true;
-  case GateKind::Tdg:
-    P1 = std::exp(-I * (M_PI / 4.0));
-    return true;
-  case GateKind::P:
-    P1 = std::exp(I * Theta);
-    return true;
-  case GateKind::RZ:
-    P0 = std::exp(-I * (Theta / 2));
-    P1 = std::exp(I * (Theta / 2));
-    return true;
-  default:
+bool asdf::diagonalPhases(GateKind G, double Theta, Cplx &P0, Cplx &P1) {
+  if (!isDiagonalGate(G))
     return false;
-  }
+  Mat2 U = gateMatrix2(G, Theta);
+  P0 = U.M[0][0];
+  P1 = U.M[1][1];
+  return true;
 }
-
-} // namespace
 
 std::vector<Cplx> asdf::blockMatmul(const std::vector<Cplx> &A,
                                     const std::vector<Cplx> &B,
@@ -239,116 +211,61 @@ bool asdf::isFusionBarrier(const CircuitInstr &I) {
   return I.TheKind != CircuitInstr::Kind::Gate || I.CondBit >= 0;
 }
 
-FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise,
-                               FusionRecipe *Recipe) {
-  obs::Span Sp("fuse", "fusion");
-  FusedCircuit FC;
-  FC.Source = &C;
+FusionPlan asdf::planFusion(const Circuit &C, const NoiseModel *Noise) {
+  using Event = FusionPlan::Event;
+  FusionPlan Plan;
+  Plan.NumInstrs = C.Instrs.size();
   const unsigned N = C.NumQubits;
   auto QubitBit = [&](unsigned Q) { return uint64_t(1) << (N - 1 - Q); };
-  if (Recipe) {
-    *Recipe = FusionRecipe();
-    Recipe->NumInstrs = C.Instrs.size();
-  }
 
   /// An open accumulation of adjacent gates over one (disjoint) support.
   struct OpenBlock {
     std::vector<unsigned> Qubits; ///< Sorted ascending.
-    std::vector<Cplx> U;          ///< 2^m x 2^m, MSB-first local basis.
     unsigned Count = 0;           ///< Gates absorbed.
     size_t OnlyInstr = 0;         ///< Source index, meaningful at Count 1.
-    int Node = -1;                ///< Recipe node, when recording.
+    int Node = -1;                ///< How its matrix is built.
   };
   std::vector<OpenBlock> Open;
   bool PrefixOpen = true;
 
-  // Recording hooks: a new recipe node per block construction, an event
-  // per plan emission. All no-ops when Recipe is null.
-  auto recordNode = [&](size_t Idx, const std::vector<unsigned> &Qubits,
-                        std::vector<int> Children, bool Direct,
-                        const std::vector<Cplx> &U) -> int {
-    if (!Recipe)
-      return -1;
-    FusionRecipe::Node Nd;
-    Nd.InstrIndex = Idx;
-    Nd.Qubits = Qubits;
-    Nd.Direct = Direct;
-    Nd.Symbolic = C.Instrs[Idx].isSymbolic();
-    for (int Ch : Children)
-      if (Recipe->Nodes[Ch].Symbolic)
-        Nd.Symbolic = true;
-    Nd.Children = std::move(Children);
-    Nd.CachedU = U;
-    Recipe->Nodes.push_back(std::move(Nd));
-    return static_cast<int>(Recipe->Nodes.size() - 1);
+  auto addNode = [&](size_t Idx, const std::vector<unsigned> &Qubits,
+                     std::vector<int> Children, bool Direct) {
+    Plan.Nodes.push_back({Idx, Qubits, std::move(Children), Direct});
+    return static_cast<int>(Plan.Nodes.size() - 1);
   };
-  auto recordEvent = [&](FusionRecipe::Event E) {
-    if (Recipe)
-      Recipe->Events.push_back(E);
-  };
-  auto recordPrefix = [&] {
-    if (Recipe)
-      Recipe->PrefixEvents = Recipe->Events.size();
-  };
-
   auto emitInstr = [&](size_t Idx) {
-    FusedOp Op;
-    Op.TheKind = FusedOp::Kind::Instr;
-    Op.InstrIndex = Idx;
-    FC.Ops.push_back(std::move(Op));
-    recordEvent({FusionRecipe::Event::Kind::Instr, Idx, -1, 0, 0});
+    Plan.Events.push_back({Event::Kind::Instr, Idx, -1, 0, 0});
+  };
+  auto emitDiagGate = [&](size_t Idx) {
+    const CircuitInstr &I = C.Instrs[Idx];
+    uint64_t CtlMask = 0;
+    for (unsigned Ctl : I.Controls)
+      CtlMask |= QubitBit(Ctl);
+    ++Plan.GatesFused;
+    Plan.Events.push_back({Event::Kind::DiagGate, Idx, -1, CtlMask,
+                           QubitBit(I.Targets[0])});
+  };
+  auto closePrefix = [&] {
+    if (PrefixOpen)
+      Plan.PrefixEvents = Plan.Events.size();
+    PrefixOpen = false;
   };
 
-  // Diagonal ops commute, so an entry landing directly after another
-  // diagonal op merges into it: one memory pass applies both.
-  auto emitDiagEntry = [&](DiagEntry E) {
-    if (!FC.Ops.empty() && FC.Ops.back().TheKind == FusedOp::Kind::Diag) {
-      FC.Ops.back().Diag.push_back(E);
-      ++FC.SweepsCoalesced;
-      return;
-    }
-    FusedOp Op;
-    Op.TheKind = FusedOp::Kind::Diag;
-    Op.Diag.push_back(E);
-    FC.Ops.push_back(std::move(Op));
-  };
-
-  auto flushBlock = [&](OpenBlock &B) {
-    if (B.Count == 0)
-      return;
+  auto flushBlock = [&](const OpenBlock &B) {
     if (B.Count == 1) {
       // A lone gate keeps its specialized engine kernel (and bit-exact
       // arithmetic): pass it through instead of wrapping it in a matrix.
       emitInstr(B.OnlyInstr);
       return;
     }
-    // The Diag-vs-Unitary choice below depends on angle values, so the
-    // recipe records only the flush itself; rebind re-decides from the
-    // rebuilt matrix, exactly as this code does.
-    recordEvent({FusionRecipe::Event::Kind::Run, 0, B.Node, 0, 0});
-    FC.GatesFused += B.Count;
-    if (B.Qubits.size() == 1) {
-      // A run that never grew past one wire keeps the cheap 2x2 kernels.
-      Mat2 U2{{{B.U[0], B.U[1]}, {B.U[2], B.U[3]}}};
-      if (U2.isDiagonal()) {
-        emitDiagEntry({0, QubitBit(B.Qubits[0]), U2.M[0][0], U2.M[1][1]});
-        return;
-      }
-      FusedOp Op;
-      Op.TheKind = FusedOp::Kind::Unitary;
-      Op.Target = B.Qubits[0];
-      Op.U = U2;
-      FC.Ops.push_back(std::move(Op));
-      return;
-    }
-    ++FC.BlocksFormed;
-    if (B.Qubits.size() > FC.WidestBlock)
-      FC.WidestBlock = B.Qubits.size();
-    FusedOp Op;
-    Op.TheKind = FusedOp::Kind::Block;
-    Op.Qubits = std::move(B.Qubits);
-    Op.BlockU = std::move(B.U);
-    FC.Ops.push_back(std::move(Op));
+    Plan.GatesFused += B.Count;
+    Plan.Events.push_back({Event::Kind::Run, 0, B.Node, 0, 0});
+  };
+  auto touches = [](const OpenBlock &B, const std::vector<unsigned> &Qs) {
+    for (unsigned Q : B.Qubits)
+      if (std::find(Qs.begin(), Qs.end(), Q) != Qs.end())
+        return true;
+    return false;
   };
   // Flushes (in creation order — open supports are pairwise disjoint, so
   // any order is exact) every open block whose support intersects \p Qs,
@@ -357,22 +274,13 @@ FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise,
     std::vector<OpenBlock> Kept;
     Kept.reserve(Open.size());
     for (OpenBlock &B : Open) {
-      bool Touches = Qs == nullptr;
-      if (Qs)
-        for (unsigned Q : *Qs)
-          if (std::find(B.Qubits.begin(), B.Qubits.end(), Q) !=
-              B.Qubits.end()) {
-            Touches = true;
-            break;
-          }
-      if (Touches)
+      if (!Qs || touches(B, *Qs))
         flushBlock(B);
       else
         Kept.push_back(std::move(B));
     }
     Open = std::move(Kept);
   };
-  auto flushAll = [&] { flushTouching(nullptr); };
 
   for (size_t Idx = 0; Idx < C.Instrs.size(); ++Idx) {
     const CircuitInstr &I = C.Instrs[Idx];
@@ -381,31 +289,23 @@ FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise,
     // and classical control must see exactly the state the unfused program
     // would have at this point. They also close the shared prefix.
     if (isFusionBarrier(I)) {
-      flushAll();
-      if (PrefixOpen) {
-        FC.UnconditionalPrefixOps = FC.Ops.size();
-        recordPrefix();
-        PrefixOpen = false;
-      }
+      flushTouching(nullptr);
+      closePrefix();
       if (I.TheKind == CircuitInstr::Kind::Gate)
-        ++FC.GatesIn;
+        ++Plan.GatesIn;
       emitInstr(Idx);
       continue;
     }
 
-    ++FC.GatesIn;
+    ++Plan.GatesIn;
 
     // Channel barrier: trajectory sampling right after a noisy gate must
     // see the exact unfused state in program order, and it consumes
     // per-shot randomness — so the gate passes through unfused and closes
     // the shared prefix.
     if (Noise && Noise->affectsGate(I)) {
-      flushAll();
-      if (PrefixOpen) {
-        FC.UnconditionalPrefixOps = FC.Ops.size();
-        recordPrefix();
-        PrefixOpen = false;
-      }
+      flushTouching(nullptr);
+      closePrefix();
       emitInstr(Idx);
       continue;
     }
@@ -427,7 +327,7 @@ FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise,
     if (I.Gate != GateKind::Swap && CtlOnTarget) {
       // Degenerate control == target has always been a no-op in the
       // engines; the plan drops it outright.
-      ++FC.GatesFused;
+      ++Plan.GatesFused;
       continue;
     }
     if (I.Gate == GateKind::Swap &&
@@ -440,22 +340,14 @@ FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise,
       continue;
     }
 
-    Cplx P0, P1;
-    bool IsDiag = I.Targets.size() == 1 &&
-                  diagonalPhases(I.Gate, I.Param, P0, P1);
+    bool IsDiag = I.Targets.size() == 1 && isDiagonalGate(I.Gate);
 
     // Which open blocks does this gate touch, and how wide would the
     // merged support be?
     std::vector<unsigned> Union = S;
     bool AnyOverlap = false;
     for (const OpenBlock &B : Open) {
-      bool Touches = false;
-      for (unsigned Q : B.Qubits)
-        if (std::find(S.begin(), S.end(), Q) != S.end()) {
-          Touches = true;
-          break;
-        }
-      if (!Touches)
+      if (!touches(B, S))
         continue;
       AnyOverlap = true;
       for (unsigned Q : B.Qubits)
@@ -467,13 +359,7 @@ FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise,
     // A controlled diagonal landing on untouched wires is cheapest as a
     // coalesced sweep entry — no gather/scatter, any control count.
     if (IsDiag && !I.Controls.empty() && !AnyOverlap) {
-      uint64_t CtlMask = 0;
-      for (unsigned Ctl : I.Controls)
-        CtlMask |= QubitBit(Ctl);
-      ++FC.GatesFused;
-      recordEvent({FusionRecipe::Event::Kind::DiagGate, Idx, -1, CtlMask,
-                   QubitBit(I.Targets[0])});
-      emitDiagEntry({CtlMask, QubitBit(I.Targets[0]), P0, P1});
+      emitDiagGate(Idx);
       continue;
     }
 
@@ -484,26 +370,13 @@ FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise,
       if (S.size() > MaxBlockQubits) {
         // Support too wide for any block. Wide diagonals still coalesce
         // into a sweep entry; everything else passes through.
-        if (IsDiag) {
-          uint64_t CtlMask = 0;
-          for (unsigned Ctl : I.Controls)
-            CtlMask |= QubitBit(Ctl);
-          ++FC.GatesFused;
-          recordEvent({FusionRecipe::Event::Kind::DiagGate, Idx, -1, CtlMask,
-                       QubitBit(I.Targets[0])});
-          emitDiagEntry({CtlMask, QubitBit(I.Targets[0]), P0, P1});
-        } else {
+        if (IsDiag)
+          emitDiagGate(Idx);
+        else
           emitInstr(Idx);
-        }
         continue;
       }
-      OpenBlock B;
-      B.Qubits = S;
-      B.U = gateBlockMatrix(I, S);
-      B.Count = 1;
-      B.OnlyInstr = Idx;
-      B.Node = recordNode(Idx, S, {}, /*Direct=*/true, B.U);
-      Open.push_back(std::move(B));
+      Open.push_back({S, 1, Idx, addNode(Idx, S, {}, /*Direct=*/true)});
       continue;
     }
 
@@ -511,104 +384,65 @@ FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise,
     // multiplication order is exact) and fold the gate in on top.
     OpenBlock Merged;
     Merged.Qubits = Union;
-    const unsigned Dim = 1u << Union.size();
-    Merged.U.assign(size_t(Dim) * Dim, Cplx(0.0, 0.0));
-    for (unsigned D = 0; D < Dim; ++D)
-      Merged.U[size_t(D) * Dim + D] = Cplx(1.0, 0.0);
     std::vector<OpenBlock> Kept;
-    std::vector<int> FoldedNodes;
+    std::vector<int> Folded;
     Kept.reserve(Open.size());
     for (OpenBlock &B : Open) {
-      bool Touches = false;
-      for (unsigned Q : B.Qubits)
-        if (std::find(S.begin(), S.end(), Q) != S.end()) {
-          Touches = true;
-          break;
-        }
-      if (!Touches) {
+      if (!touches(B, S)) {
         Kept.push_back(std::move(B));
         continue;
       }
-      Merged.U = blockMatmul(embedBlockMatrix(B.U, B.Qubits, Union),
-                             Merged.U, Dim);
       Merged.Count += B.Count;
-      FoldedNodes.push_back(B.Node);
+      Folded.push_back(B.Node);
     }
-    Merged.U = blockMatmul(gateBlockMatrix(I, Union), Merged.U, Dim);
     if (++Merged.Count == 1)
       Merged.OnlyInstr = Idx;
-    Merged.Node = recordNode(Idx, Union, std::move(FoldedNodes),
-                             /*Direct=*/false, Merged.U);
+    Merged.Node = addNode(Idx, Union, std::move(Folded), /*Direct=*/false);
     Open = std::move(Kept);
     Open.push_back(std::move(Merged));
   }
 
-  flushAll();
-  if (PrefixOpen) {
-    FC.UnconditionalPrefixOps = FC.Ops.size();
-    recordPrefix();
-  }
-  if (Recipe) {
-    Recipe->GatesIn = FC.GatesIn;
-    Recipe->GatesFused = FC.GatesFused;
-    Recipe->BlocksFormed = FC.BlocksFormed;
-    Recipe->WidestBlock = FC.WidestBlock;
-    Recipe->Valid = true;
-  }
-  return FC;
+  flushTouching(nullptr);
+  closePrefix();
+  return Plan;
 }
 
-FusedCircuit asdf::rebindFusedCircuit(const FusionRecipe &R,
-                                      const Circuit &Bound) {
-  obs::Span Sp("rebind", "fusion");
-  assert(R.Valid && "recipe was never recorded");
-  assert(R.NumInstrs == Bound.Instrs.size() &&
-         "recipe recorded from a different circuit");
+FusedCircuit asdf::buildFusedCircuit(const FusionPlan &Plan,
+                                     const Circuit &C) {
+  using Event = FusionPlan::Event;
+  assert(Plan.NumInstrs == C.Instrs.size() &&
+         "plan made from a different circuit");
   FusedCircuit FC;
-  FC.Source = &Bound;
-  FC.GatesIn = R.GatesIn;
-  FC.GatesFused = R.GatesFused;
-  FC.BlocksFormed = R.BlocksFormed;
-  FC.WidestBlock = R.WidestBlock;
-  const unsigned N = Bound.NumQubits;
+  FC.Source = &C;
+  FC.GatesIn = Plan.GatesIn;
+  FC.GatesFused = Plan.GatesFused;
+  const unsigned N = C.NumQubits;
   auto QubitBit = [&](unsigned Q) { return uint64_t(1) << (N - 1 - Q); };
 
-  // Re-materialize the block matrices bottom-up (children always precede
-  // parents in the node list). Non-symbolic subtrees keep the recorded
-  // matrix: their gates' angles are the same on every bind, so the
-  // recording run already computed the exact value. Symbolic subtrees
-  // replay the identical construction fuseCircuit used — identity seed,
-  // children in fold order, gate on top — so every entry rounds exactly
-  // as a fresh fuse of the bound circuit would.
-  std::vector<std::vector<Cplx>> Computed(R.Nodes.size());
-  std::vector<const std::vector<Cplx> *> NodeU(R.Nodes.size());
-  for (size_t Ni = 0; Ni < R.Nodes.size(); ++Ni) {
-    const FusionRecipe::Node &Nd = R.Nodes[Ni];
-    if (!Nd.Symbolic) {
-      NodeU[Ni] = &Nd.CachedU;
+  // The matrices, children before parents. A child folds into one parent
+  // only, so its matrix is released once folded.
+  std::vector<std::vector<Cplx>> U(Plan.Nodes.size());
+  for (size_t Ni = 0; Ni < Plan.Nodes.size(); ++Ni) {
+    const FusionPlan::Node &Nd = Plan.Nodes[Ni];
+    const CircuitInstr &Gate = C.Instrs[Nd.InstrIndex];
+    if (Nd.Direct) {
+      U[Ni] = gateBlockMatrix(Gate, Nd.Qubits);
       continue;
     }
-    const CircuitInstr &Gate = Bound.Instrs[Nd.InstrIndex];
-    if (Nd.Direct) {
-      Computed[Ni] = gateBlockMatrix(Gate, Nd.Qubits);
-    } else {
-      const unsigned Dim = 1u << Nd.Qubits.size();
-      std::vector<Cplx> U(size_t(Dim) * Dim, Cplx(0.0, 0.0));
-      for (unsigned D = 0; D < Dim; ++D)
-        U[size_t(D) * Dim + D] = Cplx(1.0, 0.0);
-      for (int Ch : Nd.Children)
-        U = blockMatmul(
-            embedBlockMatrix(*NodeU[Ch], R.Nodes[Ch].Qubits, Nd.Qubits), U,
-            Dim);
-      U = blockMatmul(gateBlockMatrix(Gate, Nd.Qubits), U, Dim);
-      Computed[Ni] = std::move(U);
+    const unsigned Dim = 1u << Nd.Qubits.size();
+    std::vector<Cplx> M(size_t(Dim) * Dim, Cplx(0.0, 0.0));
+    for (unsigned D = 0; D < Dim; ++D)
+      M[size_t(D) * Dim + D] = Cplx(1.0, 0.0);
+    for (int Ch : Nd.Children) {
+      M = blockMatmul(
+          embedBlockMatrix(U[Ch], Plan.Nodes[Ch].Qubits, Nd.Qubits), M, Dim);
+      U[Ch] = {};
     }
-    NodeU[Ni] = &Computed[Ni];
+    U[Ni] = blockMatmul(gateBlockMatrix(Gate, Nd.Qubits), M, Dim);
   }
 
-  // Replay the emission log with the same coalescing rules fuseCircuit
-  // applies, re-deciding the angle-dependent Diag-vs-Unitary flushes from
-  // the rebuilt matrices.
+  // Diagonal ops commute, so an entry landing directly after another
+  // diagonal op merges into it: one memory pass applies both.
   auto emitDiagEntry = [&](DiagEntry E) {
     if (!FC.Ops.empty() && FC.Ops.back().TheKind == FusedOp::Kind::Diag) {
       FC.Ops.back().Diag.push_back(E);
@@ -620,53 +454,59 @@ FusedCircuit asdf::rebindFusedCircuit(const FusionRecipe &R,
     Op.Diag.push_back(E);
     FC.Ops.push_back(std::move(Op));
   };
-  for (size_t Ei = 0; Ei < R.Events.size(); ++Ei) {
-    if (Ei == R.PrefixEvents)
+
+  for (size_t Ei = 0; Ei < Plan.Events.size(); ++Ei) {
+    if (Ei == Plan.PrefixEvents)
       FC.UnconditionalPrefixOps = FC.Ops.size();
-    const FusionRecipe::Event &E = R.Events[Ei];
+    const Event &E = Plan.Events[Ei];
+    FusedOp Op;
     switch (E.TheKind) {
-    case FusionRecipe::Event::Kind::Instr: {
-      FusedOp Op;
+    case Event::Kind::Instr:
       Op.TheKind = FusedOp::Kind::Instr;
       Op.InstrIndex = E.InstrIndex;
-      FC.Ops.push_back(std::move(Op));
       break;
-    }
-    case FusionRecipe::Event::Kind::DiagGate: {
-      const CircuitInstr &I = Bound.Instrs[E.InstrIndex];
+    case Event::Kind::DiagGate: {
+      const CircuitInstr &I = C.Instrs[E.InstrIndex];
       Cplx P0, P1;
       bool IsDiag = diagonalPhases(I.Gate, I.Param, P0, P1);
-      assert(IsDiag && "recorded diagonal gate is not diagonal");
+      assert(IsDiag && "planned diagonal gate is not diagonal");
       (void)IsDiag;
       emitDiagEntry({E.CtlMask, E.TargetBit, P0, P1});
-      break;
+      continue;
     }
-    case FusionRecipe::Event::Kind::Run: {
-      const FusionRecipe::Node &Nd = R.Nodes[E.Node];
-      const std::vector<Cplx> &U = *NodeU[E.Node];
-      if (Nd.Qubits.size() == 1) {
-        Mat2 U2{{{U[0], U[1]}, {U[2], U[3]}}};
+    case Event::Kind::Run: {
+      const std::vector<unsigned> &Qubits = Plan.Nodes[E.Node].Qubits;
+      std::vector<Cplx> &M = U[E.Node];
+      if (Qubits.size() == 1) {
+        // A run that never grew past one wire keeps the cheap 2x2
+        // kernels, or joins a diagonal sweep if its product stayed
+        // diagonal.
+        Mat2 U2{{{M[0], M[1]}, {M[2], M[3]}}};
         if (U2.isDiagonal()) {
-          emitDiagEntry({0, QubitBit(Nd.Qubits[0]), U2.M[0][0], U2.M[1][1]});
-          break;
+          emitDiagEntry({0, QubitBit(Qubits[0]), U2.M[0][0], U2.M[1][1]});
+          continue;
         }
-        FusedOp Op;
         Op.TheKind = FusedOp::Kind::Unitary;
-        Op.Target = Nd.Qubits[0];
+        Op.Target = Qubits[0];
         Op.U = U2;
-        FC.Ops.push_back(std::move(Op));
         break;
       }
-      FusedOp Op;
+      ++FC.BlocksFormed;
+      FC.WidestBlock = std::max(FC.WidestBlock, Qubits.size());
       Op.TheKind = FusedOp::Kind::Block;
-      Op.Qubits = Nd.Qubits;
-      Op.BlockU = U;
-      FC.Ops.push_back(std::move(Op));
+      Op.Qubits = Qubits;
+      Op.BlockU = std::move(M);
       break;
     }
     }
+    FC.Ops.push_back(std::move(Op));
   }
-  if (R.PrefixEvents == R.Events.size())
+  if (Plan.PrefixEvents == Plan.Events.size())
     FC.UnconditionalPrefixOps = FC.Ops.size();
   return FC;
+}
+
+FusedCircuit asdf::fuseCircuit(const Circuit &C, const NoiseModel *Noise) {
+  obs::Span Sp("fuse", "fusion");
+  return buildFusedCircuit(planFusion(C, Noise), C);
 }

@@ -40,6 +40,13 @@
 /// unfused execution only by floating-point rounding of the pre-multiplied
 /// matrices.
 ///
+/// Fusion runs in two halves. `planFusion` makes every grouping decision
+/// from instruction kinds, supports and noise barriers alone, never from
+/// an angle; `buildFusedCircuit` computes the matrices and emits the ops.
+/// `fuseCircuit` runs both. A parameter sweep plans once and builds once
+/// per bound point, and every point's plan is the one `fuseCircuit` gives
+/// the bound circuit, bit for bit.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ASDF_SIM_FUSION_H
@@ -74,6 +81,13 @@ Mat2 matmul(const Mat2 &A, const Mat2 &B);
 
 /// The 2x2 matrix of an uncontrolled single-qubit gate. Asserts on Swap.
 Mat2 gateMatrix2(GateKind G, double Theta);
+
+/// The phases diagonal gate \p G puts on |0> and |1> of its target
+/// (applied only where every control reads 1): the diagonal of
+/// gateMatrix2. False, leaving \p P0 and \p P1 alone, if \p G is not
+/// diagonal.
+bool diagonalPhases(GateKind G, double Theta, std::complex<double> &P0,
+                    std::complex<double> &P1);
 
 /// One entry of a coalesced diagonal sweep, in basis-index space: indices
 /// with all CtlMask bits set pick up Phase0 or Phase1 depending on the
@@ -142,86 +156,67 @@ struct FusedCircuit {
 /// subsystem's insertion planning uses it too.
 bool isFusionBarrier(const CircuitInstr &I);
 
-/// The structural record of one fuseCircuit run, the compile-once half of
-/// parametric execution. Every grouping decision fuseCircuit makes — which
-/// gates merge into which blocks, in which order, where flushes and
-/// barriers land — depends only on instruction kinds and supports, never
-/// on angle values. A recipe captures those decisions as matrix-product
-/// trees (`Nodes`) plus an ordered emission log (`Events`), so
-/// `rebindFusedCircuit` can rebuild the plan for a re-bound circuit by
-/// recomputing only the angle-dependent matrices — through the very same
-/// gateBlockMatrix/embedBlockMatrix/blockMatmul call sequence, so the
-/// rebuilt plan is bit-identical to running fuseCircuit afresh on the
-/// bound circuit. Subtrees that touch no symbolic parameter keep their
-/// recorded matrix and are never recomputed.
-struct FusionRecipe {
-  /// How one open block's matrix was built: a gate folded on top of zero
-  /// or more previously open blocks (the children, in fold order).
+/// The angle-free half of fusion: every decision fuseCircuit makes, which
+/// gates merge into which blocks, in which order, and where flushes and
+/// barriers land, read from instruction kinds, supports and noise barriers
+/// alone. `Nodes` say how each block's matrix is built; `Events` are the
+/// plan's emissions in order. One plan serves every binding of a
+/// parametric circuit's parameters.
+struct FusionPlan {
+  /// How one block's matrix is built: a gate folded on top of zero or
+  /// more earlier blocks (the children, in fold order). Children precede
+  /// their parent, and each node folds into at most one parent.
   struct Node {
     size_t InstrIndex = 0;        ///< The gate folded on top.
     std::vector<unsigned> Qubits; ///< Support, sorted; Qubits[0] = MSB.
-    std::vector<int> Children;    ///< Prior nodes folded first, in order.
-    /// True for the budget-overflow path that seeds a block directly from
-    /// gateBlockMatrix; false for the identity-seeded merge fold. The two
-    /// construction paths round -0.0 differently, so replay must match.
+    std::vector<int> Children;    ///< Earlier nodes folded first, in order.
+    /// True for a block seeded directly from gateBlockMatrix (its gate
+    /// would overflow the block budget of what it touches); false for the
+    /// identity-seeded fold. The two round -0.0 differently.
     bool Direct = false;
-    bool Symbolic = false;        ///< Subtree reads a symbolic parameter.
-    /// Matrix from the recording run; exact for every non-symbolic
-    /// subtree (concrete angles never change across binds).
-    std::vector<std::complex<double>> CachedU;
   };
 
-  /// One plan-emission decision, replayed in order on rebind.
+  /// One emission of the plan.
   struct Event {
     enum class Kind {
       Instr,    ///< Pass-through of source instruction InstrIndex.
-      DiagGate, ///< Controlled/wide diagonal gate -> one sweep entry.
-      Run,      ///< Flushed block: Diag or Unitary or Block, decided by
-                ///< the rebuilt matrix exactly as flushBlock decides.
+      DiagGate, ///< Controlled or wide diagonal gate -> one sweep entry.
+      Run,      ///< Flushed block: a Diag entry, Unitary or Block op,
+                ///< decided from the built matrix.
     };
     Kind TheKind = Kind::Instr;
-    size_t InstrIndex = 0;         ///< Instr/DiagGate source instruction.
-    int Node = -1;                 ///< Run: recipe node to materialize.
-    uint64_t CtlMask = 0;          ///< DiagGate entry placement.
-    uint64_t TargetBit = 0;        ///< DiagGate entry placement.
+    size_t InstrIndex = 0;  ///< Instr/DiagGate source instruction.
+    int Node = -1;          ///< Run: the node to build.
+    uint64_t CtlMask = 0;   ///< DiagGate entry placement.
+    uint64_t TargetBit = 0; ///< DiagGate entry placement.
   };
 
   std::vector<Node> Nodes;
   std::vector<Event> Events;
   size_t PrefixEvents = 0; ///< Events before the prefix-closing barrier.
   size_t NumInstrs = 0;    ///< Source instruction count (validation).
-  bool Valid = false;      ///< Set once a fuseCircuit run populated this.
-
-  // Structural plan statistics, copied into every rebuilt plan.
-  size_t GatesIn = 0;
-  size_t GatesFused = 0;
-  size_t BlocksFormed = 0;
-  size_t WidestBlock = 0;
+  size_t GatesIn = 0;      ///< FusedCircuit::GatesIn of every build.
+  size_t GatesFused = 0;   ///< FusedCircuit::GatesFused of every build.
 };
 
-/// Builds the fused execution plan for \p C. Never fails; a circuit with
-/// nothing to fuse comes back as pure pass-through ops. A non-null
-/// \p Noise adds channel barriers: a gate with noise attached passes
-/// through unfused (trajectory sampling right after it must see the exact
-/// unfused state, in program order) and closes the shared unconditional
-/// prefix, since it consumes per-shot randomness. A non-null \p Recipe
-/// additionally records the structural decisions of this run so
-/// rebindFusedCircuit can re-materialize the plan for a re-bound circuit;
-/// when \p C is parametric, the returned plan itself is a template —
-/// matrices derived from symbolic angles are placeholders — and must not
-/// be executed, only rebound.
-FusedCircuit fuseCircuit(const Circuit &C, const NoiseModel *Noise = nullptr,
-                         FusionRecipe *Recipe = nullptr);
+/// Plans the fusion of \p C. Never fails; a circuit with nothing to fuse
+/// plans pure pass-through. A non-null \p Noise adds channel barriers: a
+/// gate with noise attached passes through unfused (trajectory sampling
+/// right after it must see the exact unfused state, in program order) and
+/// closes the shared unconditional prefix, since it consumes per-shot
+/// randomness. Reads no angle, so \p C may be parametric.
+FusionPlan planFusion(const Circuit &C, const NoiseModel *Noise);
 
-/// Rebuilds the fused plan recorded in \p R for \p Bound — the same
-/// circuit structure the recipe was recorded from, with parameters bound
-/// to concrete values (bindCircuit). Only matrices whose product tree
-/// touches a symbolic parameter are recomputed, through the same
-/// floating-point operation sequence fuseCircuit uses, so the result is
-/// bit-identical to fuseCircuit(Bound) with the recording run's noise
-/// model. The returned plan points into \p Bound, which
-/// must outlive it.
-FusedCircuit rebindFusedCircuit(const FusionRecipe &R, const Circuit &Bound);
+/// Builds the fused execution plan \p Plan describes for \p C, which must
+/// have the structure \p Plan was made from, with every angle concrete
+/// (bindCircuit): each block's matrix (identity seed, children in fold
+/// order, then the gate on top; or the gate alone for a Direct node), then
+/// the ops in event order. The result points into \p C, which must
+/// outlive it.
+FusedCircuit buildFusedCircuit(const FusionPlan &Plan, const Circuit &C);
+
+/// planFusion, then buildFusedCircuit: the fused execution plan of \p C.
+FusedCircuit fuseCircuit(const Circuit &C, const NoiseModel *Noise = nullptr);
 
 /// The full 2^m x 2^m unitary of gate instruction \p I over the qubit set
 /// \p Support, which must be sorted ascending and contain every control

@@ -313,11 +313,6 @@ void asdf::applyCliffordInstr(Tableau &T, const CircuitInstr &I) {
   assert(false && "non-Clifford gate reached the tableau engine");
 }
 
-std::mt19937_64 asdf::tableauShotRng(uint64_t Seed) {
-  // The dense engine seeds its shots the same way.
-  return std::mt19937_64(Seed * 0x9E3779B97F4A7C15ull + 0xDEADBEEF);
-}
-
 namespace {
 
 /// One tableau execution of \p C, optionally a noisy one: with \p Plan,
@@ -330,7 +325,7 @@ ShotResult runTableau(const Circuit &C, uint64_t Seed,
                       const PauliNoisePlan *Plan, const NoiseModel *Noise,
                       SimStats *Stats) {
   Tableau T(C.NumQubits);
-  std::mt19937_64 Rng = tableauShotRng(Seed);
+  std::mt19937_64 Rng = shotRng(Seed);
   ShotResult R;
   R.Bits.assign(C.NumBits, false);
   for (size_t Idx = 0; Idx < C.Instrs.size(); ++Idx) {

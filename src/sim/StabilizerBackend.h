@@ -140,11 +140,6 @@ public:
 /// run (noise/PauliFrame.cpp), so gate semantics can never diverge.
 void applyCliffordInstr(Tableau &T, const CircuitInstr &I);
 
-/// The generator one shot with seed \p Seed draws from: shared by run(),
-/// runNoisy() and the Pauli-frame sampler, whose shots replay those draws
-/// bit for bit.
-std::mt19937_64 tableauShotRng(uint64_t Seed);
-
 } // namespace asdf
 
 #endif // ASDF_SIM_STABILIZERBACKEND_H

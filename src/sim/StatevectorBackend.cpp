@@ -7,6 +7,7 @@
 #include "sim/StatevectorBackend.h"
 
 #include "noise/NoiseModel.h"
+#include "obs/Trace.h"
 #include "support/BitUtils.h"
 
 #include <algorithm>
@@ -171,38 +172,6 @@ void StateVector::setBasisState(uint64_t Index) {
   Amp[Index] = Amplitude(1.0, 0.0);
 }
 
-namespace {
-
-/// The phase a diagonal gate puts on |1> (it puts 1 on |0>), or nullopt if
-/// the gate is not diagonal-with-unit-top-left.
-bool diagonalPhase(GateKind G, double Theta, Amplitude &Phase) {
-  const Amplitude I(0.0, 1.0);
-  switch (G) {
-  case GateKind::Z:
-    Phase = Amplitude(-1.0, 0.0);
-    return true;
-  case GateKind::S:
-    Phase = I;
-    return true;
-  case GateKind::Sdg:
-    Phase = -I;
-    return true;
-  case GateKind::T:
-    Phase = std::exp(I * (M_PI / 4.0));
-    return true;
-  case GateKind::Tdg:
-    Phase = std::exp(-I * (M_PI / 4.0));
-    return true;
-  case GateKind::P:
-    Phase = std::exp(I * Theta);
-    return true;
-  default:
-    return false;
-  }
-}
-
-} // namespace
-
 void StateVector::bumpStats(uint64_t Touched, bool Fused, bool Block) const {
   if (!Stats)
     return;
@@ -352,11 +321,12 @@ void StateVector::apply(GateKind G, const std::vector<unsigned> &Controls,
 
   uint64_t NumPairs = Amp.size() >> (1 + std::popcount(CtlMask));
 
-  // Diagonal gates collapse to a single strided phase sweep at any control
-  // count: the phase lands exactly where all controls and the target read 1.
-  Amplitude Phase;
-  if (diagonalPhase(G, Param, Phase)) {
-    phaseSweep(CtlMask | Bit, Phase);
+  // Diagonal gates but RZ (its kernels follow) put 1 on |0>, so they
+  // collapse to a single strided phase sweep at any control count: the
+  // phase lands exactly where all controls and the target read 1.
+  Amplitude P0, P1;
+  if (G != GateKind::RZ && diagonalPhases(G, Param, P0, P1)) {
+    phaseSweep(CtlMask | Bit, P1);
     bumpStats(NumPairs, false);
     return;
   }
@@ -845,10 +815,6 @@ double StateVector::overlap(const StateVector &Other) const {
 
 namespace {
 
-std::mt19937_64 shotRng(uint64_t Seed) {
-  return std::mt19937_64(Seed * 0x9E3779B97F4A7C15ull + 0xDEADBEEF);
-}
-
 /// The per-run noise hookup of the trajectory executor: the resolved
 /// channel plan plus the model (for readout errors). Null context means
 /// ideal execution.
@@ -1259,10 +1225,10 @@ void walkMeasureResetTail(const Circuit &C,
 /// The batch core behind runBatch and runSweep: executes \p Shots shots
 /// of FC.Source under the prebuilt fused plan \p FC, honoring the
 /// RunOptions worker budget and deadline. Factoring the plan out of the
-/// shot loop is what lets runSweep build one plan per sweep point
-/// (re-materialized from a recorded recipe) without re-fusing from
-/// scratch, while keeping every scheduling decision, RNG stream, and
-/// kernel sequence identical to runBatch.
+/// shot loop is what lets runSweep build one plan per sweep point from
+/// its one fusion plan without re-planning, while keeping every
+/// scheduling decision, RNG stream, and kernel sequence identical to
+/// runBatch.
 std::vector<ShotResult> runPlannedBatch(const FusedCircuit &FC,
                                         unsigned Shots, uint64_t Seed,
                                         const RunOptions &Opts,
@@ -1401,12 +1367,13 @@ StatevectorBackend::runSweep(const Circuit &C,
   const NoiseModel *Noise =
       Opts.Noise && !Opts.Noise->empty() ? Opts.Noise : nullptr;
 
-  // Fuse the circuit structure once, recording the recipe. The template
-  // plan itself is discarded — its symbolic-derived matrices are
-  // placeholders — but every structural decision and every concrete-only
-  // matrix is now fixed for the whole sweep.
-  FusionRecipe Recipe;
-  fuseCircuit(C, Noise, &Recipe);
+  // Plan the fusion once: its decisions read no angle. Each point then
+  // only builds the plan's matrices and ops for its bound angles.
+  FusionPlan Fusion;
+  {
+    obs::Span Sp("fuse", "fusion");
+    Fusion = planFusion(C, Noise);
+  }
 
   // One deep copy of the circuit serves the whole sweep: per point, only
   // the symbolic instructions' concrete Param slots are rewritten —
@@ -1425,17 +1392,24 @@ StatevectorBackend::runSweep(const Circuit &C,
     Bound.Instrs[I].ParamOfs = 0.0;
   }
 
+  // Channels attach by gate kind and qubit, never by angle: one noise
+  // plan serves every point too.
+  NoisePlan Plan;
+  if (Noise)
+    Plan = planNoise(*Noise, C);
+  TrajectoryContext Ctx{&Plan, Noise};
+
   std::vector<std::vector<ShotResult>> Results(Points.size());
   for (size_t P = 0; P < Points.size(); ++P) {
     if (Opts.deadlineExpired())
       throw DeadlineExceeded();
     for (size_t I : SymbolicAt)
       Bound.Instrs[I].Param = C.Instrs[I].boundParam(Points[P]);
-    FusedCircuit FC = rebindFusedCircuit(Recipe, Bound);
-    NoisePlan Plan;
-    if (Noise)
-      Plan = planNoise(*Noise, Bound);
-    TrajectoryContext Ctx{&Plan, Noise};
+    FusedCircuit FC;
+    {
+      obs::Span Sp("rebind", "fusion");
+      FC = buildFusedCircuit(Fusion, Bound);
+    }
     Results[P] = runPlannedBatch(FC, Shots, deriveSweepPointSeed(Seed, P),
                                  Opts, Noise ? &Ctx : nullptr);
   }

@@ -243,11 +243,10 @@ public:
                                    uint64_t Seed,
                                    const RunOptions &Opts) const override;
   using SimBackend::runBatch;
-  /// The parametric fast path: fuses the circuit structure once
-  /// (recording a FusionRecipe), then per point binds the parameters and
-  /// re-materializes only the angle-dependent matrices before running the
-  /// batch core — bit-identical to recompiling the plan per point, at
-  /// every worker count.
+  /// The parametric fast path: plans the fusion once (planFusion reads no
+  /// angle), then per point binds the parameters and builds the fused ops
+  /// from that plan before running the batch core — bit-identical to
+  /// recompiling and fusing per point, at every worker count.
   std::vector<std::vector<ShotResult>>
   runSweep(const Circuit &C, const std::vector<std::vector<double>> &Points,
            unsigned Shots, uint64_t Seed,

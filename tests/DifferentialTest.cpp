@@ -44,6 +44,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <random>
 
 using namespace asdf;
@@ -269,6 +270,196 @@ TEST(DifferentialTest, SweepsBitExactToRecompilePerPoint) {
       }
     }
   }
+}
+
+/// As parameterize(), but half the lifted gates get a scale of +-1, 2 or
+/// -1/2 and an offset on the 90-degree grid, so points on that grid bind
+/// them to exactly 0 (where RX and RY turn diagonal) or to multiples of
+/// 90 degrees.
+unsigned parameterizeOnGrid(Circuit &C, std::mt19937_64 &Rng) {
+  C.ParamNames = {"a", "b", "c"};
+  const double GridScales[] = {1.0, -1.0, 2.0, -0.5};
+  std::uniform_real_distribution<double> PickScale(-2.0, 2.0);
+  std::uniform_real_distribution<double> PickOfs(-90.0, 90.0);
+  unsigned Lifted = 0;
+  for (CircuitInstr &I : C.Instrs) {
+    if (I.TheKind != CircuitInstr::Kind::Gate || !isParamGate(I.Gate))
+      continue;
+    bool OnGrid = Rng() % 2;
+    I.ParamIdx = static_cast<int>(Lifted % 3);
+    I.ParamScale = OnGrid ? GridScales[Rng() % 4] : PickScale(Rng);
+    I.ParamOfs = OnGrid ? 90.0 * (static_cast<int>(Rng() % 3) - 1)
+                        : PickOfs(Rng);
+    I.Param = 0.0;
+    ++Lifted;
+  }
+  return Lifted;
+}
+
+/// Layers of short one-qubit runs on every wire (rotations among
+/// diagonal gates), each layer closed by a CX, a controlled phase or a
+/// mid-circuit measurement. Many runs stay on one wire until they flush,
+/// and there the bound angles decide between a diagonal entry and a
+/// unitary.
+Circuit rotationRuns(std::mt19937_64 &Rng, unsigned NumQubits,
+                     unsigned Layers) {
+  const GateKind Kinds[] = {GateKind::RX, GateKind::RY, GateKind::RZ,
+                            GateKind::P,  GateKind::S,  GateKind::T,
+                            GateKind::Z,  GateKind::RX};
+  Circuit C;
+  C.NumQubits = NumQubits;
+  C.NumBits = NumQubits;
+  for (unsigned L = 0; L < Layers; ++L) {
+    for (unsigned Q = 0; Q < NumQubits; ++Q)
+      for (unsigned G = 0, Len = 1 + Rng() % 3; G < Len; ++G)
+        C.append(CircuitInstr::gate(Kinds[Rng() % 8], {}, {Q}, 0.0));
+    unsigned A = Rng() % NumQubits;
+    unsigned B = (A + 1 + Rng() % NumQubits) % NumQubits;
+    if (Rng() % 2 || A == B)
+      C.append(CircuitInstr::measure(A, A));
+    else if (Rng() % 2)
+      C.append(CircuitInstr::gate(GateKind::X, {A}, {B}));
+    else
+      C.append(CircuitInstr::gate(GateKind::P, {A}, {B}, 0.0));
+  }
+  for (unsigned Q = 0; Q < NumQubits; ++Q)
+    C.append(CircuitInstr::measure(Q, Q));
+  return C;
+}
+
+/// Byte-for-byte plan equality: op kinds, indices, supports and stats,
+/// and memcmp-equal matrices and phases.
+void expectSamePlan(const FusedCircuit &Want, const FusedCircuit &Got,
+                    unsigned Trial, size_t Point) {
+  ASSERT_EQ(Want.Ops.size(), Got.Ops.size())
+      << "trial " << Trial << " point " << Point;
+  for (size_t K = 0; K < Want.Ops.size(); ++K) {
+    const FusedOp &A = Want.Ops[K], &B = Got.Ops[K];
+    ASSERT_EQ(A.TheKind, B.TheKind) << "trial " << Trial << " op " << K;
+    EXPECT_EQ(A.Target, B.Target) << "trial " << Trial << " op " << K;
+    EXPECT_EQ(A.InstrIndex, B.InstrIndex) << "trial " << Trial << " op " << K;
+    EXPECT_EQ(A.Qubits, B.Qubits) << "trial " << Trial << " op " << K;
+    EXPECT_EQ(std::memcmp(&A.U, &B.U, sizeof(Mat2)), 0)
+        << "trial " << Trial << " op " << K;
+    ASSERT_EQ(A.Diag.size(), B.Diag.size())
+        << "trial " << Trial << " op " << K;
+    for (size_t E = 0; E < A.Diag.size(); ++E) {
+      EXPECT_EQ(A.Diag[E].CtlMask, B.Diag[E].CtlMask);
+      EXPECT_EQ(A.Diag[E].TargetBit, B.Diag[E].TargetBit);
+      EXPECT_EQ(std::memcmp(&A.Diag[E].Phase0, &B.Diag[E].Phase0,
+                            sizeof(A.Diag[E].Phase0)),
+                0)
+          << "trial " << Trial << " op " << K << " entry " << E;
+      EXPECT_EQ(std::memcmp(&A.Diag[E].Phase1, &B.Diag[E].Phase1,
+                            sizeof(A.Diag[E].Phase1)),
+                0)
+          << "trial " << Trial << " op " << K << " entry " << E;
+    }
+    ASSERT_EQ(A.BlockU.size(), B.BlockU.size())
+        << "trial " << Trial << " op " << K;
+    if (!A.BlockU.empty()) // memcmp must not see the null data() of empty.
+      EXPECT_EQ(std::memcmp(A.BlockU.data(), B.BlockU.data(),
+                            A.BlockU.size() * sizeof(A.BlockU[0])),
+                0)
+          << "trial " << Trial << " op " << K;
+  }
+  EXPECT_EQ(Want.UnconditionalPrefixOps, Got.UnconditionalPrefixOps);
+  EXPECT_EQ(Want.GatesIn, Got.GatesIn);
+  EXPECT_EQ(Want.GatesFused, Got.GatesFused);
+  EXPECT_EQ(Want.SweepsCoalesced, Got.SweepsCoalesced);
+  EXPECT_EQ(Want.BlocksFormed, Got.BlocksFormed);
+  EXPECT_EQ(Want.WidestBlock, Got.WidestBlock);
+}
+
+TEST(DifferentialTest, FusionPlanReadsNoAngle) {
+  // One plan of the parametric circuit must build, for every binding,
+  // exactly the plan a fresh fuse of the bound circuit gives: planning
+  // reads no angle. Points on the 90-degree grid bind some rotations to
+  // exactly 0, so one-qubit runs flip between a diagonal entry and a
+  // unitary, and the coalescing of diagonal entries changes with them.
+  std::mt19937_64 Rng(0x9A7Eull);
+  NoiseModel Noise;
+  Noise.addGateChannel(GateKind::H, KrausChannel::depolarizing(0.05));
+  Noise.addQubitChannel(1, KrausChannel::amplitudeDamping(0.1));
+  std::uniform_real_distribution<double> PickVal(-360.0, 360.0);
+  unsigned Ran = 0, KindsVaried = 0;
+  for (unsigned Trial = 0; Trial < 260; ++Trial) {
+    unsigned NumQubits = 1 + Trial % 6;
+    Circuit C = Trial % 3 ? randomCircuit(Rng, NumQubits, 12 + Trial % 30,
+                                          /*CliffordOnly=*/false,
+                                          /*Rewritable=*/true)
+                          : rotationRuns(Rng, NumQubits, 2 + Trial % 5);
+    if (!parameterizeOnGrid(C, Rng))
+      continue;
+    ++Ran;
+    const NoiseModel *M = Trial % 2 ? &Noise : nullptr;
+    FusionPlan Plan = planFusion(C, M);
+    std::vector<std::vector<FusedOp::Kind>> Kinds;
+    for (size_t P = 0; P < 4; ++P) {
+      std::vector<double> Point;
+      for (unsigned V = 0; V < 3; ++V)
+        Point.push_back(Rng() % 3 ? 90.0 * (static_cast<int>(Rng() % 3) - 1)
+                                  : PickVal(Rng));
+      Circuit Bound = bindCircuit(C, Point);
+      FusedCircuit Got = buildFusedCircuit(Plan, Bound);
+      expectSamePlan(fuseCircuit(Bound, M), Got, Trial, P);
+      Kinds.emplace_back();
+      for (const FusedOp &Op : Got.Ops)
+        Kinds.back().push_back(Op.TheKind);
+    }
+    if (std::count(Kinds.begin(), Kinds.end(), Kinds[0]) != 4)
+      ++KindsVaried;
+  }
+  EXPECT_GE(Ran, 200u);
+  // The angle-dependent flush decisions were exercised, not just reused.
+  EXPECT_GT(KindsVaried, 0u);
+  std::printf("[ FUSION   ] %u parametric circuits, %u with op kinds that "
+              "vary by point\n",
+              Ran, KindsVaried);
+}
+
+TEST(DifferentialTest, NoisySweepsBitExactToRecompilePerPoint) {
+  // runSweep under a Kraus model: noisy gates stay unfused and sample a
+  // trajectory branch per shot, readout errors flip recorded bits, and
+  // each point must still replay the bound circuit's batch at the point's
+  // seed, at every worker count.
+  NoiseModel Noise;
+  Noise.addGateChannel(GateKind::H, KrausChannel::depolarizing(0.05));
+  Noise.addQubitChannel(1, KrausChannel::amplitudeDamping(0.1));
+  Noise.setReadoutError(0.02, 0.05);
+  std::mt19937_64 Rng(0x7015Eull);
+  StatevectorBackend Sv;
+  const unsigned Shots = 6;
+  std::uniform_real_distribution<double> PickVal(-360.0, 360.0);
+  unsigned Points = 0;
+  for (unsigned Trial = 0; Trial < 50; ++Trial) {
+    unsigned NumQubits = 2 + Trial % 5;
+    Circuit C = randomCircuit(Rng, NumQubits, 14 + Trial % 18,
+                              /*CliffordOnly=*/false);
+    if (!parameterize(C, Rng))
+      continue;
+    std::vector<std::vector<double>> Pts;
+    for (unsigned P = 0; P < 4; ++P)
+      Pts.push_back({PickVal(Rng), PickVal(Rng), PickVal(Rng)});
+    uint64_t Seed = 0xD00D + Trial;
+    for (unsigned Jobs : {1u, 4u}) {
+      const char *Name = Jobs == 1 ? "noisy-sweep/j1" : "noisy-sweep/j4";
+      RunOptions Opts;
+      Opts.Jobs = Jobs;
+      Opts.Noise = &Noise;
+      std::vector<std::vector<ShotResult>> Sweep =
+          Sv.runSweep(C, Pts, Shots, Seed, Opts);
+      ASSERT_EQ(Sweep.size(), Pts.size()) << Name;
+      for (size_t P = 0; P < Pts.size(); ++P) {
+        std::vector<ShotResult> Want =
+            Sv.runBatch(bindCircuit(C, Pts[P]), Shots,
+                        deriveSweepPointSeed(Seed, P), Opts);
+        expectBatchesBitExact(Want, Sweep[P], Name, Trial);
+        ++Points;
+      }
+    }
+  }
+  EXPECT_GE(Points, 300u);
 }
 
 //===----------------------------------------------------------------------===//

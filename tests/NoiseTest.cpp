@@ -226,6 +226,34 @@ TEST(NoiseSpecTest, RejectsGarbageWithLineNumbers) {
   EXPECT_FALSE(parseNoiseSpec("[planet:3]\n", M, Error));
 }
 
+TEST(NoiseSpecTest, QubitIndicesAreWholeDecimalsInRange) {
+  // An index past UINT_MAX must not wrap onto a small qubit, and a signed
+  // index is not a qubit: the CLI's whole-number rules apply.
+  for (const char *Bad : {"[qubit: 4294967296]\nbit_flip = 0.1\n",
+                          "[readout: 4294967297]\np0to1 = 0.1\n",
+                          "[qubit: -1]\nbit_flip = 0.1\n",
+                          "[qubit: +2]\nbit_flip = 0.1\n"}) {
+    NoiseModel M;
+    std::string Error;
+    EXPECT_FALSE(parseNoiseSpec(Bad, M, Error)) << Bad;
+    EXPECT_NE(Error.find("line 1: bad qubit index"), std::string::npos)
+        << Bad << " -> " << Error;
+    EXPECT_TRUE(M.empty()) << Bad;
+  }
+
+  NoiseModel M;
+  std::string Error;
+  ASSERT_TRUE(parseNoiseSpec("[qubit: 3]\nbit_flip = 0.1\n"
+                             "[readout: 3]\np0to1 = 0.2\n",
+                             M, Error))
+      << Error;
+  EXPECT_TRUE(M.affectsGate(CircuitInstr::gate(GateKind::H, {}, {3})));
+  EXPECT_FALSE(M.affectsGate(CircuitInstr::gate(GateKind::H, {}, {0})));
+  ASSERT_NE(M.qubitReadoutOverride(3), nullptr);
+  EXPECT_EQ(M.qubitReadoutOverride(1), nullptr);
+  EXPECT_NEAR(M.readoutFor(3).P0to1, 0.2, 1e-15);
+}
+
 //===----------------------------------------------------------------------===//
 // Fusion channel barriers
 //===----------------------------------------------------------------------===//
