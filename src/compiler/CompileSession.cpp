@@ -26,19 +26,6 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-std::unique_ptr<Pass<Program>> createPass(PassRegistry &R, PipelineStage S,
-                                          const std::string &N, Program *) {
-  return R.createProgramPass(S, N);
-}
-std::unique_ptr<Pass<Module>> createPass(PassRegistry &R, PipelineStage S,
-                                         const std::string &N, Module *) {
-  return R.createModulePass(S, N);
-}
-std::unique_ptr<Pass<Circuit>> createPass(PassRegistry &R, PipelineStage S,
-                                          const std::string &N, Circuit *) {
-  return R.createCircuitPass(S, N);
-}
-
 } // namespace
 
 CompileSession::CompileSession(std::string Source, ProgramBindings Bindings,
@@ -105,20 +92,18 @@ template <typename UnitT>
 bool CompileSession::runPassList(PipelineStage Stage,
                                  const std::vector<std::string> &Names,
                                  UnitT &U) {
-  PassRegistry &Reg = PassRegistry::instance();
-  PassManager<UnitT> PM(Stage);
   for (const std::string &Name : Names) {
-    std::unique_ptr<Pass<UnitT>> P =
-        createPass(Reg, Stage, Name, static_cast<UnitT *>(nullptr));
-    if (!P) {
+    PassFn<UnitT> Fn = findPass<UnitT>(Stage, Name);
+    if (!Fn) {
       Diags.error(SourceLoc(), "unknown pass '" + Name + "' in stage '" +
                                    pipelineStageName(Stage) + "'");
       Ctx.noteFailure(Stage, Name);
       return false;
     }
-    PM.add(std::move(P));
+    if (!Ctx.runInstrumented(Stage, Name, U, [&] { return Fn(U, Ctx); }))
+      return false;
   }
-  return PM.run(U, Ctx);
+  return true;
 }
 
 bool CompileSession::fail() {

@@ -1,4 +1,4 @@
-//===- Pass.cpp - Staged pass manager for the Fig. 2 pipeline -------------===//
+//===- Pass.cpp - Pass context and instrumentation for the Fig. 2 pipeline ===//
 //
 // Part of the Asdf reproduction. MIT license.
 //

@@ -1,4 +1,4 @@
-//===- Pass.h - Staged pass manager for the Fig. 2 pipeline ---------------===//
+//===- Pass.h - Pass context and instrumentation for the Fig. 2 pipeline --===//
 //
 // Part of the Asdf reproduction. MIT license.
 //
@@ -16,14 +16,15 @@
 ///     peephole, decompose-mc),
 ///   - **circuit**: passes over the flat `Circuit` (§7, e.g. transpile-o3).
 ///
-/// A pass is a named unit with a uniform `run(Unit&, PassContext&)` entry
-/// point. `PassContext` carries the diagnostics engine, the entry-kernel
-/// name, and the instrumentation hooks: per-pass wall time and IR
-/// statistics, dump-before/dump-after IR printing, and an optional
-/// inter-pass verifier (`--verify-each`). `PassManager<Unit>` runs a list of
-/// passes through the instrumentation uniformly; CompileSession funnels the
-/// stage *transitions* (parse, lower, convert, flatten) through the same
-/// hooks so they show up in timing reports and can be dump targets too.
+/// A pass is a plain function `bool(Unit&, PassContext&)`; the built-in
+/// ones are the rows of one table (PassRegistry.h). `PassContext` carries
+/// the diagnostics engine, the entry-kernel name, and the instrumentation
+/// hooks: per-pass wall time and IR statistics, dump-before/dump-after IR
+/// printing, and an optional inter-pass verifier (`--verify-each`).
+/// `CompileSession` runs each stage's pass list through
+/// `PassContext::runInstrumented`, and funnels the stage *transitions*
+/// (parse, lower, convert, flatten) through the same hooks so they show up
+/// in timing reports and can be dump targets too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +37,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -167,20 +167,7 @@ public:
                         .count();
       Timings.push_back({Stage, Name, Secs, Before, unitStats(U)});
     }
-    if (!Ok) {
-      noteFailure(Stage, Name);
-      return false;
-    }
-    if (wantsDump(PrintAfter, Name))
-      dump("After", Stage, Name, unitPrint(U));
-    if (VerifyEach && !unitVerify(U, Diags)) {
-      Diags.note(SourceLoc(), "IR verification failed after pass '" + Name +
-                                  "' (" + pipelineStageName(Stage) +
-                                  " stage)");
-      noteFailure(Stage, Name);
-      return false;
-    }
-    return true;
+    return finishStep(Stage, Name, Ok ? &U : nullptr);
   }
 
   /// Dump hook for the unit *feeding* a creation transition (the AST
@@ -211,6 +198,23 @@ public:
     if (CollectTimings)
       Timings.push_back({Stage, Name, Seconds, UnitStats(),
                          U ? unitStats(*U) : UnitStats()});
+    return finishStep(Stage, Name, U);
+  }
+
+  void noteFailure(PipelineStage Stage, const std::string &Name) {
+    // Keep the first (innermost) failure.
+    if (FailedPass.empty()) {
+      FailedPass = Name;
+      FailedStage = Stage;
+    }
+  }
+
+private:
+  /// The tail of every step, pass or transition: a failed step (null \p U)
+  /// is noted; otherwise print-after and the inter-pass verifier run.
+  template <typename UnitT>
+  bool finishStep(PipelineStage Stage, const std::string &Name,
+                  const UnitT *U) {
     if (!U) {
       noteFailure(Stage, Name);
       return false;
@@ -227,15 +231,6 @@ public:
     return true;
   }
 
-  void noteFailure(PipelineStage Stage, const std::string &Name) {
-    // Keep the first (innermost) failure.
-    if (FailedPass.empty()) {
-      FailedPass = Name;
-      FailedStage = Stage;
-    }
-  }
-
-private:
   static bool wantsDump(const std::optional<std::string> &Sel,
                         const std::string &Name) {
     return Sel && (Sel->empty() || *Sel == Name);
@@ -244,58 +239,16 @@ private:
             const std::string &IR);
 };
 
-/// One named transformation over a pipeline unit.
-template <typename UnitT> class Pass {
-public:
-  virtual ~Pass() = default;
-  virtual const char *name() const = 0;
-  virtual const char *description() const { return ""; }
-  /// Transforms \p U in place. Returns false on failure after reporting
-  /// into Ctx.Diags.
-  virtual bool run(UnitT &U, PassContext &Ctx) = 0;
-};
+/// The body of a pass over one stage's unit: transforms \p U in place and
+/// returns false on failure after reporting into Ctx.Diags.
+template <typename UnitT> using PassFn = bool (*)(UnitT &, PassContext &);
 
-/// Adapts a callable into a Pass so the registry can define passes inline.
-template <typename UnitT> class LambdaPass : public Pass<UnitT> {
-public:
-  using Fn = std::function<bool(UnitT &, PassContext &)>;
-  LambdaPass(std::string Name, std::string Desc, Fn Body)
-      : Name(std::move(Name)), Desc(std::move(Desc)), Body(std::move(Body)) {}
-  const char *name() const override { return Name.c_str(); }
-  const char *description() const override { return Desc.c_str(); }
-  bool run(UnitT &U, PassContext &Ctx) override { return Body(U, Ctx); }
+/// A named pass over one unit type, as PassRegistry's create*Pass hand out.
+template <typename UnitT> struct Pass {
+  std::string Name;
+  PassFn<UnitT> Fn;
 
-private:
-  std::string Name, Desc;
-  Fn Body;
-};
-
-/// An ordered list of passes over one stage's unit type, run through the
-/// context's instrumentation.
-template <typename UnitT> class PassManager {
-public:
-  explicit PassManager(PipelineStage Stage) : Stage(Stage) {}
-
-  void add(std::unique_ptr<Pass<UnitT>> P) {
-    Passes.push_back(std::move(P));
-  }
-  const std::vector<std::unique_ptr<Pass<UnitT>>> &passes() const {
-    return Passes;
-  }
-  PipelineStage stage() const { return Stage; }
-
-  /// Runs every pass in order; stops at the first failure.
-  bool run(UnitT &U, PassContext &Ctx) {
-    for (auto &P : Passes)
-      if (!Ctx.runInstrumented(Stage, P->name(), U,
-                               [&] { return P->run(U, Ctx); }))
-        return false;
-    return true;
-  }
-
-private:
-  PipelineStage Stage;
-  std::vector<std::unique_ptr<Pass<UnitT>>> Passes;
+  bool run(UnitT &U, PassContext &Ctx) const { return Fn(U, Ctx); }
 };
 
 } // namespace asdf

@@ -1,4 +1,4 @@
-//===- PassRegistry.cpp - Named pass registry and pipeline plans ----------===//
+//===- PassRegistry.cpp - The pass table and pipeline plans ---------------===//
 //
 // Part of the Asdf reproduction. MIT license.
 //
@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <variant>
 
 using namespace asdf;
 
@@ -65,272 +66,219 @@ std::string PipelinePlan::str() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Built-in passes
+// The pass table
 //===----------------------------------------------------------------------===//
 
 namespace {
 
+bool runExpand(Program &P, PassContext &Ctx) {
+  static const ProgramBindings Empty;
+  const ProgramBindings &B = Ctx.Bindings ? *Ctx.Bindings : Empty;
+  std::unique_ptr<Program> Expanded = expandProgram(P, B, Ctx.Diags);
+  if (!Expanded)
+    return false;
+  P = std::move(*Expanded);
+  return true;
+}
+
+bool runTypecheck(Program &P, PassContext &Ctx) {
+  return typeCheckProgram(P, Ctx.Diags);
+}
+
+bool runAstCanonicalize(Program &P, PassContext &) {
+  canonicalizeProgram(P);
+  return true;
+}
+
+bool runLiftLambdas(Module &M, PassContext &) {
+  liftLambdas(M);
+  return true;
+}
+
+bool runIRCanonicalize(Module &M, PassContext &) {
+  canonicalizeIR(M);
+  return true;
+}
+
+bool runInline(Module &M, PassContext &) {
+  bool Changed = true;
+  while (Changed) {
+    Changed = canonicalizeIR(M);
+    while (inlineOneCall(M)) {
+      Changed = true;
+      canonicalizeIR(M);
+    }
+  }
+  return true;
+}
+
+bool runDce(Module &M, PassContext &Ctx) {
+  removeDeadFunctions(M, {Ctx.Entry});
+  return true;
+}
+
+bool runSpecialize(Module &M, PassContext &Ctx) {
+  std::set<SpecKey> Specs = analyzeSpecializations(M, Ctx.Entry);
+  if (!generateSpecializations(M, Specs)) {
+    Ctx.Diags.error(SourceLoc(),
+                    "cannot generate required function specializations "
+                    "reachable from entry '" +
+                        Ctx.Entry + "'");
+    return false;
+  }
+  return true;
+}
+
+bool runVerifyModule(Module &M, PassContext &Ctx) {
+  return verifyModule(M, Ctx.Diags);
+}
+
+bool runPeephole(Module &M, PassContext &) {
+  peepholeOptimize(M);
+  return true;
+}
+
+bool runDecomposeMc(Module &M, PassContext &) {
+  decomposeMultiControls(M, McDecompose::Selinger);
+  return true;
+}
+
+bool runTranspileO3(Circuit &C, PassContext &) {
+  C = transpileO3(C);
+  return true;
+}
+
+bool runVerifyCircuit(Circuit &C, PassContext &Ctx) {
+  return unitVerify(C, Ctx.Diags);
+}
+
+/// One built-in pass: its stage, name, one-line description, and body over
+/// the stage's unit (Program for ast, Module for qwerty and qcirc, Circuit
+/// for circuit).
+struct PassRow {
+  PipelineStage Stage;
+  const char *Name;
+  const char *Desc;
+  std::variant<PassFn<Program>, PassFn<Module>, PassFn<Circuit>> Fn;
+};
+
+/// Every built-in pass. A stage's rows are in the order its "unknown pass"
+/// error lists them.
+const PassRow PassTable[] = {
+    // --- ast stage (§4) ---
+    {PipelineStage::AST, "expand",
+     "instantiate dimension variables, unroll, bind captures (§4.1)",
+     runExpand},
+    {PipelineStage::AST, "typecheck",
+     "linear type checking over the expanded AST (§4)", runTypecheck},
+    {PipelineStage::AST, "canonicalize",
+     "AST-level canonicalization rewrites (§4.2)", runAstCanonicalize},
+
+    // --- qwerty stage (§5.4, §6.2) ---
+    {PipelineStage::Qwerty, "lift-lambdas",
+     "lift lambdas to module functions (§5.4 step 1)", runLiftLambdas},
+    {PipelineStage::Qwerty, "canonicalize",
+     "canonicalization patterns + DCE to fixpoint (§5.4 step 2)",
+     runIRCanonicalize},
+    {PipelineStage::Qwerty, "inline",
+     "canonicalize + inline direct calls to fixpoint, specializing "
+     "adj/pred callees on demand (§5.4 step 3)",
+     runInline},
+    {PipelineStage::Qwerty, "dce",
+     "remove functions unreachable from the entry kernel", runDce},
+    {PipelineStage::Qwerty, "specialize",
+     "generate adjoint/controlled specializations for the QIR callables "
+     "path (§6.2, Algorithm D5)",
+     runSpecialize},
+
+    // --- verification, available in both Module stages ---
+    {PipelineStage::Qwerty, "verify",
+     "structural + linearity verification of the module", runVerifyModule},
+    {PipelineStage::QCirc, "verify",
+     "structural + linearity verification of the module", runVerifyModule},
+
+    // --- qcirc stage (§6.5) ---
+    {PipelineStage::QCirc, "canonicalize",
+     "canonicalization patterns + DCE to fixpoint", runIRCanonicalize},
+    {PipelineStage::QCirc, "peephole",
+     "QCircuit peephole optimizations (§6.5)", runPeephole},
+    {PipelineStage::QCirc, "decompose-mc",
+     "decompose multi-controls via Selinger's controlled-iX scheme (§6.5)",
+     runDecomposeMc},
+
+    // --- circuit stage (§7, §8) ---
+    {PipelineStage::Circuit, "transpile-o3",
+     "gate-cancellation + rotation-merging cleanup (the §8.3 baseline "
+     "transpiler pass)",
+     runTranspileO3},
+    {PipelineStage::Circuit, "verify",
+     "register/bit index bounds check of the flat circuit",
+     runVerifyCircuit},
+};
+
+const PassRow *findRow(PipelineStage Stage, const std::string &Name) {
+  for (const PassRow &Row : PassTable)
+    if (Row.Stage == Stage && Name == Row.Name)
+      return &Row;
+  return nullptr;
+}
+
+/// The row (stage, name) as a pass object over \p UnitT; null if unknown.
 template <typename UnitT>
-std::unique_ptr<Pass<UnitT>>
-makePass(const char *Name, const char *Desc,
-         typename LambdaPass<UnitT>::Fn Body) {
-  return std::make_unique<LambdaPass<UnitT>>(Name, Desc, std::move(Body));
+std::unique_ptr<Pass<UnitT>> rowPass(PipelineStage Stage,
+                                     const std::string &Name) {
+  PassFn<UnitT> Fn = findPass<UnitT>(Stage, Name);
+  return Fn ? std::make_unique<Pass<UnitT>>(Pass<UnitT>{Name, Fn}) : nullptr;
 }
 
 } // namespace
 
-PassRegistry::PassRegistry() {
-  // --- ast stage (§4) ---
-  registerPass(
-      PipelineStage::AST, "expand",
-      "instantiate dimension variables, unroll, bind captures (§4.1)",
-      ProgramFactory([] {
-        return makePass<Program>(
-            "expand", "", [](Program &P, PassContext &Ctx) {
-              static const ProgramBindings Empty;
-              const ProgramBindings &B =
-                  Ctx.Bindings ? *Ctx.Bindings : Empty;
-              std::unique_ptr<Program> Expanded =
-                  expandProgram(P, B, Ctx.Diags);
-              if (!Expanded)
-                return false;
-              P = std::move(*Expanded);
-              return true;
-            });
-      }));
-  registerPass(PipelineStage::AST, "typecheck",
-               "linear type checking over the expanded AST (§4)",
-               ProgramFactory([] {
-                 return makePass<Program>(
-                     "typecheck", "", [](Program &P, PassContext &Ctx) {
-                       return typeCheckProgram(P, Ctx.Diags);
-                     });
-               }));
-  registerPass(PipelineStage::AST, "canonicalize",
-               "AST-level canonicalization rewrites (§4.2)",
-               ProgramFactory([] {
-                 return makePass<Program>("canonicalize", "",
-                                          [](Program &P, PassContext &) {
-                                            canonicalizeProgram(P);
-                                            return true;
-                                          });
-               }));
-
-  // --- qwerty stage (§5.4, §6.2) ---
-  registerPass(PipelineStage::Qwerty, "lift-lambdas",
-               "lift lambdas to module functions (§5.4 step 1)",
-               ModuleFactory([] {
-                 return makePass<Module>("lift-lambdas", "",
-                                         [](Module &M, PassContext &) {
-                                           liftLambdas(M);
-                                           return true;
-                                         });
-               }));
-  registerPass(PipelineStage::Qwerty, "canonicalize",
-               "canonicalization patterns + DCE to fixpoint (§5.4 step 2)",
-               ModuleFactory([] {
-                 return makePass<Module>("canonicalize", "",
-                                         [](Module &M, PassContext &) {
-                                           canonicalizeIR(M);
-                                           return true;
-                                         });
-               }));
-  registerPass(
-      PipelineStage::Qwerty, "inline",
-      "canonicalize + inline direct calls to fixpoint, specializing "
-      "adj/pred callees on demand (§5.4 step 3)",
-      ModuleFactory([] {
-        return makePass<Module>("inline", "", [](Module &M, PassContext &) {
-          bool Changed = true;
-          while (Changed) {
-            Changed = canonicalizeIR(M);
-            while (inlineOneCall(M)) {
-              Changed = true;
-              canonicalizeIR(M);
-            }
-          }
-          return true;
-        });
-      }));
-  registerPass(PipelineStage::Qwerty, "dce",
-               "remove functions unreachable from the entry kernel",
-               ModuleFactory([] {
-                 return makePass<Module>("dce", "",
-                                         [](Module &M, PassContext &Ctx) {
-                                           removeDeadFunctions(M,
-                                                               {Ctx.Entry});
-                                           return true;
-                                         });
-               }));
-  registerPass(
-      PipelineStage::Qwerty, "specialize",
-      "generate adjoint/controlled specializations for the QIR callables "
-      "path (§6.2, Algorithm D5)",
-      ModuleFactory([] {
-        return makePass<Module>(
-            "specialize", "", [](Module &M, PassContext &Ctx) {
-              std::set<SpecKey> Specs =
-                  analyzeSpecializations(M, Ctx.Entry);
-              if (!generateSpecializations(M, Specs)) {
-                Ctx.Diags.error(
-                    SourceLoc(),
-                    "cannot generate required function specializations "
-                    "reachable from entry '" +
-                        Ctx.Entry + "'");
-                return false;
-              }
-              return true;
-            });
-      }));
-
-  // --- verification, available in both Module stages ---
-  for (PipelineStage S : {PipelineStage::Qwerty, PipelineStage::QCirc})
-    registerPass(S, "verify",
-                 "structural + linearity verification of the module",
-                 ModuleFactory([] {
-                   return makePass<Module>(
-                       "verify", "", [](Module &M, PassContext &Ctx) {
-                         return verifyModule(M, Ctx.Diags);
-                       });
-                 }));
-
-  // --- qcirc stage (§6.5) ---
-  registerPass(PipelineStage::QCirc, "canonicalize",
-               "canonicalization patterns + DCE to fixpoint",
-               ModuleFactory([] {
-                 return makePass<Module>("canonicalize", "",
-                                         [](Module &M, PassContext &) {
-                                           canonicalizeIR(M);
-                                           return true;
-                                         });
-               }));
-  registerPass(PipelineStage::QCirc, "peephole",
-               "QCircuit peephole optimizations (§6.5)",
-               ModuleFactory([] {
-                 return makePass<Module>("peephole", "",
-                                         [](Module &M, PassContext &) {
-                                           peepholeOptimize(M);
-                                           return true;
-                                         });
-               }));
-  registerPass(PipelineStage::QCirc, "decompose-mc",
-               "decompose multi-controls via Selinger's controlled-iX "
-               "scheme (§6.5)",
-               ModuleFactory([] {
-                 return makePass<Module>(
-                     "decompose-mc", "", [](Module &M, PassContext &) {
-                       decomposeMultiControls(M, McDecompose::Selinger);
-                       return true;
-                     });
-               }));
-
-  // --- circuit stage (§7, §8) ---
-  registerPass(PipelineStage::Circuit, "transpile-o3",
-               "gate-cancellation + rotation-merging cleanup (the §8.3 "
-               "baseline transpiler pass)",
-               CircuitFactory([] {
-                 return makePass<Circuit>("transpile-o3", "",
-                                          [](Circuit &C, PassContext &) {
-                                            C = transpileO3(C);
-                                            return true;
-                                          });
-               }));
-  registerPass(PipelineStage::Circuit, "verify",
-               "register/bit index bounds check of the flat circuit",
-               CircuitFactory([] {
-                 return makePass<Circuit>(
-                     "verify", "", [](Circuit &C, PassContext &Ctx) {
-                       return unitVerify(C, Ctx.Diags);
-                     });
-               }));
+template <typename UnitT>
+PassFn<UnitT> asdf::findPass(PipelineStage Stage, const std::string &Name) {
+  const PassRow *Row = findRow(Stage, Name);
+  const PassFn<UnitT> *Fn =
+      Row ? std::get_if<PassFn<UnitT>>(&Row->Fn) : nullptr;
+  return Fn ? *Fn : nullptr;
 }
 
-//===----------------------------------------------------------------------===//
-// Registry mechanics
-//===----------------------------------------------------------------------===//
+template PassFn<Program> asdf::findPass(PipelineStage, const std::string &);
+template PassFn<Module> asdf::findPass(PipelineStage, const std::string &);
+template PassFn<Circuit> asdf::findPass(PipelineStage, const std::string &);
 
 PassRegistry &PassRegistry::instance() {
   static PassRegistry R;
   return R;
 }
 
-void PassRegistry::record(PipelineStage Stage, const std::string &Name,
-                          Entry E) {
-  auto [It, Inserted] = Entries[Stage].emplace(Name, std::move(E));
-  if (!Inserted)
-    It->second = std::move(E); // Re-registration wins (tests override).
-  else
-    Order[Stage].push_back(Name);
-}
-
-void PassRegistry::registerPass(PipelineStage Stage, const std::string &Name,
-                                const std::string &Desc, ProgramFactory F) {
-  Entry E;
-  E.Desc = Desc;
-  E.AsProgram = std::move(F);
-  record(Stage, Name, std::move(E));
-}
-
-void PassRegistry::registerPass(PipelineStage Stage, const std::string &Name,
-                                const std::string &Desc, ModuleFactory F) {
-  Entry E;
-  E.Desc = Desc;
-  E.AsModule = std::move(F);
-  record(Stage, Name, std::move(E));
-}
-
-void PassRegistry::registerPass(PipelineStage Stage, const std::string &Name,
-                                const std::string &Desc, CircuitFactory F) {
-  Entry E;
-  E.Desc = Desc;
-  E.AsCircuit = std::move(F);
-  record(Stage, Name, std::move(E));
-}
-
-const PassRegistry::Entry *PassRegistry::find(PipelineStage Stage,
-                                              const std::string &Name) const {
-  auto SIt = Entries.find(Stage);
-  if (SIt == Entries.end())
-    return nullptr;
-  auto It = SIt->second.find(Name);
-  return It == SIt->second.end() ? nullptr : &It->second;
-}
-
 std::unique_ptr<Pass<Program>>
 PassRegistry::createProgramPass(PipelineStage Stage,
                                 const std::string &Name) const {
-  const Entry *E = find(Stage, Name);
-  return E && E->AsProgram ? E->AsProgram() : nullptr;
+  return rowPass<Program>(Stage, Name);
 }
 
 std::unique_ptr<Pass<Module>>
 PassRegistry::createModulePass(PipelineStage Stage,
                                const std::string &Name) const {
-  const Entry *E = find(Stage, Name);
-  return E && E->AsModule ? E->AsModule() : nullptr;
+  return rowPass<Module>(Stage, Name);
 }
 
 std::unique_ptr<Pass<Circuit>>
 PassRegistry::createCircuitPass(PipelineStage Stage,
                                 const std::string &Name) const {
-  const Entry *E = find(Stage, Name);
-  return E && E->AsCircuit ? E->AsCircuit() : nullptr;
+  return rowPass<Circuit>(Stage, Name);
 }
 
 bool PassRegistry::hasPass(PipelineStage Stage,
                            const std::string &Name) const {
-  return find(Stage, Name) != nullptr;
+  return findRow(Stage, Name) != nullptr;
 }
 
 std::vector<std::string> PassRegistry::passNames(PipelineStage Stage) const {
-  auto It = Order.find(Stage);
-  return It == Order.end() ? std::vector<std::string>() : It->second;
-}
-
-std::string PassRegistry::describe(PipelineStage Stage,
-                                   const std::string &Name) const {
-  const Entry *E = find(Stage, Name);
-  return E ? E->Desc : "";
+  std::vector<std::string> Names;
+  for (const PassRow &Row : PassTable)
+    if (Row.Stage == Stage)
+      Names.push_back(Row.Name);
+  return Names;
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,14 +1,14 @@
-//===- PassRegistry.h - Named pass registry and pipeline plans ------------===//
+//===- PassRegistry.h - The pass table and pipeline plans -----------------===//
 //
 // Part of the Asdf reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The registry the stage pipelines are built from: every pass of Fig. 2 is
-/// registered under a (stage, name) key with a factory, and a
-/// `PipelinePlan` names which passes run in each stage. The Table 1
-/// ablations are named preset plans:
+/// The pass table the stage pipelines run from: every pass of Fig. 2 is one
+/// row of a static table keyed by (stage, name), holding a plain function
+/// over that stage's unit, and a `PipelinePlan` names which passes run in
+/// each stage. The Table 1 ablations are named preset plans:
 ///
 ///   - `default`     — the full pipeline (§5.4 + §6.5),
 ///   - `no-opt`      — lambda lifting + specialization only; QIR callables
@@ -17,8 +17,9 @@
 ///   - `no-canon`    — AST canonicalization (§4.2) off.
 ///
 /// Plans also parse from `--pipeline "stage:pass,...;stage:pass,..."` text,
-/// so ablations beyond the presets need no recompile. Tests and tools can
-/// register their own passes; the registry is process-global.
+/// so ablations beyond the presets need no recompile. The table is fixed at
+/// build time; a caller with a pass of its own runs it through
+/// `PassContext::runInstrumented`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,15 +28,13 @@
 
 #include "compiler/Pass.h"
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace asdf {
 
-/// Which registered passes run in each stage, by name and in order.
+/// Which table passes run in each stage, by name and in order.
 struct PipelinePlan {
   std::vector<std::string> Ast;
   std::vector<std::string> Qwerty;
@@ -54,24 +53,17 @@ struct PipelinePlan {
   std::string str() const;
 };
 
-/// Global registry of named passes, keyed by (stage, name).
+/// The body of the built-in pass \p Name of \p Stage over \p UnitT, the
+/// stage's unit type; null if the table has no such row.
+template <typename UnitT>
+PassFn<UnitT> findPass(PipelineStage Stage, const std::string &Name);
+
+/// Read-only access to the pass table by (stage, name).
 class PassRegistry {
 public:
-  /// The singleton, with every built-in pass pre-registered.
   static PassRegistry &instance();
 
-  using ProgramFactory = std::function<std::unique_ptr<Pass<Program>>()>;
-  using ModuleFactory = std::function<std::unique_ptr<Pass<Module>>()>;
-  using CircuitFactory = std::function<std::unique_ptr<Pass<Circuit>>()>;
-
-  void registerPass(PipelineStage Stage, const std::string &Name,
-                    const std::string &Desc, ProgramFactory F);
-  void registerPass(PipelineStage Stage, const std::string &Name,
-                    const std::string &Desc, ModuleFactory F);
-  void registerPass(PipelineStage Stage, const std::string &Name,
-                    const std::string &Desc, CircuitFactory F);
-
-  /// Instantiates a registered pass; null if (stage, name) is unknown or
+  /// The table row as a pass object; null if (stage, name) is unknown or
   /// the stage's unit type does not match the requested pass type.
   std::unique_ptr<Pass<Program>> createProgramPass(PipelineStage Stage,
                                                    const std::string &Name)
@@ -84,26 +76,11 @@ public:
       const;
 
   bool hasPass(PipelineStage Stage, const std::string &Name) const;
-  /// Registered pass names for a stage, in registration order.
+  /// The stage's pass names, in table order.
   std::vector<std::string> passNames(PipelineStage Stage) const;
-  /// One-line description, or "" if unknown.
-  std::string describe(PipelineStage Stage, const std::string &Name) const;
 
 private:
-  PassRegistry();
-
-  struct Entry {
-    std::string Desc;
-    ProgramFactory AsProgram; ///< Exactly one factory is set.
-    ModuleFactory AsModule;
-    CircuitFactory AsCircuit;
-  };
-  /// Per stage: name -> entry, plus registration order.
-  std::map<PipelineStage, std::map<std::string, Entry>> Entries;
-  std::map<PipelineStage, std::vector<std::string>> Order;
-
-  const Entry *find(PipelineStage Stage, const std::string &Name) const;
-  void record(PipelineStage Stage, const std::string &Name, Entry E);
+  PassRegistry() = default;
 };
 
 /// True if \p Name is one of the built-in preset plans.

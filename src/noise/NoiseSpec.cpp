@@ -8,7 +8,6 @@
 #include "support/ParseNumber.h"
 
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -50,11 +49,7 @@ bool parseGateName(const std::string &Name, GateKind &G) {
 }
 
 bool parseProb(const std::string &Value, double &P) {
-  char *End = nullptr;
-  P = std::strtod(Value.c_str(), &End);
-  if (End == Value.c_str() || *End != '\0')
-    return false;
-  return P >= 0.0 && P <= 1.0;
+  return parseWhole(Value, P) && P >= 0.0 && P <= 1.0;
 }
 
 bool makeChannel(const std::string &Key, double P, KrausChannel &Ch) {

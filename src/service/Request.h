@@ -191,7 +191,7 @@ struct ServiceResponse {
 bool parseRequestLine(const std::string &Line, ServiceRequest &Out,
                       uint64_t &IdOut, std::string &Error);
 
-/// The wire name of \p K ("compile", "run", "bind_run", ...): the span
+/// The wire name of \p K ("compile", "run", "bind-run", ...): the span
 /// and metric label for per-op instrumentation.
 const char *requestKindName(ServiceRequest::Kind K);
 

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <system_error>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -188,7 +189,16 @@ int Server::serve() {
     }
     if (Options.Verbose)
       std::fprintf(stderr, "asdfd: connection fd=%d\n", Conn);
-    Connections.emplace_back([this, Conn] { connectionMain(Conn); });
+    joinFinishedConnections();
+    try {
+      std::thread Reader([this, Conn] { connectionMain(Conn); });
+      std::thread::id Id = Reader.get_id();
+      Connections.emplace(Id, std::move(Reader));
+    } catch (const std::system_error &E) {
+      // No thread for this connection: refuse it and keep serving.
+      std::fprintf(stderr, "asdfd: connection thread: %s\n", E.what());
+      ::close(Conn);
+    }
   }
 
   // Graceful drain: no new connections, wake blocked readers, let every
@@ -201,9 +211,8 @@ int Server::serve() {
     for (int Fd : LiveConnFds)
       ::shutdown(Fd, SHUT_RD); // Readers see EOF and finish up.
   }
-  for (std::thread &T : Connections)
-    if (T.joinable())
-      T.join();
+  for (auto &[Id, Reader] : Connections)
+    Reader.join();
   Service.drain();
   ::unlink(Options.SocketPath.c_str());
   if (Options.Verbose)
@@ -331,6 +340,22 @@ void Server::connectionMain(int Fd) {
   {
     std::lock_guard<std::mutex> Lock(ConnsMu);
     LiveConnFds.erase(Fd);
+    FinishedConns.push_back(std::this_thread::get_id());
   }
   ::close(Fd);
+}
+
+void Server::joinFinishedConnections() {
+  std::vector<std::thread::id> Finished;
+  {
+    std::lock_guard<std::mutex> Lock(ConnsMu);
+    Finished.swap(FinishedConns);
+  }
+  // Every queued id is in Connections: the accept loop inserts a reader
+  // before it next gets here.
+  for (std::thread::id Id : Finished) {
+    auto It = Connections.find(Id);
+    It->second.join();
+    Connections.erase(It);
+  }
 }

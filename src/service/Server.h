@@ -7,12 +7,13 @@
 /// \file
 /// The transport layer of asdfd: a SOCK_STREAM unix-domain listener whose
 /// wire format is newline-delimited JSON (docs/protocol.md). Each accepted
-/// connection gets a reader thread; every complete line becomes a
-/// `ServiceRequest` submitted to the shared `AsdfService` worker pool, and
-/// the response line is written back under a per-connection mutex — so
-/// one client can pipeline many requests and responses come back as each
-/// finishes (correlated by `id`), while requests from all connections
-/// share the daemon's workers and one artifact cache.
+/// connection gets a reader thread, joined once the connection closes;
+/// every complete line becomes a `ServiceRequest` submitted to the shared
+/// `AsdfService` worker pool, and the response line is written back under
+/// a per-connection mutex — so one client can pipeline many requests and
+/// responses come back as each finishes (correlated by `id`), while
+/// requests from all connections share the daemon's workers and one
+/// artifact cache.
 ///
 /// A request line may hold at most Server::MaxRequestLineBytes bytes. A
 /// longer one is answered with one `bad-request` and discarded through its
@@ -32,6 +33,7 @@
 #include "service/Service.h"
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -77,6 +79,9 @@ public:
 
 private:
   void connectionMain(int Fd);
+  /// Joins the readers that have finished since the last call; only the
+  /// accept loop calls it.
+  void joinFinishedConnections();
 
   ServerOptions Options;
   AsdfService Service;
@@ -84,10 +89,15 @@ private:
   int WakePipe[2] = {-1, -1};
   std::atomic<bool> Shutdown{false};
 
-  std::vector<std::thread> Connections;
-  /// Live connection fds, so drain can wake readers blocked in recv.
+  /// Connection readers by thread id. A reader queues its id in
+  /// FinishedConns as it exits, and the accept loop joins it there, so a
+  /// closed connection's thread and stack do not outlive it.
+  std::map<std::thread::id, std::thread> Connections;
+  /// Guards LiveConnFds and FinishedConns.
   std::mutex ConnsMu;
+  /// Live connection fds, so drain can wake readers blocked in recv.
   std::set<int> LiveConnFds;
+  std::vector<std::thread::id> FinishedConns;
 };
 
 } // namespace asdf

@@ -459,22 +459,6 @@ void asdf::removeDeadFunctions(Module &M, const std::set<std::string> &Keep) {
   }
 }
 
-void asdf::runQwertyOptPipeline(Module &M,
-                                const std::set<std::string> &Keep) {
-  liftLambdas(M);
-  bool Changed = true;
-  while (Changed) {
-    Changed = canonicalizeIR(M);
-    while (inlineOneCall(M)) {
-      Changed = true;
-      canonicalizeIR(M);
-    }
-  }
-  removeDeadFunctions(M, Keep);
-}
-
-void asdf::runQwertyNoOptPipeline(Module &M) { liftLambdas(M); }
-
 //===----------------------------------------------------------------------===//
 // Function specialization analysis (§6.2, Algorithm D5)
 //===----------------------------------------------------------------------===//

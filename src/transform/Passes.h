@@ -46,14 +46,6 @@ bool inlineOneCall(Module &M);
 /// callable_create) from any function in \p Keep or its transitive callees.
 void removeDeadFunctions(Module &M, const std::set<std::string> &Keep);
 
-/// The full §5.4 pipeline: lift, then alternate canonicalize + inline to
-/// fixpoint, then drop dead functions (entry points in \p Keep survive).
-void runQwertyOptPipeline(Module &M, const std::set<std::string> &Keep);
-
-/// The no-opt pipeline: lambda lifting only, leaving call_indirect ops in
-/// place to lower to QIR callables.
-void runQwertyNoOptPipeline(Module &M);
-
 /// A required function specialization (§6.2): function name, adjoint flag,
 /// and number of predicate/control qubits.
 using SpecKey = std::tuple<std::string, bool, unsigned>;

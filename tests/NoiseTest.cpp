@@ -254,6 +254,34 @@ TEST(NoiseSpecTest, QubitIndicesAreWholeDecimalsInRange) {
   EXPECT_NEAR(M.readoutFor(3).P0to1, 0.2, 1e-15);
 }
 
+TEST(NoiseSpecTest, ProbabilitiesFollowTheSharedNumberRules) {
+  // Hex floats, a '+' sign and an underflowing exponent are not numbers on
+  // the command line, so they are not probabilities here either.
+  for (const char *Bad : {"0x1p-4", "+0.1", "1e-400"}) {
+    NoiseModel M;
+    std::string Error;
+    EXPECT_FALSE(parseNoiseSpec(std::string("[gate:*]\ndepolarizing = ") +
+                                    Bad + "\n",
+                                M, Error))
+        << Bad;
+    EXPECT_NE(Error.find("line 2: '" + std::string(Bad) +
+                         "' is not a probability in [0, 1]"),
+              std::string::npos)
+        << Bad << " -> " << Error;
+    EXPECT_TRUE(M.empty()) << Bad;
+  }
+
+  NoiseModel M;
+  std::string Error;
+  ASSERT_TRUE(parseNoiseSpec("[gate:*]\ndepolarizing = 0.25\n"
+                             "[readout]\np0to1 = 1e-3\np1to0 = .5\n",
+                             M, Error))
+      << Error;
+  EXPECT_EQ(M.globalReadoutError().P0to1, 1e-3);
+  EXPECT_EQ(M.globalReadoutError().P1to0, 0.5);
+  EXPECT_FALSE(M.empty());
+}
+
 //===----------------------------------------------------------------------===//
 // Fusion channel barriers
 //===----------------------------------------------------------------------===//

@@ -1,15 +1,16 @@
-//===- PassManagerTest.cpp - Pass manager, plans, and CLI smoke tests -----===//
+//===- PassManagerTest.cpp - Pass table, plans, and CLI smoke tests -------===//
 //
 // Part of the Asdf reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Locks down the staged pass-manager API:
+/// Locks down the pass table and the staged pipeline API:
 ///
 ///   - pipeline-spec parsing (presets, stage:pass specs, every error path),
 ///   - pass-ordering invariants of the preset plans,
 ///   - --verify-each catches a deliberately IR-breaking pass and names it,
+///   - every table row runs, and a failing pass is named stage:pass,
 ///   - the timing and print-after instrumentation,
 ///   - asdfc CLI behavior: --help, strict flag/emit validation, duplicate
 ///     --bind/--capture diagnosis, and a --pass-timings/--print-after
@@ -24,6 +25,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 using namespace asdf;
@@ -182,41 +184,108 @@ TEST(PassManagerTest, ArtifactGettersAreCached) {
 //===----------------------------------------------------------------------===//
 
 TEST(PassManagerTest, VerifyEachCatchesBrokenPass) {
-  // Register a pass that breaks the linearity invariant: it materializes a
+  // A pass body that breaks the linearity invariant: it materializes a
   // qubit bundle and never consumes it.
-  PassRegistry::instance().registerPass(
-      PipelineStage::Qwerty, "break-ir", "deliberately leaks a qbundle",
-      PassRegistry::ModuleFactory([] {
-        return std::unique_ptr<Pass<Module>>(new LambdaPass<Module>(
-            "break-ir", "", [](Module &M, PassContext &) {
-              if (M.Functions.empty())
-                return false;
-              Block &Body = M.Functions.front()->Body;
-              Builder B(&Body, Body.terminator());
-              B.qbprep(PrimitiveBasis::Std, false, 1); // Leaked: never used.
-              return true;
-            }));
-      }));
-
+  auto BreakIR = [](Module &M) {
+    Block &Body = M.Functions.front()->Body;
+    Builder B(&Body, Body.terminator());
+    B.qbprep(PrimitiveBasis::Std, false, 1); // Leaked: never used.
+    return true;
+  };
   SessionOptions SO;
-  SO.VerifyEach = true;
-  SO.Plan.Qwerty = {"lift-lambdas", "inline", "dce", "break-ir"};
-  CompileSession S(BVSource, bvBindings(), SO);
-  EXPECT_EQ(S.qwertyIR(), nullptr);
-  EXPECT_FALSE(S.ok());
-  // The error names the offending pass, the stage, and the linearity
-  // violation the verifier found.
-  EXPECT_NE(S.errorMessage().find("break-ir"), std::string::npos)
-      << S.errorMessage();
-  EXPECT_NE(S.errorMessage().find("qwerty"), std::string::npos);
-  EXPECT_NE(S.errorMessage().find("never used"), std::string::npos);
+  SO.Plan.Qwerty = {"lift-lambdas", "inline", "dce"};
 
-  // The same broken pipeline *without* --verify-each is only caught by a
+  CompileSession S(BVSource, bvBindings(), SO);
+  Module *M = S.qwertyIR();
+  ASSERT_NE(M, nullptr) << S.errorMessage();
+  ASSERT_FALSE(M->Functions.empty());
+  DiagnosticEngine Diags;
+  PassContext Ctx(Diags);
+  Ctx.VerifyEach = true;
+  EXPECT_FALSE(Ctx.runInstrumented(PipelineStage::Qwerty, "break-ir", *M,
+                                   [&] { return BreakIR(*M); }));
+  // The failure names the offending pass, the stage, and the linearity
+  // violation the verifier found.
+  EXPECT_EQ(Ctx.FailedPass, "break-ir");
+  EXPECT_EQ(Ctx.FailedStage, PipelineStage::Qwerty);
+  EXPECT_NE(Diags.str().find("after pass 'break-ir' (qwerty stage)"),
+            std::string::npos)
+      << Diags.str();
+  EXPECT_NE(Diags.str().find("never used"), std::string::npos)
+      << Diags.str();
+
+  // The same broken pass *without* --verify-each is only caught by a
   // trailing verify pass (or not at all) — the point of the flag.
-  SessionOptions Loose;
-  Loose.Plan.Qwerty = {"lift-lambdas", "inline", "dce", "break-ir"};
-  CompileSession S2(BVSource, bvBindings(), Loose);
-  EXPECT_NE(S2.qwertyIR(), nullptr) << S2.errorMessage();
+  CompileSession S2(BVSource, bvBindings(), SO);
+  Module *M2 = S2.qwertyIR();
+  ASSERT_NE(M2, nullptr) << S2.errorMessage();
+  DiagnosticEngine LooseDiags;
+  PassContext Loose(LooseDiags);
+  EXPECT_TRUE(Loose.runInstrumented(PipelineStage::Qwerty, "break-ir", *M2,
+                                    [&] { return BreakIR(*M2); }));
+  PassFn<Module> Verify = findPass<Module>(PipelineStage::Qwerty, "verify");
+  ASSERT_NE(Verify, nullptr);
+  EXPECT_FALSE(Loose.runInstrumented(PipelineStage::Qwerty, "verify", *M2,
+                                     [&] { return Verify(*M2, Loose); }));
+  EXPECT_EQ(Loose.FailedPass, "verify");
+}
+
+TEST(PassManagerTest, EveryTableRowRunsUnderVerifyEach) {
+  // Between them these plans run every row of the pass table, each under
+  // --verify-each; every planned pass must leave its timing entry.
+  struct Case {
+    const char *Spec;
+    bool Flat; // Compiles through the circuit stage.
+  } Cases[] = {
+      {"default", true},
+      {"qwerty:lift-lambdas,canonicalize,inline,dce,verify;"
+       "qcirc:canonicalize,peephole,decompose-mc,peephole,verify;"
+       "circuit:transpile-o3,verify",
+       true},
+      {"no-opt", false},
+  };
+  const PipelineStage Stages[] = {PipelineStage::AST, PipelineStage::Qwerty,
+                                  PipelineStage::QCirc,
+                                  PipelineStage::Circuit};
+  std::set<std::string> Ran;
+  for (const Case &C : Cases) {
+    SessionOptions SO;
+    SO.VerifyEach = true;
+    SO.CollectTimings = true;
+    std::string Error;
+    ASSERT_TRUE(parsePipelinePlan(C.Spec, SO.Plan, Error)) << Error;
+    CompileSession S(BVSource, bvBindings(), SO);
+    bool Compiled = C.Flat ? S.flatCircuit() != nullptr
+                           : S.qcircIR() != nullptr;
+    ASSERT_TRUE(Compiled) << C.Spec << ": " << S.errorMessage();
+    std::set<std::string> Timed;
+    for (const PassTiming &T : S.timings())
+      Timed.insert(std::string(pipelineStageName(T.Stage)) + ":" +
+                   T.PassName);
+    for (PipelineStage St : Stages)
+      for (const std::string &Name : SO.Plan.stage(St)) {
+        std::string Row = std::string(pipelineStageName(St)) + ":" + Name;
+        EXPECT_TRUE(Timed.count(Row)) << C.Spec << " has no timing for "
+                                      << Row;
+        Ran.insert(Row);
+      }
+  }
+  std::set<std::string> Table;
+  for (PipelineStage St : Stages)
+    for (const std::string &Name : PassRegistry::instance().passNames(St))
+      Table.insert(std::string(pipelineStageName(St)) + ":" + Name);
+  EXPECT_EQ(Ran, Table);
+}
+
+TEST(PassManagerTest, FailureNamesStageAndPass) {
+  CompileSession S("qpu kernel(q: qubit) -> qubit[2] { return q + q }\n",
+                   ProgramBindings());
+  EXPECT_EQ(S.ast(), nullptr);
+  EXPECT_FALSE(S.ok());
+  EXPECT_EQ(S.errorMessage().rfind("ast:typecheck failed for entry 'kernel'",
+                                   0),
+            0u)
+      << S.errorMessage();
 }
 
 //===----------------------------------------------------------------------===//

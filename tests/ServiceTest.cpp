@@ -1340,6 +1340,70 @@ TEST(ServiceTest, OverCapRequestLineIsRefusedAndTheConnectionServesOn) {
   EXPECT_NE(Second.find("\"ok\":true"), std::string::npos) << Second;
 }
 
+TEST(ServiceTest, ClosedConnectionsReleaseTheirThreads) {
+  // Every connection gets a reader thread. Once its client closes, the
+  // thread must be joined, not kept with its stack mapping until the
+  // daemon drains: 300 sequential connections would otherwise add about
+  // 600 lines (a stack and its guard page each) to the process's maps.
+  ServerOptions Options;
+  Options.SocketPath =
+      ::testing::TempDir() + "asdf-churn-" + std::to_string(::getpid());
+  Options.Service.Workers = 1;
+  Server S(Options);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  std::thread Serve([&] { S.serve(); });
+
+  // One connect, stats, close cycle; false if any step fails.
+  auto StatsOnce = [&] {
+    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (Fd < 0)
+      return false;
+    sockaddr_un Addr{};
+    Addr.sun_family = AF_UNIX;
+    std::strncpy(Addr.sun_path, Options.SocketPath.c_str(),
+                 sizeof(Addr.sun_path) - 1);
+    std::string Line = "{\"id\": 1, \"op\": \"stats\"}\n";
+    bool Ok = ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
+                        sizeof(Addr)) == 0 &&
+              ::send(Fd, Line.data(), Line.size(), 0) ==
+                  static_cast<ssize_t>(Line.size());
+    std::string In;
+    char Chunk[4096];
+    while (Ok && In.find('\n') == std::string::npos) {
+      ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
+      Ok = N > 0;
+      if (Ok)
+        In.append(Chunk, static_cast<size_t>(N));
+    }
+    ::close(Fd);
+    return Ok && In.find("\"ok\":true") != std::string::npos;
+  };
+  auto MapLines = [] {
+    std::ifstream Maps("/proc/self/maps");
+    std::string Line;
+    size_t N = 0;
+    while (std::getline(Maps, Line))
+      ++N;
+    return N;
+  };
+
+  // Warm up first, so the service's lazily made threads and the
+  // allocator's arenas are in place before the count.
+  for (int I = 0; I < 20; ++I)
+    ASSERT_TRUE(StatsOnce()) << "warm-up connection " << I;
+  size_t Before = MapLines();
+  for (int I = 0; I < 300; ++I)
+    ASSERT_TRUE(StatsOnce()) << "connection " << I;
+  size_t After = MapLines();
+  S.requestShutdown();
+  Serve.join();
+
+  ASSERT_GT(Before, 0u) << "cannot read /proc/self/maps";
+  EXPECT_LT(After, Before + 100)
+      << "maps grew from " << Before << " to " << After << " lines";
+}
+
 //===----------------------------------------------------------------------===//
 // Load shedding and admission control
 //===----------------------------------------------------------------------===//
