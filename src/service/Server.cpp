@@ -167,7 +167,18 @@ void Server::requestShutdown() {
 }
 
 int Server::serve() {
+  // While accept runs out of descriptors or memory, the refused connection
+  // stays queued and the listening socket stays readable. So the loop
+  // logs once per episode and waits on the wake pipe alone for BackoffMs
+  // (doubling up to MaxBackoffMs) before it polls the socket again.
+  constexpr int MinBackoffMs = 10, MaxBackoffMs = 500;
+  int BackoffMs = 0;
   while (!Shutdown.load()) {
+    if (BackoffMs) {
+      pollfd Wake = {WakePipe[0], POLLIN, 0};
+      if (::poll(&Wake, 1, BackoffMs) > 0)
+        break; // Woken for shutdown.
+    }
     pollfd Fds[2] = {{ListenFd, POLLIN, 0}, {WakePipe[0], POLLIN, 0}};
     int Ready = ::poll(Fds, 2, -1);
     if (Ready < 0) {
@@ -182,11 +193,22 @@ int Server::serve() {
       continue;
     int Conn = ::accept(ListenFd, nullptr, nullptr);
     if (Conn < 0) {
-      if (errno == EINTR)
+      int Err = errno;
+      if (Err == EINTR)
         continue;
-      std::fprintf(stderr, "asdfd: accept: %s\n", std::strerror(errno));
+      if (Err == EMFILE || Err == ENFILE || Err == ENOBUFS || Err == ENOMEM) {
+        if (!BackoffMs)
+          std::fprintf(stderr,
+                       "asdfd: accept: %s; backing off until resources free "
+                       "up\n",
+                       std::strerror(Err));
+        BackoffMs = std::clamp(2 * BackoffMs, MinBackoffMs, MaxBackoffMs);
+        continue;
+      }
+      std::fprintf(stderr, "asdfd: accept: %s\n", std::strerror(Err));
       continue;
     }
+    BackoffMs = 0;
     if (Options.Verbose)
       std::fprintf(stderr, "asdfd: connection fd=%d\n", Conn);
     joinFinishedConnections();

@@ -19,6 +19,11 @@
 /// longer one is answered with one `bad-request` and discarded through its
 /// newline; the connection keeps serving.
 ///
+/// When `accept` runs out of descriptors or memory, the accept loop logs
+/// one line and backs off (10 ms, doubling to 500 ms), listening only for
+/// shutdown, before it tries again; it does not spin on the queued
+/// connection it cannot take.
+///
 /// Shutdown is graceful from either direction: a client `shutdown` op or
 /// a SIGTERM/SIGINT (via `requestShutdown`, which is async-signal-safe:
 /// one write to a self-pipe). Both paths stop the accept loop, let

@@ -115,47 +115,240 @@ double keptNorm(double P1, bool One) {
   return Norm < 1e-300 ? 1.0 : Norm;
 }
 
-/// Dim doubles, one SIMD vector (GCC and Clang vector extension).
-template <unsigned Dim> struct RowLanes {
-  // GCC drops a dependent vector_size on a typedef inside a function
-  // template, so the width is a class template parameter here.
-  typedef double Type __attribute__((vector_size(Dim * sizeof(double))));
+/// One local basis state of four groups: four amplitudes as interleaved
+/// re/im pairs in one 64-byte SIMD vector (GCC and Clang vector
+/// extension). Lane k holds the group whose two lane bits read k.
+typedef double Lanes __attribute__((vector_size(4 * sizeof(Amplitude))));
+
+/// A 2^m x 2^m matrix as the lane kernel reads it: row-major re and im
+/// parts, which entries of each row are nonzero, and the value every row
+/// sum starts from.
+struct BlockRows {
+  static constexpr unsigned MaxDim = 1u << MaxBlockQubits;
+  double Ur[MaxDim * MaxDim], Ui[MaxDim * MaxDim];
+  unsigned NonZero[MaxDim]; ///< Bit S of row R: entry (R, S) is nonzero.
+  /// Every row's entries 2k and 2k+1 are both zero or both nonzero, as in
+  /// a dense matrix and in the sparse blocks fusion builds from H, CX and
+  /// phase gates.
+  bool Pairs;
+  double Init;
 };
 
-/// Applies the 2^m x 2^m block (Dim = 2^m) to groups [B, E), one matrix
-/// row per SIMD lane: \p Cr / \p Ci hold the matrix's columns (Cr[S * Dim
-/// + R] is the real part of row R, column S), each amplitude V[S] of the
-/// group is broadcast, and lane R accumulates
-/// `Ar += Re U[R][S] * Vr[S] - Im U[R][S] * Vi[S]` over ascending S, the
-/// order (and so the rounding) of the scalar row product. Lanes never span
-/// groups, so there is no remainder loop: every group rounds the same
-/// whatever the chunking. The vector type lives only inside this body (no
-/// vector in a signature), so builds without wide registers lower it
+/// Moves whole amplitudes between memory order and lane order: of two
+/// vectors that differ in one lane bit, P keeps the amplitudes whose
+/// position bit \p Pos (0 or 1) reads 0 and R those that read 1, each
+/// sorted by its lane bits. Self-inverse. It takes references (no vector
+/// by value in a signature), so builds without wide registers lower it
 /// without ABI warnings.
-template <unsigned Dim>
-void applyBlockRows(Amplitude *A, const double *Cr, const double *Ci,
-                    const uint64_t *Pinned, const uint64_t *Offset,
-                    unsigned M, uint64_t B, uint64_t E) {
-  typedef typename RowLanes<Dim>::Type Lanes;
-  Lanes ColR[Dim], ColI[Dim];
-  std::memcpy(ColR, Cr, sizeof(ColR));
-  std::memcpy(ColI, Ci, sizeof(ColI));
-  for (uint64_t G = B; G < E; ++G) {
-    uint64_t Base = insertZeroBits(G, Pinned, M);
-    double Vr[Dim], Vi[Dim];
-    for (unsigned S = 0; S < Dim; ++S) {
-      Amplitude V = A[Base | Offset[S]];
-      Vr[S] = V.real();
-      Vi[S] = V.imag();
-    }
-    Lanes Ar = {}, Ai = {};
-    for (unsigned S = 0; S < Dim; ++S) {
-      Ar += ColR[S] * Vr[S] - ColI[S] * Vi[S];
-      Ai += ColR[S] * Vi[S] + ColI[S] * Vr[S];
-    }
-    for (unsigned R = 0; R < Dim; ++R)
-      A[Base | Offset[R]] = Amplitude(Ar[R], Ai[R]);
+template <unsigned Pos> inline void exchangeLanes(Lanes &P, Lanes &R) {
+  Lanes Lo, Hi;
+  if constexpr (Pos == 0) {
+    Lo = __builtin_shufflevector(P, R, 0, 1, 8, 9, 4, 5, 12, 13);
+    Hi = __builtin_shufflevector(P, R, 2, 3, 10, 11, 6, 7, 14, 15);
+  } else {
+    Lo = __builtin_shufflevector(P, R, 0, 1, 2, 3, 8, 9, 10, 11);
+    Hi = __builtin_shufflevector(P, R, 4, 5, 6, 7, 12, 13, 14, 15);
   }
+  P = Lo;
+  R = Hi;
+}
+
+/// Applies \p Rows (Dim = 2^m) to quads [B, E): four groups at a time, one
+/// vector per local basis state. \p Raw[S] is the memory chunk of state S:
+/// its offset with the block's index bits 0 and 1 moved onto lane bits, so
+/// each chunk is four contiguous amplitudes. \p Lo0 / \p Lo1 say the block
+/// holds index bit 0 / 1; the support is sorted, so bit 0 is local bit 0
+/// and bit 1 the next local bit, and exchangeLanes trades them for those
+/// lane bits. Output row R sums, over its nonzero entries in ascending
+/// column order, `Ur * V + Ui * N`, N being V with re and im swapped and
+/// the new re negated: lane by lane this is `Ur * Vr - Ui * Vi` and
+/// `Ur * Vi + Ui * Vr`, the terms of the scalar row product, and it rounds
+/// as they do (the fused multiply-add takes the first product). The loops
+/// unroll, so the vectors stay in registers and each nonzero test is one
+/// branch that goes the same way for the whole call; with \p Pairs one
+/// test covers two columns. Every group rounds the same whatever the
+/// chunking.
+template <unsigned Dim, bool Pairs, bool Lo0, bool Lo1>
+void applyBlockLanes(Amplitude *A, const BlockRows &Rows,
+                     const uint64_t *Pinned, const uint64_t *Raw, uint64_t B,
+                     uint64_t E) {
+  constexpr unsigned K = std::countr_zero(Dim) + 2, S1 = Lo0 ? 2 : 1;
+  const Lanes NegRe = {-1, 1, -1, 1, -1, 1, -1, 1};
+  const double I0 = Rows.Init;
+  const Lanes Init = {I0, I0, I0, I0, I0, I0, I0, I0};
+  for (uint64_t Q = B; Q < E; ++Q) {
+    uint64_t Base = insertZeroBits(Q, Pinned, K);
+    Lanes V[Dim], N[Dim], Out[Dim];
+#pragma GCC unroll 8
+    for (unsigned S = 0; S < Dim; ++S)
+      std::memcpy(&V[S], A + (Base | Raw[S]), sizeof(Lanes));
+    if constexpr (Lo0) {
+#pragma GCC unroll 8
+      for (unsigned S = 0; S < Dim; S += 2)
+        exchangeLanes<0>(V[S], V[S + 1]);
+    }
+    if constexpr (Lo1) {
+#pragma GCC unroll 8
+      for (unsigned S = 0; S < Dim; ++S)
+        if (!(S & S1))
+          exchangeLanes<1>(V[S], V[S + S1]);
+    }
+#pragma GCC unroll 8
+    for (unsigned S = 0; S < Dim; ++S)
+      N[S] = __builtin_shufflevector(V[S], V[S], 1, 0, 3, 2, 5, 4, 7, 6) *
+             NegRe;
+#pragma GCC unroll 8
+    for (unsigned R = 0; R < Dim; ++R) {
+      Lanes Acc = Init;
+#pragma GCC unroll 8
+      for (unsigned C = 0; C < Dim; C += Pairs ? 2 : 1) {
+        if (!(Rows.NonZero[R] & (1u << C)))
+          continue;
+#pragma GCC unroll 2
+        for (unsigned S = C; S < C + (Pairs ? 2 : 1); ++S)
+          Acc += Rows.Ur[R * Dim + S] * V[S] + Rows.Ui[R * Dim + S] * N[S];
+      }
+      Out[R] = Acc;
+    }
+    if constexpr (Lo1) {
+#pragma GCC unroll 8
+      for (unsigned S = 0; S < Dim; ++S)
+        if (!(S & S1))
+          exchangeLanes<1>(Out[S], Out[S + S1]);
+    }
+    if constexpr (Lo0) {
+#pragma GCC unroll 8
+      for (unsigned S = 0; S < Dim; S += 2)
+        exchangeLanes<0>(Out[S], Out[S + 1]);
+    }
+#pragma GCC unroll 8
+    for (unsigned S = 0; S < Dim; ++S)
+      std::memcpy(A + (Base | Raw[S]), &Out[S], sizeof(Lanes));
+  }
+}
+
+/// The lane kernel's entry for one Dim: picks the test width and the
+/// layout.
+template <unsigned Dim, bool Pairs = false>
+void applyBlockLanes(Amplitude *A, const BlockRows &Rows, bool Lo0, bool Lo1,
+                     const uint64_t *Pinned, const uint64_t *Raw, uint64_t B,
+                     uint64_t E) {
+  if (!Pairs && Rows.Pairs)
+    applyBlockLanes<Dim, true>(A, Rows, Lo0, Lo1, Pinned, Raw, B, E);
+  else if (Lo0 && Lo1)
+    applyBlockLanes<Dim, Pairs, true, true>(A, Rows, Pinned, Raw, B, E);
+  else if (Lo0)
+    applyBlockLanes<Dim, Pairs, true, false>(A, Rows, Pinned, Raw, B, E);
+  else if (Lo1)
+    applyBlockLanes<Dim, Pairs, false, true>(A, Rows, Pinned, Raw, B, E);
+  else
+    applyBlockLanes<Dim, Pairs, false, false>(A, Rows, Pinned, Raw, B, E);
+}
+
+/// Applies the 2^m x 2^m row-major matrix \p U to the \p Size amplitudes
+/// at \p A. \p Bits[J] is the index bit of local bit m-1-J, descending
+/// (Bits[0] owns the local MSB). Each output amplitude is \p Init plus the
+/// terms of the row's nonzero entries, in ascending column order. An
+/// exact-zero entry adds only +-0, which changes no sum that starts at +0
+/// (such a sum is never -0), so a block starting at +0 is the full scalar
+/// row product bit for bit; -0 + x is x, so a 2x2 starting at -0 is the
+/// plain sum of its two terms. States too small for two lane bits take the
+/// scalar row product itself.
+void applyMatrixLanes(Amplitude *A, uint64_t Size, const uint64_t *Bits,
+                      unsigned M, const Amplitude *U, double Init,
+                      unsigned Jobs) {
+  const unsigned Dim = 1u << M;
+  BlockRows Rows;
+  Rows.Init = Init;
+  Rows.Pairs = true;
+  for (unsigned R = 0; R < Dim; ++R) {
+    unsigned &Mask = Rows.NonZero[R];
+    Mask = 0;
+    for (unsigned S = 0; S < Dim; ++S) {
+      Amplitude X = U[R * Dim + S];
+      Rows.Ur[R * Dim + S] = X.real();
+      Rows.Ui[R * Dim + S] = X.imag();
+      if (X.real() != 0.0 || X.imag() != 0.0)
+        Mask |= 1u << S;
+    }
+    Rows.Pairs &= (Mask & 0x55) == ((Mask >> 1) & 0x55);
+  }
+
+  // Offset[S] is the index pattern of local basis state S.
+  uint64_t Offset[BlockRows::MaxDim], Support = 0;
+  for (unsigned S = 0; S < Dim; ++S) {
+    uint64_t O = 0;
+    for (unsigned J = 0; J < M; ++J)
+      if ((S >> (M - 1 - J)) & 1)
+        O |= Bits[J];
+    Offset[S] = O;
+    Support |= O;
+  }
+
+  if (Size < (uint64_t(4) << M)) {
+    uint64_t Pinned[MaxBlockQubits];
+    unsigned K = collectBits(Support, Pinned);
+    for (uint64_t G = 0; G < (Size >> M); ++G) {
+      uint64_t Base = insertZeroBits(G, Pinned, K);
+      double Vr[BlockRows::MaxDim], Vi[BlockRows::MaxDim];
+      for (unsigned S = 0; S < Dim; ++S) {
+        Vr[S] = A[Base | Offset[S]].real();
+        Vi[S] = A[Base | Offset[S]].imag();
+      }
+      for (unsigned R = 0; R < Dim; ++R) {
+        double Ar = Init, Ai = Init;
+        for (unsigned S = 0; S < Dim; ++S) {
+          if (!(Rows.NonZero[R] & (1u << S)))
+            continue;
+          double Ur = Rows.Ur[R * Dim + S], Ui = Rows.Ui[R * Dim + S];
+          Ar += Ur * Vr[S] - Ui * Vi[S];
+          Ai += Ur * Vi[S] + Ui * Vr[S];
+        }
+        A[Base | Offset[R]] = Amplitude(Ar, Ai);
+      }
+    }
+    return;
+  }
+
+  // The lanes are the two lowest index bits outside the block. In the
+  // chunk offsets, the block's bits among index bits 0 and 1 trade places
+  // with the lane bits above them, in ascending order, so each chunk is
+  // four contiguous amplitudes.
+  uint64_t LaneBits = 0;
+  for (uint64_t Bit = 1; std::popcount(LaneBits) < 2; Bit <<= 1)
+    if (!(Support & Bit))
+      LaneBits |= Bit;
+  uint64_t Raw[BlockRows::MaxDim];
+  for (unsigned S = 0; S < Dim; ++S) {
+    Raw[S] = Offset[S] & ~uint64_t(3);
+    uint64_t High = LaneBits & ~uint64_t(3);
+    for (uint64_t Low = 1; Low <= 2; Low <<= 1)
+      if (Support & Low) {
+        uint64_t Lane = High & (~High + 1);
+        if (Offset[S] & Low)
+          Raw[S] |= Lane;
+        High ^= Lane;
+      }
+  }
+  const bool Lo0 = Support & 1, Lo1 = Support & 2;
+  uint64_t Pinned[MaxBlockQubits + 2];
+  collectBits(Support | LaneBits, Pinned);
+
+  parallelIndexLoop(
+      Jobs, Size >> (M + 2), KernelMinChunk >> (M + 1),
+      [&](uint64_t B, uint64_t E) {
+        switch (M) {
+        case 1:
+          applyBlockLanes<2>(A, Rows, Lo0, Lo1, Pinned, Raw, B, E);
+          break;
+        case 2:
+          applyBlockLanes<4>(A, Rows, Lo0, Lo1, Pinned, Raw, B, E);
+          break;
+        default:
+          applyBlockLanes<8>(A, Rows, Lo0, Lo1, Pinned, Raw, B, E);
+          break;
+        }
+      });
 }
 
 } // namespace
@@ -226,39 +419,16 @@ void StateVector::pairSwap(uint64_t CtlMask, uint64_t Bit) {
 
 void StateVector::matrix2Kernel(uint64_t CtlMask, uint64_t Bit,
                                 const Mat2 &U) {
+  Amplitude *A = Amp.data();
+  if (CtlMask == 0) {
+    applyMatrixLanes(A, Amp.size(), &Bit, 1, &U.M[0][0], -0.0, ParJobs);
+    return;
+  }
   uint64_t Pinned[64];
   unsigned K = collectBits(CtlMask | Bit, Pinned);
   uint64_t Num = Amp.size() >> K;
-  Amplitude *A = Amp.data();
   const Amplitude U00 = U.M[0][0], U01 = U.M[0][1];
   const Amplitude U10 = U.M[1][0], U11 = U.M[1][1];
-  if (CtlMask == 0) {
-    // The complex products spelled out over split re/im doubles: a
-    // std::complex product checks for NaN (and may call __muldc3), which
-    // keeps the loop scalar.
-    const double R00 = U00.real(), I00 = U00.imag(), R01 = U01.real(),
-                 I01 = U01.imag(), R10 = U10.real(), I10 = U10.imag(),
-                 R11 = U11.real(), I11 = U11.imag();
-    parallelIndexLoop(
-        ParJobs, Num, KernelMinChunk, [&](uint64_t B, uint64_t E) {
-          forPairRuns(B, E, Bit, [&](uint64_t I0, uint64_t Run) {
-            double *__restrict P0 = reinterpret_cast<double *>(A + I0);
-            double *__restrict P1 =
-                reinterpret_cast<double *>(A + (I0 + Bit));
-            for (uint64_t X = 0; X < Run; ++X) {
-              double Re0 = P0[2 * X], Im0 = P0[2 * X + 1];
-              double Re1 = P1[2 * X], Im1 = P1[2 * X + 1];
-              P0[2 * X] = (R00 * Re0 - I00 * Im0) + (R01 * Re1 - I01 * Im1);
-              P0[2 * X + 1] =
-                  (R00 * Im0 + I00 * Re0) + (R01 * Im1 + I01 * Re1);
-              P1[2 * X] = (R10 * Re0 - I10 * Im0) + (R11 * Re1 - I11 * Im1);
-              P1[2 * X + 1] =
-                  (R10 * Im0 + I10 * Re0) + (R11 * Im1 + I11 * Re1);
-            }
-          });
-        });
-    return;
-  }
   parallelIndexLoop(ParJobs, Num, KernelMinChunk,
                     [&](uint64_t B, uint64_t E) {
                       for (uint64_t J = B; J < E; ++J) {
@@ -453,49 +623,14 @@ void StateVector::applyBlock(const std::vector<unsigned> &Qubits,
                              const std::vector<Amplitude> &U) {
   const unsigned M = static_cast<unsigned>(Qubits.size());
   assert(M >= 1 && M <= MaxBlockQubits && "block support out of range");
-  constexpr unsigned MaxDim = 1u << MaxBlockQubits;
-  const unsigned Dim = 1u << M;
-  assert(U.size() == size_t(Dim) * Dim && "block matrix size mismatch");
-
-  // Qubits[0] owns the local MSB; Offset[s] is the global-bit pattern of
-  // local basis state s.
-  uint64_t Bits[MaxBlockQubits], Pinned[MaxBlockQubits];
+  assert(U.size() == (size_t(1) << (2 * M)) && "block matrix size mismatch");
+  assert(std::is_sorted(Qubits.begin(), Qubits.end()) &&
+         std::adjacent_find(Qubits.begin(), Qubits.end()) == Qubits.end() &&
+         "block support not strictly ascending");
+  uint64_t Bits[MaxBlockQubits];
   for (unsigned J = 0; J < M; ++J)
     Bits[J] = qubitBit(Qubits[J]);
-  std::copy(Bits, Bits + M, Pinned);
-  std::sort(Pinned, Pinned + M);
-  uint64_t Offset[MaxDim];
-  for (unsigned S = 0; S < Dim; ++S) {
-    uint64_t O = 0;
-    for (unsigned J = 0; J < M; ++J)
-      if ((S >> (M - 1 - J)) & 1)
-        O |= Bits[J];
-    Offset[S] = O;
-  }
-
-  alignas(64) double Cr[MaxDim * MaxDim], Ci[MaxDim * MaxDim];
-  for (unsigned R = 0; R < Dim; ++R)
-    for (unsigned S = 0; S < Dim; ++S) {
-      Cr[S * Dim + R] = U[size_t(R) * Dim + S].real();
-      Ci[S * Dim + R] = U[size_t(R) * Dim + S].imag();
-    }
-
-  Amplitude *A = Amp.data();
-  parallelIndexLoop(
-      ParJobs, Amp.size() >> M, KernelMinChunk >> (M - 1),
-      [&](uint64_t B, uint64_t E) {
-        switch (M) {
-        case 1:
-          applyBlockRows<2>(A, Cr, Ci, Pinned, Offset, M, B, E);
-          break;
-        case 2:
-          applyBlockRows<4>(A, Cr, Ci, Pinned, Offset, M, B, E);
-          break;
-        default:
-          applyBlockRows<8>(A, Cr, Ci, Pinned, Offset, M, B, E);
-          break;
-        }
-      });
+  applyMatrixLanes(Amp.data(), Amp.size(), Bits, M, U.data(), 0.0, ParJobs);
   bumpStats(Amp.size(), true, true);
 }
 

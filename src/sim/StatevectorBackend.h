@@ -19,9 +19,12 @@
 /// controlled-2x2 path with specialized kernels: diagonal gates
 /// (Z/S/Sdg/T/Tdg/P/RZ) become a strided phase sweep at any control count,
 /// X becomes a pair permutation, and Y a permutation with a fixed +-i
-/// twist. Fused multi-qubit blocks (Fusion.h) apply a 2^k x 2^k matrix in
-/// one gather/scatter sweep, dense or sparse, through one SIMD kernel
-/// whose lanes are the matrix rows.
+/// twist. Fused multi-qubit blocks (Fusion.h) and every uncontrolled 2x2
+/// (fused 1-qubit ops, lone RX/RY, Kraus branches) apply through one SIMD
+/// kernel: a 64-byte vector holds one local basis state of four groups,
+/// the lanes being the two lowest index bits outside the support (128-bit
+/// shuffles move whole amplitudes into lane order when the support holds
+/// index bit 0 or 1), and each output row sums only its nonzero entries.
 ///
 /// Batch runs fuse the circuit, simulate the unconditional gate prefix
 /// once, fork the state per shot, and run the shots on a work-stealing
@@ -85,9 +88,10 @@ public:
 
   /// Applies a fused multi-qubit block: the 2^m x 2^m row-major unitary
   /// \p U over \p Qubits (sorted ascending, Qubits[0] = local MSB,
-  /// matching FusedOp::Qubits) in one gather/scatter sweep. Each output
-  /// amplitude is the row product summed over the columns in ascending
-  /// order, whatever the matrix's zeros and the worker count.
+  /// matching FusedOp::Qubits) in one sweep. Each output amplitude is the
+  /// row product summed over the columns in ascending order, bit for bit,
+  /// whatever the worker count: the kernel skips exact-zero entries, whose
+  /// terms would add only +-0 to a sum that starts at +0.
   void applyBlock(const std::vector<unsigned> &Qubits,
                   const std::vector<Amplitude> &U);
 
@@ -141,8 +145,9 @@ private:
   void phaseSweep(uint64_t Mask, Amplitude Phase);
   /// Strided kernel: swap the target pair wherever all controls are set.
   void pairSwap(uint64_t CtlMask, uint64_t Bit);
-  /// Strided kernel: generic controlled 2x2 (the fallback all specialized
-  /// kernels reduce to).
+  /// Generic 2x2 at any control count (the fallback all specialized
+  /// kernels reduce to): uncontrolled, the block kernel; controlled, a
+  /// strided loop.
   void matrix2Kernel(uint64_t CtlMask, uint64_t Bit, const Mat2 &U);
 
   void bumpStats(uint64_t Touched, bool Fused, bool Block = false) const;

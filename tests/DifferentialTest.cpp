@@ -45,6 +45,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <random>
 
 using namespace asdf;
@@ -237,9 +238,10 @@ unsigned parameterize(Circuit &C, std::mt19937_64 &Rng) {
 TEST(DifferentialTest, SweepsBitExactToRecompilePerPoint) {
   // The runSweep contract: Results[P] == runBatch(bindCircuit(C,
   // Points[P]), Shots, deriveSweepPointSeed(Seed, P), Opts) bit-for-bit,
-  // at every worker count. The fast path memoizes the fused
-  // *structure* and re-materializes only angle-dependent matrices per
-  // point; these trials are what keeps that a pure optimization.
+  // at every worker count. The fast path plans the fusion once
+  // (planFusion reads no angle) and builds every point's fused ops from
+  // that plan (buildFusedCircuit); these trials are what keeps that a
+  // pure optimization.
   std::mt19937_64 Rng(0x5EE9ull);
   StatevectorBackend Sv;
   const unsigned Shots = 6;
@@ -608,7 +610,7 @@ std::vector<uint64_t> blockOffsets(unsigned NumQubits,
 }
 
 /// The scalar row product: group by group, each output row summed over the
-/// columns in ascending order, on split re/im doubles. The SIMD row-lane
+/// columns in ascending order, on split re/im doubles. The SIMD lane
 /// kernel must reproduce its rounding bit for bit.
 std::vector<Amplitude> scalarBlockProduct(std::vector<Amplitude> A,
                                           unsigned NumQubits,
@@ -662,29 +664,57 @@ std::vector<Amplitude> complexBlockProduct(const std::vector<Amplitude> &A,
 }
 
 TEST(DifferentialTest, BlockKernelAmplitudesExact) {
-  // Every fused block, dense, sparse or diagonal, goes through one SIMD
-  // kernel. Its amplitudes must not depend on how the groups split across
-  // workers (16 qubits: every block splits into 4 chunks), a dense block
-  // must round exactly as the scalar row product, and every block must
-  // agree with a plain complex matrix-vector product.
-  const unsigned N = 16;
+  // Every fused block, dense, sparse or diagonal, and every uncontrolled
+  // 2x2 goes through one SIMD kernel. Its amplitudes must not depend on
+  // how the groups split across workers (16 qubits: every block splits
+  // into 4 chunks), every block must round exactly as the scalar row
+  // product (skipping an exact-zero entry changes at most the sign of a
+  // zero, which == ignores), and must agree with a plain complex
+  // matrix-vector product. Supports cover every layout of index bits 0
+  // and 1, and 3- and 4-qubit states take the kernel's small-state path.
   std::mt19937_64 Rng(0xB10Cull);
   std::normal_distribution<double> Gauss(0.0, 1.0);
   std::uniform_real_distribution<double> Unit(-1.0, 1.0);
-  std::vector<Amplitude> Start(uint64_t(1) << N);
-  double Norm = 0.0;
-  for (Amplitude &A : Start) {
-    A = Amplitude(Gauss(Rng), Gauss(Rng));
-    Norm += std::norm(A);
-  }
-  for (Amplitude &A : Start)
-    A /= std::sqrt(Norm);
+  auto RandomState = [&](unsigned N) {
+    std::vector<Amplitude> Start(uint64_t(1) << N);
+    double Norm = 0.0;
+    for (Amplitude &A : Start) {
+      A = Amplitude(Gauss(Rng), Gauss(Rng));
+      Norm += std::norm(A);
+    }
+    for (Amplitude &A : Start)
+      A /= std::sqrt(Norm);
+    return Start;
+  };
+  // Runs \p Apply at several worker counts, requires them equal, and
+  // returns the serial result.
+  auto EveryJobs = [](const std::vector<Amplitude> &Start, unsigned N,
+                      const std::string &Where,
+                      const std::function<void(StateVector &)> &Apply) {
+    std::vector<Amplitude> Serial;
+    for (unsigned Jobs : {1u, 2u, 3u, 4u, 8u}) {
+      StateVector SV(N);
+      SV.amplitudes() = Start;
+      SV.setParallelJobs(Jobs);
+      Apply(SV);
+      if (Jobs == 1)
+        Serial = SV.amplitudes();
+      else
+        EXPECT_TRUE(SV.amplitudes() == Serial) << Where << ", jobs " << Jobs;
+    }
+    return Serial;
+  };
 
   // Qubit N-1 owns bit 0 and qubit 0 the top bit.
-  const std::vector<std::vector<unsigned>> Supports = {
-      {15}, {0},     {7},       {14, 15},  {0, 1},    {3, 12},
-      {0, 15}, {13, 14, 15}, {0, 1, 2}, {0, 8, 15}, {2, 6, 11}};
-  for (const std::vector<unsigned> &Q : Supports) {
+  const std::vector<std::pair<unsigned, std::vector<unsigned>>> Supports = {
+      {16, {15}},         {16, {14}},       {16, {0}},
+      {16, {7}},          {16, {14, 15}},   {16, {0, 1}},
+      {16, {3, 12}},      {16, {0, 15}},    {16, {13, 14, 15}},
+      {16, {0, 1, 2}},    {16, {0, 8, 15}}, {16, {2, 6, 11}},
+      {16, {4, 9, 14}},   {3, {0, 1, 2}},   {4, {0, 1, 2}},
+      {4, {1, 2, 3}},     {4, {0, 3}}};
+  for (const auto &[N, Q] : Supports) {
+    const std::vector<Amplitude> Start = RandomState(N);
     const unsigned M = static_cast<unsigned>(Q.size()), Dim = 1u << M;
     std::vector<Amplitude> Dense(Dim * Dim), Diagonal(Dim * Dim);
     for (Amplitude &X : Dense)
@@ -707,22 +737,11 @@ TEST(DifferentialTest, BlockKernelAmplitudesExact) {
     for (const auto &[Kind, U] : Blocks) {
       std::string Where = std::string(Kind) + " block on " +
                           std::to_string(M) + " qubits from " +
-                          std::to_string(Q[0]);
-      std::vector<Amplitude> Serial;
-      for (unsigned Jobs : {1u, 2u, 3u, 4u, 8u}) {
-        StateVector SV(N);
-        SV.amplitudes() = Start;
-        SV.setParallelJobs(Jobs);
-        SV.applyBlock(Q, *U);
-        if (Jobs == 1)
-          Serial = SV.amplitudes();
-        else
-          ASSERT_TRUE(SV.amplitudes() == Serial) << Where << ", jobs " << Jobs;
-      }
-      if (U == &Dense) {
-        EXPECT_TRUE(Serial == scalarBlockProduct(Start, N, Q, Dense))
-            << Where;
-      }
+                          std::to_string(Q[0]) + " of " + std::to_string(N);
+      std::vector<Amplitude> Serial =
+          EveryJobs(Start, N, Where,
+                    [&](StateVector &SV) { SV.applyBlock(Q, *U); });
+      EXPECT_TRUE(Serial == scalarBlockProduct(Start, N, Q, *U)) << Where;
       std::vector<Amplitude> Want = complexBlockProduct(Start, N, Q, *U);
       double MaxDiff = 0.0;
       for (uint64_t I = 0; I < Want.size(); ++I)
@@ -730,6 +749,28 @@ TEST(DifferentialTest, BlockKernelAmplitudesExact) {
       EXPECT_LE(MaxDiff, 1e-13) << Where;
     }
   }
+
+  // A fused 1-qubit op on index bits 0, 1 and 15, dense and with a zero
+  // entry, rounds as the 2x2 scalar row product.
+  const unsigned N = 16;
+  const std::vector<Amplitude> Start = RandomState(N);
+  for (unsigned Q : {15u, 14u, 0u})
+    for (bool Sparse : {false, true}) {
+      Mat2 U;
+      for (auto &Row : U.M)
+        for (Amplitude &X : Row)
+          X = Amplitude(Unit(Rng), Unit(Rng));
+      if (Sparse)
+        U.M[1][0] = 0.0;
+      std::string Where = std::string(Sparse ? "sparse" : "dense") +
+                          " 2x2 on bit " + std::to_string(N - 1 - Q);
+      std::vector<Amplitude> Serial = EveryJobs(
+          Start, N, Where, [&](StateVector &SV) { SV.applyMatrix2(Q, U); });
+      EXPECT_TRUE(Serial == scalarBlockProduct(Start, N, {Q},
+                                               {U.M[0][0], U.M[0][1],
+                                                U.M[1][0], U.M[1][1]}))
+          << Where;
+    }
 }
 
 /// The batch shapes that reach each branch of the dense batch core on

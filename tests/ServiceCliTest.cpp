@@ -16,7 +16,9 @@
 ///     request; repeated compiles hit the cache (visible in stats);
 ///   - graceful shutdown from both directions: the `shutdown` op and
 ///     SIGTERM each drain, remove the socket file, and exit 0;
-///   - stale-socket recovery and the one-daemon-per-socket rule.
+///   - stale-socket recovery and the one-daemon-per-socket rule;
+///   - out of file descriptors, the accept loop backs off instead of
+///     spinning, and serves again once descriptors free up.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +40,7 @@
 
 #include <csignal>
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -162,19 +166,27 @@ public:
   /// Spawns asdfd on \p SocketPath (plus \p ExtraArgs, e.g. --trace) and
   /// waits until it answers. \p Env entries ("NAME=VALUE") are set in the
   /// child only — how fault-injection tests arm a *spawned* daemon via
-  /// $ASDF_FAULTS without polluting the test process.
+  /// $ASDF_FAULTS without polluting the test process. The child's stderr
+  /// goes to \p StderrPath (default /dev/null), and a nonzero \p MaxFiles
+  /// lowers its RLIMIT_NOFILE.
   bool start(const std::string &SocketPath,
              const std::vector<std::string> &ExtraArgs = {},
-             const std::vector<std::string> &Env = {}) {
+             const std::vector<std::string> &Env = {},
+             const std::string &StderrPath = "/dev/null",
+             rlim_t MaxFiles = 0) {
     Socket = SocketPath;
     Pid = fork();
     if (Pid < 0)
       return false;
     if (Pid == 0) {
-      int Null = ::open("/dev/null", O_WRONLY);
-      if (Null >= 0) {
-        ::dup2(Null, 2);
-        ::close(Null);
+      int Err = ::open(StderrPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      if (Err >= 0) {
+        ::dup2(Err, 2);
+        ::close(Err);
+      }
+      if (MaxFiles) {
+        rlimit Lim{MaxFiles, MaxFiles};
+        ::setrlimit(RLIMIT_NOFILE, &Lim);
       }
       for (const std::string &KV : Env) {
         size_t Eq = KV.find('=');
@@ -783,6 +795,41 @@ TEST_F(ServiceEndToEnd, SigtermDrainsRemovesSocketAndExitsZero) {
   EXPECT_EQ(D.wait(), 0) << "SIGTERM must drain gracefully";
   struct stat St;
   EXPECT_NE(::stat(Socket.c_str(), &St), 0) << "socket file must be removed";
+}
+
+TEST(ServiceDescriptors, OutOfDescriptorsBacksOffThenServes) {
+  // With its descriptors used up, asdfd's accept fails with EMFILE while
+  // the refused connection stays queued: the loop once printed one line
+  // per retry, about half a million a second. It must back off, log the
+  // episode once, serve again when descriptors free up, and still drain.
+  std::string Sock = ::testing::TempDir() + "asdf_cli_emfile.sock";
+  std::string Log = ::testing::TempDir() + "asdf_cli_emfile.err";
+  ::unlink(Sock.c_str());
+  Daemon D;
+  ASSERT_TRUE(D.start(Sock, {}, {}, Log, 32));
+  std::vector<int> Held;
+  for (int I = 0; I < 48; ++I) {
+    int Fd = connectTo(Sock);
+    if (Fd >= 0)
+      Held.push_back(Fd);
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  size_t AcceptLines = 0;
+  std::string First;
+  std::ifstream In(Log);
+  for (std::string L; std::getline(In, L);)
+    if (L.find("accept:") != std::string::npos && AcceptLines++ == 0)
+      First = L;
+  EXPECT_NE(First.find("Too many open files"), std::string::npos) << First;
+  EXPECT_LE(AcceptLines, 5u) << "accept errors logged in a second";
+  for (int Fd : Held)
+    ::close(Fd);
+  std::string Out;
+  EXPECT_EQ(runCommand(cli(Sock) + "--timeout 20 stats", Out), 0) << Out;
+  EXPECT_NE(Out.find("requests"), std::string::npos) << Out;
+  D.signal(SIGTERM);
+  EXPECT_EQ(D.wait(), 0) << "SIGTERM must drain gracefully";
+  ::unlink(Log.c_str());
 }
 
 TEST(ServiceStaleSocket, StaleFileIsReplacedOnStartup) {
