@@ -127,10 +127,6 @@ struct BlockRows {
   static constexpr unsigned MaxDim = 1u << MaxBlockQubits;
   double Ur[MaxDim * MaxDim], Ui[MaxDim * MaxDim];
   unsigned NonZero[MaxDim]; ///< Bit S of row R: entry (R, S) is nonzero.
-  /// Every row's entries 2k and 2k+1 are both zero or both nonzero, as in
-  /// a dense matrix and in the sparse blocks fusion builds from H, CX and
-  /// phase gates.
-  bool Pairs;
   double Init;
 };
 
@@ -165,10 +161,9 @@ template <unsigned Pos> inline void exchangeLanes(Lanes &P, Lanes &R) {
 /// `Ur * Vi + Ui * Vr`, the terms of the scalar row product, and it rounds
 /// as they do (the fused multiply-add takes the first product). The loops
 /// unroll, so the vectors stay in registers and each nonzero test is one
-/// branch that goes the same way for the whole call; with \p Pairs one
-/// test covers two columns. Every group rounds the same whatever the
-/// chunking.
-template <unsigned Dim, bool Pairs, bool Lo0, bool Lo1>
+/// branch that goes the same way for the whole call. Every group rounds
+/// the same whatever the chunking.
+template <unsigned Dim, bool Lo0, bool Lo1>
 void applyBlockLanes(Amplitude *A, const BlockRows &Rows,
                      const uint64_t *Pinned, const uint64_t *Raw, uint64_t B,
                      uint64_t E) {
@@ -189,7 +184,7 @@ void applyBlockLanes(Amplitude *A, const BlockRows &Rows,
     }
     if constexpr (Lo1) {
 #pragma GCC unroll 8
-      for (unsigned S = 0; S < Dim; ++S)
+      for (unsigned S = 0; S + S1 < Dim; ++S)
         if (!(S & S1))
           exchangeLanes<1>(V[S], V[S + S1]);
     }
@@ -201,18 +196,14 @@ void applyBlockLanes(Amplitude *A, const BlockRows &Rows,
     for (unsigned R = 0; R < Dim; ++R) {
       Lanes Acc = Init;
 #pragma GCC unroll 8
-      for (unsigned C = 0; C < Dim; C += Pairs ? 2 : 1) {
-        if (!(Rows.NonZero[R] & (1u << C)))
-          continue;
-#pragma GCC unroll 2
-        for (unsigned S = C; S < C + (Pairs ? 2 : 1); ++S)
+      for (unsigned S = 0; S < Dim; ++S)
+        if (Rows.NonZero[R] & (1u << S))
           Acc += Rows.Ur[R * Dim + S] * V[S] + Rows.Ui[R * Dim + S] * N[S];
-      }
       Out[R] = Acc;
     }
     if constexpr (Lo1) {
 #pragma GCC unroll 8
-      for (unsigned S = 0; S < Dim; ++S)
+      for (unsigned S = 0; S + S1 < Dim; ++S)
         if (!(S & S1))
           exchangeLanes<1>(Out[S], Out[S + S1]);
     }
@@ -223,26 +214,24 @@ void applyBlockLanes(Amplitude *A, const BlockRows &Rows,
     }
 #pragma GCC unroll 8
     for (unsigned S = 0; S < Dim; ++S)
-      std::memcpy(A + (Base | Raw[S]), &Out[S], sizeof(Lanes));
+      std::memcpy(reinterpret_cast<double *>(A + (Base | Raw[S])), &Out[S],
+                  sizeof(Lanes));
   }
 }
 
-/// The lane kernel's entry for one Dim: picks the test width and the
-/// layout.
-template <unsigned Dim, bool Pairs = false>
+/// The lane kernel's entry for one Dim: picks the layout.
+template <unsigned Dim>
 void applyBlockLanes(Amplitude *A, const BlockRows &Rows, bool Lo0, bool Lo1,
                      const uint64_t *Pinned, const uint64_t *Raw, uint64_t B,
                      uint64_t E) {
-  if (!Pairs && Rows.Pairs)
-    applyBlockLanes<Dim, true>(A, Rows, Lo0, Lo1, Pinned, Raw, B, E);
-  else if (Lo0 && Lo1)
-    applyBlockLanes<Dim, Pairs, true, true>(A, Rows, Pinned, Raw, B, E);
+  if (Lo0 && Lo1)
+    applyBlockLanes<Dim, true, true>(A, Rows, Pinned, Raw, B, E);
   else if (Lo0)
-    applyBlockLanes<Dim, Pairs, true, false>(A, Rows, Pinned, Raw, B, E);
+    applyBlockLanes<Dim, true, false>(A, Rows, Pinned, Raw, B, E);
   else if (Lo1)
-    applyBlockLanes<Dim, Pairs, false, true>(A, Rows, Pinned, Raw, B, E);
+    applyBlockLanes<Dim, false, true>(A, Rows, Pinned, Raw, B, E);
   else
-    applyBlockLanes<Dim, Pairs, false, false>(A, Rows, Pinned, Raw, B, E);
+    applyBlockLanes<Dim, false, false>(A, Rows, Pinned, Raw, B, E);
 }
 
 /// Applies the 2^m x 2^m row-major matrix \p U to the \p Size amplitudes
@@ -260,7 +249,6 @@ void applyMatrixLanes(Amplitude *A, uint64_t Size, const uint64_t *Bits,
   const unsigned Dim = 1u << M;
   BlockRows Rows;
   Rows.Init = Init;
-  Rows.Pairs = true;
   for (unsigned R = 0; R < Dim; ++R) {
     unsigned &Mask = Rows.NonZero[R];
     Mask = 0;
@@ -271,7 +259,6 @@ void applyMatrixLanes(Amplitude *A, uint64_t Size, const uint64_t *Bits,
       if (X.real() != 0.0 || X.imag() != 0.0)
         Mask |= 1u << S;
     }
-    Rows.Pairs &= (Mask & 0x55) == ((Mask >> 1) & 0x55);
   }
 
   // Offset[S] is the index pattern of local basis state S.

@@ -709,10 +709,10 @@ TEST(DifferentialTest, BlockKernelAmplitudesExact) {
   const std::vector<std::pair<unsigned, std::vector<unsigned>>> Supports = {
       {16, {15}},         {16, {14}},       {16, {0}},
       {16, {7}},          {16, {14, 15}},   {16, {0, 1}},
-      {16, {3, 12}},      {16, {0, 15}},    {16, {13, 14, 15}},
-      {16, {0, 1, 2}},    {16, {0, 8, 15}}, {16, {2, 6, 11}},
-      {16, {4, 9, 14}},   {3, {0, 1, 2}},   {4, {0, 1, 2}},
-      {4, {1, 2, 3}},     {4, {0, 3}}};
+      {16, {3, 12}},      {16, {0, 15}},    {16, {3, 14}},
+      {16, {13, 14, 15}}, {16, {0, 1, 2}},  {16, {0, 8, 15}},
+      {16, {2, 6, 11}},   {16, {4, 9, 14}}, {3, {0, 1, 2}},
+      {4, {0, 1, 2}},     {4, {1, 2, 3}},   {4, {0, 3}}};
   for (const auto &[N, Q] : Supports) {
     const std::vector<Amplitude> Start = RandomState(N);
     const unsigned M = static_cast<unsigned>(Q.size()), Dim = 1u << M;
