@@ -8,6 +8,7 @@
 
 #include "support/FaultInject.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -336,11 +337,14 @@ bool ServiceRequest::fromJson(const json::Value &V, ServiceRequest &Out,
     }
     std::vector<double> Point;
     for (const json::Value &D : P.elements()) {
-      if (!D.isNumber()) {
-        Error = "\"points\" values must be numbers";
+      // A NaN default catches numbers outside a double's range (1e400,
+      // 1e-400), as --sweep refuses them.
+      double Val = D.asDouble(std::numeric_limits<double>::quiet_NaN());
+      if (std::isnan(Val)) {
+        Error = "\"points\" values must be numbers in a double's range";
         return false;
       }
-      Point.push_back(D.asDouble());
+      Point.push_back(Val);
     }
     Out.Points.push_back(std::move(Point));
   }

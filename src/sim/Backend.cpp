@@ -321,21 +321,6 @@ ShotResult SimBackend::runNoisy(const Circuit &C, uint64_t Seed,
 
 bool SimBackend::supportsNoise(const NoiseModel &) const { return false; }
 
-std::vector<ShotResult> SimBackend::runBatch(const Circuit &C, unsigned Shots,
-                                             uint64_t Seed,
-                                             const RunOptions &Opts) const {
-  const NoiseModel *Noise =
-      Opts.Noise && !Opts.Noise->empty() ? Opts.Noise : nullptr;
-  std::vector<ShotResult> Results(Shots);
-  parallelShotLoop(resolveJobCount(Opts.Jobs, Shots), Shots, [&](unsigned S) {
-    if (Opts.deadlineExpired())
-      throw DeadlineExceeded();
-    Results[S] = Noise ? runNoisy(C, deriveShotSeed(Seed, S), *Noise)
-                       : run(C, deriveShotSeed(Seed, S));
-  });
-  return Results;
-}
-
 std::vector<std::vector<ShotResult>>
 SimBackend::runSweep(const Circuit &C,
                      const std::vector<std::vector<double>> &Points,

@@ -291,11 +291,12 @@ public:
 
   /// Executes \p C \p Shots times, returning outcomes in shot order; shot
   /// S uses seed deriveShotSeed(\p Seed, S), so the result is independent
-  /// of \p Opts.Jobs. The default fans run() out over a shot-parallel work
-  /// queue; backends override it to amortize work across shots.
+  /// of \p Opts.Jobs. Shot S replays run() (runNoisy() under
+  /// \p Opts.Noise) at that seed; each engine amortizes work across shots
+  /// its own way.
   virtual std::vector<ShotResult> runBatch(const Circuit &C, unsigned Shots,
                                            uint64_t Seed,
-                                           const RunOptions &Opts) const;
+                                           const RunOptions &Opts) const = 0;
   std::vector<ShotResult> runBatch(const Circuit &C, unsigned Shots,
                                    uint64_t Seed) const {
     return runBatch(C, Shots, Seed, RunOptions());

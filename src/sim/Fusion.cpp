@@ -21,14 +21,6 @@ using Cplx = std::complex<double>;
 static_assert(MaxBlockQubits <= MPSBackend::MaxGateSites,
               "gateBlockMatrix must build every fused block's gates");
 
-Mat2 asdf::matmul(const Mat2 &A, const Mat2 &B) {
-  Mat2 R;
-  for (int I = 0; I < 2; ++I)
-    for (int J = 0; J < 2; ++J)
-      R.M[I][J] = A.M[I][0] * B.M[0][J] + A.M[I][1] * B.M[1][J];
-  return R;
-}
-
 Mat2 asdf::gateMatrix2(GateKind G, double Theta) {
   const double S2 = 1.0 / std::sqrt(2.0);
   const Cplx I(0.0, 1.0);
@@ -186,6 +178,8 @@ std::vector<Cplx> embedBlockMatrix(const std::vector<Cplx> &U,
   return R;
 }
 
+/// True if every off-diagonal entry is exactly zero, as it is in any
+/// product of diagonal factors (0*x + y*0 stays 0 in IEEE arithmetic).
 bool isDiagonalBlock(const std::vector<Cplx> &U, unsigned Dim) {
   for (unsigned Row = 0; Row < Dim; ++Row)
     for (unsigned Col = 0; Col < Dim; ++Col)
@@ -253,8 +247,8 @@ FusionPlan asdf::planFusion(const Circuit &C, const NoiseModel *Noise) {
 
   auto flushBlock = [&](const OpenBlock &B) {
     if (B.Count == 1) {
-      // A lone gate keeps its specialized engine kernel (and bit-exact
-      // arithmetic): pass it through instead of wrapping it in a matrix.
+      // A lone gate passes through: the engine picks its kernel from the
+      // gate kind (a pair swap for X, a phase sweep for a phase on |1>).
       emitInstr(B.OnlyInstr);
       return;
     }
@@ -477,22 +471,16 @@ FusedCircuit asdf::buildFusedCircuit(const FusionPlan &Plan,
     case Event::Kind::Run: {
       const std::vector<unsigned> &Qubits = Plan.Nodes[E.Node].Qubits;
       std::vector<Cplx> &M = U[E.Node];
-      if (Qubits.size() == 1) {
-        // A run that never grew past one wire keeps the cheap 2x2
-        // kernels, or joins a diagonal sweep if its product stayed
-        // diagonal.
-        Mat2 U2{{{M[0], M[1]}, {M[2], M[3]}}};
-        if (U2.isDiagonal()) {
-          emitDiagEntry({0, QubitBit(Qubits[0]), U2.M[0][0], U2.M[1][1]});
-          continue;
-        }
-        Op.TheKind = FusedOp::Kind::Unitary;
-        Op.Target = Qubits[0];
-        Op.U = U2;
-        break;
+      if (Qubits.size() == 1 && isDiagonalBlock(M, 2)) {
+        // A run that never grew past one wire and stayed diagonal joins a
+        // diagonal sweep.
+        emitDiagEntry({0, QubitBit(Qubits[0]), M[0], M[3]});
+        continue;
       }
-      ++FC.BlocksFormed;
-      FC.WidestBlock = std::max(FC.WidestBlock, Qubits.size());
+      if (Qubits.size() >= 2) {
+        ++FC.BlocksFormed;
+        FC.WidestBlock = std::max(FC.WidestBlock, Qubits.size());
+      }
       Op.TheKind = FusedOp::Kind::Block;
       Op.Qubits = Qubits;
       Op.BlockU = std::move(M);

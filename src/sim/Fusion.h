@@ -19,7 +19,7 @@
 ///     block sweeps. Open blocks on disjoint supports accumulate
 ///     independently (adjacent up to commuting instructions on other
 ///     wires) and merge when a spanning gate arrives. A block that never
-///     grew past one wire flushes as a fused 2x2 unitary (or a diagonal
+///     grew past one wire flushes as a one-qubit Block (or a diagonal
 ///     entry when the product stayed diagonal);
 ///   - **diagonal coalescing**: consecutive diagonal ops — controlled
 ///     phases (CZ/CP/CCZ/CRZ...) on wires with no open block and fused
@@ -30,8 +30,8 @@
 ///   - everything else (gates wider than a block, measurement, reset,
 ///     classically-conditioned instructions) passes through by reference
 ///     into the original instruction. A gate that ends up alone in its
-///     block also passes through, keeping the engine's specialized
-///     bit-exact kernels for lone gates.
+///     block also passes through, and the engine picks its kernel from
+///     the gate kind.
 ///
 /// Fusion is exact: the fused stream applies the same operator product in
 /// the same order (up to commuting disjoint-wire reorderings), and
@@ -63,21 +63,12 @@ namespace asdf {
 
 class NoiseModel;
 
-/// One 2x2 complex matrix (row-major), the currency of single-qubit fusion.
+/// One 2x2 complex matrix (row-major): a single-qubit gate or Kraus operator.
 struct Mat2 {
   std::complex<double> M[2][2];
 
   static Mat2 identity() { return {{{1, 0}, {0, 1}}}; }
-
-  /// True if both off-diagonal entries are exactly zero — guaranteed for
-  /// products of diagonal factors (0*x + y*0 stays 0 in IEEE arithmetic).
-  bool isDiagonal() const {
-    return std::abs(M[0][1]) == 0.0 && std::abs(M[1][0]) == 0.0;
-  }
 };
-
-/// Matrix product A*B ("apply B first, then A", matching gate order).
-Mat2 matmul(const Mat2 &A, const Mat2 &B);
 
 /// The 2x2 matrix of an uncontrolled single-qubit gate. Asserts on Swap.
 Mat2 gateMatrix2(GateKind G, double Theta);
@@ -108,15 +99,12 @@ inline constexpr unsigned MaxBlockQubits = 3;
 /// One op of the fused execution plan.
 struct FusedOp {
   enum class Kind {
-    Unitary, ///< Fused 2x2 on Target.
-    Diag,    ///< Coalesced diagonal sweep (one memory pass, many entries).
-    Block,   ///< Fused multi-qubit block: 2^m x 2^m unitary on Qubits.
-    Instr,   ///< Pass-through: Source->Instrs[InstrIndex].
+    Diag,  ///< Coalesced diagonal sweep (one memory pass, many entries).
+    Block, ///< Fused block: 2^m x 2^m unitary on Qubits, m from 1 up.
+    Instr, ///< Pass-through: Source->Instrs[InstrIndex].
   };
 
   Kind TheKind = Kind::Instr;
-  unsigned Target = 0;          ///< Unitary only.
-  Mat2 U = Mat2::identity();    ///< Unitary only.
   std::vector<DiagEntry> Diag;  ///< Diag only.
   size_t InstrIndex = 0;        ///< Instr only.
   /// Block only: the support, sorted ascending by qubit number. Qubits[0]
@@ -140,10 +128,10 @@ struct FusedCircuit {
 
   // Plan statistics, for diagnostics and the --emit run stderr summary.
   size_t GatesIn = 0;       ///< Gate instructions consumed.
-  size_t GatesFused = 0;    ///< Gates folded into Unitary/Diag/Block ops.
+  size_t GatesFused = 0;    ///< Gates folded into Diag/Block ops.
   size_t SweepsCoalesced = 0; ///< Diagonal ops merged into a neighbor.
   size_t BlocksFormed = 0;  ///< Multi-qubit Block ops emitted.
-  size_t WidestBlock = 0;   ///< Largest Block support (qubits) emitted.
+  size_t WidestBlock = 0;   ///< Largest multi-qubit Block support emitted.
 
   /// "123 gates -> 41 ops (96 fused, 7 blocks <= 3q, 12 sweeps coalesced)"
   std::string summary() const;
@@ -181,8 +169,8 @@ struct FusionPlan {
     enum class Kind {
       Instr,    ///< Pass-through of source instruction InstrIndex.
       DiagGate, ///< Controlled or wide diagonal gate -> one sweep entry.
-      Run,      ///< Flushed block: a Diag entry, Unitary or Block op,
-                ///< decided from the built matrix.
+      Run,      ///< Flushed block: a Diag entry or a Block op, decided
+                ///< from the built matrix.
     };
     Kind TheKind = Kind::Instr;
     size_t InstrIndex = 0;  ///< Instr/DiagGate source instruction.

@@ -121,13 +121,11 @@ double keptNorm(double P1, bool One) {
 typedef double Lanes __attribute__((vector_size(4 * sizeof(Amplitude))));
 
 /// A 2^m x 2^m matrix as the lane kernel reads it: row-major re and im
-/// parts, which entries of each row are nonzero, and the value every row
-/// sum starts from.
+/// parts, and which entries of each row are nonzero.
 struct BlockRows {
   static constexpr unsigned MaxDim = 1u << MaxBlockQubits;
   double Ur[MaxDim * MaxDim], Ui[MaxDim * MaxDim];
   unsigned NonZero[MaxDim]; ///< Bit S of row R: entry (R, S) is nonzero.
-  double Init;
 };
 
 /// Moves whole amplitudes between memory order and lane order: of two
@@ -169,8 +167,6 @@ void applyBlockLanes(Amplitude *A, const BlockRows &Rows,
                      uint64_t E) {
   constexpr unsigned K = std::countr_zero(Dim) + 2, S1 = Lo0 ? 2 : 1;
   const Lanes NegRe = {-1, 1, -1, 1, -1, 1, -1, 1};
-  const double I0 = Rows.Init;
-  const Lanes Init = {I0, I0, I0, I0, I0, I0, I0, I0};
   for (uint64_t Q = B; Q < E; ++Q) {
     uint64_t Base = insertZeroBits(Q, Pinned, K);
     Lanes V[Dim], N[Dim], Out[Dim];
@@ -194,7 +190,7 @@ void applyBlockLanes(Amplitude *A, const BlockRows &Rows,
              NegRe;
 #pragma GCC unroll 8
     for (unsigned R = 0; R < Dim; ++R) {
-      Lanes Acc = Init;
+      Lanes Acc = {};
 #pragma GCC unroll 8
       for (unsigned S = 0; S < Dim; ++S)
         if (Rows.NonZero[R] & (1u << S))
@@ -236,19 +232,16 @@ void applyBlockLanes(Amplitude *A, const BlockRows &Rows, bool Lo0, bool Lo1,
 
 /// Applies the 2^m x 2^m row-major matrix \p U to the \p Size amplitudes
 /// at \p A. \p Bits[J] is the index bit of local bit m-1-J, descending
-/// (Bits[0] owns the local MSB). Each output amplitude is \p Init plus the
+/// (Bits[0] owns the local MSB). Each output amplitude is +0 plus the
 /// terms of the row's nonzero entries, in ascending column order. An
 /// exact-zero entry adds only +-0, which changes no sum that starts at +0
-/// (such a sum is never -0), so a block starting at +0 is the full scalar
-/// row product bit for bit; -0 + x is x, so a 2x2 starting at -0 is the
-/// plain sum of its two terms. States too small for two lane bits take the
-/// scalar row product itself.
+/// (such a sum is never -0), so the result is the full scalar row product
+/// bit for bit. States too small for two lane bits take the scalar row
+/// product itself.
 void applyMatrixLanes(Amplitude *A, uint64_t Size, const uint64_t *Bits,
-                      unsigned M, const Amplitude *U, double Init,
-                      unsigned Jobs) {
+                      unsigned M, const Amplitude *U, unsigned Jobs) {
   const unsigned Dim = 1u << M;
   BlockRows Rows;
-  Rows.Init = Init;
   for (unsigned R = 0; R < Dim; ++R) {
     unsigned &Mask = Rows.NonZero[R];
     Mask = 0;
@@ -283,7 +276,7 @@ void applyMatrixLanes(Amplitude *A, uint64_t Size, const uint64_t *Bits,
         Vi[S] = A[Base | Offset[S]].imag();
       }
       for (unsigned R = 0; R < Dim; ++R) {
-        double Ar = Init, Ai = Init;
+        double Ar = 0.0, Ai = 0.0;
         for (unsigned S = 0; S < Dim; ++S) {
           if (!(Rows.NonZero[R] & (1u << S)))
             continue;
@@ -408,7 +401,7 @@ void StateVector::matrix2Kernel(uint64_t CtlMask, uint64_t Bit,
                                 const Mat2 &U) {
   Amplitude *A = Amp.data();
   if (CtlMask == 0) {
-    applyMatrixLanes(A, Amp.size(), &Bit, 1, &U.M[0][0], -0.0, ParJobs);
+    applyMatrixLanes(A, Amp.size(), &Bit, 1, &U.M[0][0], ParJobs);
     return;
   }
   uint64_t Pinned[64];
@@ -478,9 +471,9 @@ void StateVector::apply(GateKind G, const std::vector<unsigned> &Controls,
 
   uint64_t NumPairs = Amp.size() >> (1 + std::popcount(CtlMask));
 
-  // Diagonal gates but RZ (its kernels follow) put 1 on |0>, so they
-  // collapse to a single strided phase sweep at any control count: the
-  // phase lands exactly where all controls and the target read 1.
+  // Diagonal gates but RZ put 1 on |0>, so they collapse to a single
+  // strided phase sweep at any control count: the phase lands exactly
+  // where all controls and the target read 1.
   Amplitude P0, P1;
   if (G != GateKind::RZ && diagonalPhases(G, Param, P0, P1)) {
     phaseSweep(CtlMask | Bit, P1);
@@ -495,115 +488,9 @@ void StateVector::apply(GateKind G, const std::vector<unsigned> &Controls,
     return;
   }
 
-  // Y: permutation plus a fixed +-i twist.
-  if (G == GateKind::Y) {
-    const Amplitude I(0.0, 1.0);
-    Amplitude *A = Amp.data();
-    if (CtlMask == 0) {
-      parallelIndexLoop(
-          ParJobs, NumPairs, KernelMinChunk, [&](uint64_t B, uint64_t E) {
-            forPairRuns(B, E, Bit, [&](uint64_t I0, uint64_t Run) {
-              double *__restrict P0 = reinterpret_cast<double *>(A + I0);
-              double *__restrict P1 =
-                  reinterpret_cast<double *>(A + (I0 + Bit));
-              for (uint64_t X = 0; X < Run; ++X) {
-                double Re0 = P0[2 * X], Im0 = P0[2 * X + 1];
-                double Re1 = P1[2 * X], Im1 = P1[2 * X + 1];
-                P0[2 * X] = Im1;      // -i * A1
-                P0[2 * X + 1] = -Re1;
-                P1[2 * X] = -Im0;     // i * A0
-                P1[2 * X + 1] = Re0;
-              }
-            });
-          });
-    } else {
-      uint64_t Pinned[64];
-      unsigned K = collectBits(CtlMask | Bit, Pinned);
-      parallelIndexLoop(ParJobs, NumPairs, KernelMinChunk,
-                        [&](uint64_t B, uint64_t E) {
-                          for (uint64_t J = B; J < E; ++J) {
-                            uint64_t I0 =
-                                insertZeroBits(J, Pinned, K) | CtlMask;
-                            uint64_t I1 = I0 | Bit;
-                            Amplitude A0 = A[I0];
-                            A[I0] = -I * A[I1];
-                            A[I1] = I * A0;
-                          }
-                        });
-    }
-    bumpStats(2 * NumPairs, false);
-    return;
-  }
-
-  // H: real butterfly over restrict-qualified re/im data — contiguous,
-  // auto-vectorizable, no complex matrix products.
-  if (G == GateKind::H && CtlMask == 0) {
-    const double S2 = 1.0 / std::sqrt(2.0);
-    Amplitude *A = Amp.data();
-    parallelIndexLoop(
-        ParJobs, NumPairs, KernelMinChunk, [&](uint64_t B, uint64_t E) {
-          forPairRuns(B, E, Bit, [&](uint64_t I0, uint64_t Run) {
-            double *__restrict P0 = reinterpret_cast<double *>(A + I0);
-            double *__restrict P1 =
-                reinterpret_cast<double *>(A + (I0 + Bit));
-            for (uint64_t X = 0; X < 2 * Run; ++X) {
-              double A0 = P0[X], A1 = P1[X];
-              P0[X] = S2 * (A0 + A1);
-              P1[X] = S2 * (A0 - A1);
-            }
-          });
-        });
-    bumpStats(2 * NumPairs, false);
-    return;
-  }
-  if (G == GateKind::H) {
-    const double S2 = 1.0 / std::sqrt(2.0);
-    uint64_t Pinned[64];
-    unsigned K = collectBits(CtlMask | Bit, Pinned);
-    Amplitude *A = Amp.data();
-    parallelIndexLoop(ParJobs, NumPairs, KernelMinChunk,
-                      [&](uint64_t B, uint64_t E) {
-                        for (uint64_t J = B; J < E; ++J) {
-                          uint64_t I0 =
-                              insertZeroBits(J, Pinned, K) | CtlMask;
-                          uint64_t I1 = I0 | Bit;
-                          Amplitude A0 = A[I0], A1 = A[I1];
-                          A[I0] = S2 * (A0 + A1);
-                          A[I1] = S2 * (A0 - A1);
-                        }
-                      });
-    bumpStats(2 * NumPairs, false);
-    return;
-  }
-
-  // Uncontrolled RZ: a contiguous diagonal sweep over the whole state.
-  if (G == GateKind::RZ && CtlMask == 0) {
-    const Amplitude I(0.0, 1.0);
-    Amplitude P0 = std::exp(-I * (Param / 2)), P1 = std::exp(I * (Param / 2));
-    Amplitude *A = Amp.data();
-    parallelIndexLoop(
-        ParJobs, NumPairs, KernelMinChunk, [&](uint64_t B, uint64_t E) {
-          forPairRuns(B, E, Bit, [&](uint64_t I0, uint64_t Run) {
-            Amplitude *__restrict Lo = A + I0;
-            Amplitude *__restrict Hi = A + (I0 + Bit);
-            for (uint64_t X = 0; X < Run; ++X) {
-              Lo[X] *= P0;
-              Hi[X] *= P1;
-            }
-          });
-        });
-    bumpStats(2 * NumPairs, false);
-    return;
-  }
-
-  // Generic controlled-2x2 fallback (RX/RY, controlled rotations).
+  // Every other gate (H, Y, RX, RY, RZ) is a 2x2 product.
   matrix2Kernel(CtlMask, Bit, gateMatrix2(G, Param));
   bumpStats(2 * NumPairs, false);
-}
-
-void StateVector::applyMatrix2(unsigned Q, const Mat2 &U) {
-  matrix2Kernel(0, qubitBit(Q), U);
-  bumpStats(Amp.size(), true);
 }
 
 void StateVector::applyBlock(const std::vector<unsigned> &Qubits,
@@ -617,8 +504,8 @@ void StateVector::applyBlock(const std::vector<unsigned> &Qubits,
   uint64_t Bits[MaxBlockQubits];
   for (unsigned J = 0; J < M; ++J)
     Bits[J] = qubitBit(Qubits[J]);
-  applyMatrixLanes(Amp.data(), Amp.size(), Bits, M, U.data(), 0.0, ParJobs);
-  bumpStats(Amp.size(), true, true);
+  applyMatrixLanes(Amp.data(), Amp.size(), Bits, M, U.data(), ParJobs);
+  bumpStats(Amp.size(), true, M >= 2);
 }
 
 void StateVector::applyDiagSweep(const std::vector<DiagEntry> &Entries) {
@@ -1001,9 +888,6 @@ void executeFused(const FusedCircuit &FC, size_t Begin, size_t End,
   for (size_t N = Begin; N < End; ++N) {
     const FusedOp &Op = FC.Ops[N];
     switch (Op.TheKind) {
-    case FusedOp::Kind::Unitary:
-      SV.applyMatrix2(Op.Target, Op.U);
-      break;
     case FusedOp::Kind::Diag:
       SV.applyDiagSweep(Op.Diag);
       break;
@@ -1421,21 +1305,10 @@ std::vector<ShotResult> runPlannedBatch(const FusedCircuit &FC,
     return Results;
   }
 
-  if (!ShotParallel) {
-    // Amplitude-parallel remainder: shots run one after another, each
-    // kernel's index range split across the workers. One fork buffer,
-    // refilled per shot — no per-shot allocation.
-    StateVector SV = Shared;
-    for (unsigned S = 0; S < Shots; ++S) {
-      if (S > 0)
-        SV = Shared;
-      Results[S] = runRest(SV, S, Opts.SimCounters);
-    }
-    return Results;
-  }
-
-  unsigned Jobs = resolveJobCount(Opts.Jobs, Shots);
-  if (uint64_t Avail = availablePhysicalMemory()) {
+  // Shot-parallel, each worker runs whole shots; otherwise one worker runs
+  // the shots one after another on split kernels (RestAmpJobs).
+  unsigned Jobs = ShotParallel ? resolveJobCount(Opts.Jobs, Shots) : 1;
+  if (uint64_t Avail = Jobs > 1 ? availablePhysicalMemory() : 0) {
     // Each in-flight shot holds a fork of the shared state, so near the
     // qubit cap shrink the worker count until shared + per-worker states
     // fit in half of available memory — the budget maxQubits admitted the
@@ -1448,9 +1321,9 @@ std::vector<ShotResult> runPlannedBatch(const FusedCircuit &FC,
       Jobs = MaxJobs > 1 ? static_cast<unsigned>(MaxJobs) : 1;
   }
   // Per-worker fork buffers, hoisted out of the shot loop: each shot
-  // copy-assigns the shared prefix state into its worker's buffer instead
-  // of allocating (and then freeing) a fresh fork per shot.
-  std::vector<StateVector> WorkerState(Jobs, Shared);
+  // copy-assigns the shared prefix state into its worker's buffer, which
+  // allocates on the worker's first shot only.
+  std::vector<StateVector> WorkerState(Jobs, StateVector(0));
   parallelShotLoop(Jobs, Shots, Opts.SimCounters,
                    [&](unsigned W, unsigned S, SimStats *Stats) {
                      WorkerState[W] = Shared;

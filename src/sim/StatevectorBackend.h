@@ -13,18 +13,17 @@
 /// Every kernel is a branch-free strided sweep (QuEST-style): instead of
 /// filtering all 2^n indices with an `(Idx & Mask) == Mask` test, the
 /// kernels enumerate exactly the 2^(n-c-1) relevant pair indices by bit
-/// insertion over the target/control bits, so uncontrolled diagonal/X/H/
-/// phase kernels become contiguous, auto-vectorizable runs over
-/// restrict-qualified re/im data. Hot Clifford gates bypass the generic
-/// controlled-2x2 path with specialized kernels: diagonal gates
-/// (Z/S/Sdg/T/Tdg/P/RZ) become a strided phase sweep at any control count,
-/// X becomes a pair permutation, and Y a permutation with a fixed +-i
-/// twist. Fused multi-qubit blocks (Fusion.h) and every uncontrolled 2x2
-/// (fused 1-qubit ops, lone RX/RY, Kraus branches) apply through one SIMD
-/// kernel: a 64-byte vector holds one local basis state of four groups,
-/// the lanes being the two lowest index bits outside the support (128-bit
-/// shuffles move whole amplitudes into lane order when the support holds
-/// index bit 0 or 1), and each output row sums only its nonzero entries.
+/// insertion over the target/control bits. Two gate families need no 2x2
+/// product and keep their own kernels at any control count: a phase on |1>
+/// alone (Z/S/Sdg/T/Tdg/P) is a strided phase sweep, and X a pair
+/// permutation. Every other single-target gate is a 2x2 product. Fused
+/// blocks (Fusion.h, one qubit up to three) and every
+/// uncontrolled 2x2 (lone H/Y/RX/RY/RZ, Kraus branches) apply through one
+/// SIMD kernel: a 64-byte vector holds one local basis state of four
+/// groups, the lanes being the two lowest index bits outside the support
+/// (128-bit shuffles move whole amplitudes into lane order when the
+/// support holds index bit 0 or 1), and each output row sums only its
+/// nonzero entries. A controlled 2x2 takes a strided loop.
 ///
 /// Batch runs fuse the circuit, simulate the unconditional gate prefix
 /// once, fork the state per shot, and run the shots on a work-stealing
@@ -83,15 +82,13 @@ public:
   void apply(GateKind G, const std::vector<unsigned> &Controls,
              const std::vector<unsigned> &Targets, double Param);
 
-  /// Applies a (fused) 2x2 unitary to qubit \p Q.
-  void applyMatrix2(unsigned Q, const Mat2 &U);
-
-  /// Applies a fused multi-qubit block: the 2^m x 2^m row-major unitary
-  /// \p U over \p Qubits (sorted ascending, Qubits[0] = local MSB,
-  /// matching FusedOp::Qubits) in one sweep. Each output amplitude is the
-  /// row product summed over the columns in ascending order, bit for bit,
-  /// whatever the worker count: the kernel skips exact-zero entries, whose
-  /// terms would add only +-0 to a sum that starts at +0.
+  /// Applies a fused block: the 2^m x 2^m row-major unitary \p U over
+  /// \p Qubits (1 to MaxBlockQubits of them, sorted ascending, Qubits[0]
+  /// = local MSB, matching FusedOp::Qubits) in one sweep. Each output
+  /// amplitude is the row product summed over the columns in ascending
+  /// order, bit for bit, whatever the worker count: the kernel skips
+  /// exact-zero entries, whose terms would add only +-0 to a sum that
+  /// starts at +0. SimStats::FusedBlocks counts blocks of 2+ qubits.
   void applyBlock(const std::vector<unsigned> &Qubits,
                   const std::vector<Amplitude> &U);
 
@@ -145,9 +142,8 @@ private:
   void phaseSweep(uint64_t Mask, Amplitude Phase);
   /// Strided kernel: swap the target pair wherever all controls are set.
   void pairSwap(uint64_t CtlMask, uint64_t Bit);
-  /// Generic 2x2 at any control count (the fallback all specialized
-  /// kernels reduce to): uncontrolled, the block kernel; controlled, a
-  /// strided loop.
+  /// Every 2x2 that is neither X nor a phase on |1> alone, at any control
+  /// count: uncontrolled, the block kernel; controlled, a strided loop.
   void matrix2Kernel(uint64_t CtlMask, uint64_t Bit, const Mat2 &U);
 
   void bumpStats(uint64_t Touched, bool Fused, bool Block = false) const;

@@ -566,6 +566,34 @@ TEST(ProtocolTest, TimeoutMustBeSecondsInRange) {
   }
 }
 
+TEST(ProtocolTest, PointValuesMustFitADouble) {
+  // A value outside a double's range ran as 0 degrees, where --sweep
+  // refuses the same text.
+  const std::string BindRun =
+      R"({"op": "bind-run", "source": "x", "points": [[)";
+  for (const char *Bad : {"1e400", "-1e400", "1e-400", "\"5\""}) {
+    ServiceRequest R;
+    uint64_t Id = 0;
+    std::string Error;
+    EXPECT_FALSE(parseRequestLine(BindRun + Bad + "]]}", R, Id, Error))
+        << Bad;
+    EXPECT_NE(Error.find("\"points\""), std::string::npos)
+        << Bad << ": " << Error;
+  }
+  const std::pair<const char *, double> Good[] = {
+      {"45", 45.0}, {"-0.5", -0.5}, {"1e308", 1e308}};
+  for (const auto &[Text, Value] : Good) {
+    ServiceRequest R;
+    uint64_t Id = 0;
+    std::string Error;
+    ASSERT_TRUE(parseRequestLine(BindRun + Text + "]]}", R, Id, Error))
+        << Error;
+    ASSERT_EQ(R.Points.size(), 1u) << Text;
+    ASSERT_EQ(R.Points[0].size(), 1u) << Text;
+    EXPECT_EQ(R.Points[0][0], Value) << Text;
+  }
+}
+
 TEST(ProtocolTest, MalformedLinesFailWithPosition) {
   ServiceRequest R;
   uint64_t Id = 0;
